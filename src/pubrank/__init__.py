@@ -4,102 +4,23 @@ Pipeline: ingest JSONL records -> resolve publisher identities through a
 variant/acquisition registry -> map subject categories to disciplines and
 fields -> compute six indicators per (publisher, scope) -> threshold,
 order, and export ranking tables and publisher profiles.
+
+The package root carries the names the scripts and the README use; every
+other name lives in its module (corpus, registry, taxonomy, indicators,
+ranking, report, cli, testkit, samples, errors).
 """
 
 from .corpus import (
     DEFAULT_EXCLUDED_PUBLISHERS,
     DEFAULT_WINDOW,
-    DOC_BOOK,
-    DOC_CHAPTER,
-    CorpusStats,
-    Diagnostic,
-    FieldStats,
-    ItemRecord,
-    ResolvedCorpus,
-    corpus_fingerprint,
-    corpus_stats,
-    edited_book_map,
     filter_corpus,
     ingest_corpus,
     resolve_corpus,
-    unknown_parent_chapters,
 )
-from .errors import (
-    AcquisitionCycleError,
-    ConfigError,
-    CorpusError,
-    DuplicateItemError,
-    ExportError,
-    FingerprintMismatchError,
-    PubrankError,
-    RegistryError,
-    TaxonomyError,
-    UnknownPublisherError,
-    UnresolvedPublisherError,
-)
-from .indicators import (
-    SCOPE_DISCIPLINE,
-    SCOPE_FIELD,
-    BaselineCell,
-    BaselineTable,
-    IndicatorRow,
-    Scope,
-    compute_ai,
-    compute_all_rows,
-    compute_baselines,
-    compute_counts,
-    compute_ed,
-    compute_fncs,
-    global_counts,
-)
-from .ranking import (
-    PublisherProfile,
-    RankingEntry,
-    RankingTable,
-    RunMeta,
-    ThresholdPolicy,
-    build_all_rankings,
-    build_profile,
-    build_ranking,
-    check_eligibility,
-)
-from .registry import (
-    AcquisitionEvent,
-    CanonicalPublisher,
-    NameVariant,
-    PublisherRegistry,
-    apply_acquisitions,
-    fold_name,
-    load_registry,
-    load_registry_dir,
-    resolve_publisher,
-)
-from .report import (
-    CSV_HEADER,
-    FORMATS,
-    PipelineResult,
-    RunConfig,
-    ValidationReport,
-    export_all_rankings,
-    export_profile,
-    export_ranking,
-    run_pipeline,
-    run_profile,
-    run_rank,
-    run_stats,
-    run_validate,
-    scope_slug,
-    table_filename,
-)
-from .samples import sample_registry_dir, sample_taxonomy_path
-from .taxonomy import ItemScopes, TaxonomyMap, load_taxonomy, scopes_of_item
-from .testkit import (
-    GenerationResult,
-    GroundTruthLedger,
-    SynthParams,
-    generate_corpus,
-    load_ledger,
-    oracle_indicators,
-)
+from .indicators import Scope, compute_baselines
+from .ranking import ThresholdPolicy, build_all_rankings
+from .report import RunConfig, run_rank
+from .samples import sample_taxonomy_path
+from .testkit import SynthParams, generate_corpus, oracle_indicators
 
 __version__ = "0.1.0"

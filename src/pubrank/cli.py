@@ -212,10 +212,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PubrankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    except OSError as exc:
+    except (PubrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

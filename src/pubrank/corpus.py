@@ -8,16 +8,16 @@ stats are pure functions over the ingested records.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import io
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import CorpusError, DuplicateItemError, UnresolvedPublisherError
-from .registry import PublisherRegistry, fold_name
+from .registry import PublisherRegistry
 from .taxonomy import TaxonomyMap, scopes_of_item
 
 DOC_BOOK = "book"
@@ -157,18 +157,20 @@ def _parse_line(obj: dict) -> tuple[ItemRecord, list[str]]:
 
 
 def _open_lines(source) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
+    """Lines of a corpus file, or of any iterable of strings."""
+    if not isinstance(source, (str, Path)):
+        yield from source
+        return
+    path = Path(source)
+    try:
+        fh = path.open(encoding="utf-8")
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
+    with fh:
         try:
-            fh: IO[str] = path.open(encoding="utf-8")
-        except OSError as exc:
-            raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
-        with fh:
             yield from fh
-    elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        yield from source
-    else:
-        yield from source
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"corpus {path} is not UTF-8: {exc}") from exc
 
 
 def ingest_corpus(
@@ -191,6 +193,11 @@ def ingest_corpus(
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc.msg}"))
+            continue
+        except (ValueError, RecursionError) as exc:
+            # an integer past the int-conversion digit limit, or nesting
+            # past the interpreter's recursion limit
+            diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc}"))
             continue
         if not isinstance(obj, dict):
             diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
@@ -227,10 +234,11 @@ def filter_corpus(
     for entry in excluded_publishers:
         if entry in registry.publishers:
             excluded_ids.add(registry.terminal[entry])
-            continue
-        pid = registry.variants.get(fold_name(entry))
-        if pid is not None:
-            excluded_ids.add(registry.terminal[pid])
+        else:
+            with contextlib.suppress(UnresolvedPublisherError):
+                excluded_ids.add(registry.resolve(entry))
+    resolved, _ = _resolve_names(items, registry)
+    excluded_raw = {raw for raw, pid in resolved.items() if pid in excluded_ids}
 
     kept = []
     for item in items:
@@ -240,10 +248,8 @@ def filter_corpus(
             continue
         if not (start <= item.pub_year <= end):
             continue
-        if excluded_ids:
-            pid = registry.variants.get(fold_name(item.raw_publisher))
-            if pid is not None and registry.terminal[pid] in excluded_ids:
-                continue
+        if item.raw_publisher in excluded_raw:
+            continue
         kept.append(item)
     return kept
 
@@ -297,30 +303,33 @@ def resolve_corpus(
     offending items are dropped and the exact set of unresolved folded
     strings is returned alongside the corpus.
     """
-    kept_items: list[ItemRecord] = []
-    publisher_ids: list[str] = []
-    unresolved: set[str] = set()
-    cache: dict[str, str | None] = {}
-    for item in items:
-        folded = fold_name(item.raw_publisher)
-        pid = cache.get(folded, "")
-        if pid == "":
-            base = registry.variants.get(folded)
-            pid = registry.terminal[base] if base is not None else None
-            cache[folded] = pid
-        if pid is None:
-            if strict:
-                raise UnresolvedPublisherError(folded)
-            unresolved.add(folded)
-            continue
-        kept_items.append(item)
-        publisher_ids.append(pid)
+    resolved, unresolved = _resolve_names(items, registry)
+    if unresolved and strict:
+        raise UnresolvedPublisherError(unresolved[0])
+    kept_items = [item for item in items if item.raw_publisher in resolved]
+    publisher_ids = [resolved[item.raw_publisher] for item in kept_items]
     corpus = ResolvedCorpus(
         items=tuple(kept_items),
         publisher_ids=tuple(publisher_ids),
         fingerprint=corpus_fingerprint(kept_items, publisher_ids),
     )
-    return corpus, unresolved
+    return corpus, set(unresolved)
+
+
+def _resolve_names(
+    items: Iterable[ItemRecord], registry: PublisherRegistry
+) -> tuple[dict[str, str], list[str]]:
+    """Resolve each distinct raw publisher string once, in first-seen order:
+    raw string -> terminal publisher id, plus the folded form of every
+    string that does not resolve."""
+    resolved: dict[str, str] = {}
+    unresolved: list[str] = []
+    for raw in dict.fromkeys(item.raw_publisher for item in items):
+        try:
+            resolved[raw] = registry.resolve(raw)
+        except UnresolvedPublisherError as exc:
+            unresolved.append(exc.folded)
+    return resolved, unresolved
 
 
 def edited_book_map(items: Iterable[ItemRecord]) -> dict[str, bool]:
@@ -375,14 +384,13 @@ class CorpusStats:
 
 
 def corpus_stats(
-    items: list[ItemRecord], registry: PublisherRegistry, taxonomy: TaxonomyMap
+    corpus: ResolvedCorpus, registry: PublisherRegistry, taxonomy: TaxonomyMap
 ) -> CorpusStats:
-    """Per-field and global aggregates over a filtered corpus.
+    """Per-field and global aggregates over a filtered, resolved corpus.
 
     Items are whole-counted: one item in n fields contributes fully to all
     n of them, so per-field numbers only sum to the totals on corpora
-    where every item has a single field. Unresolved publishers are fatal
-    here; resolution must precede stats.
+    where every item has a single field.
     """
     per_field = {f: FieldStats(disciplines=len(taxonomy.disciplines_by_field[f])) for f in taxonomy.fields}
     total = FieldStats(disciplines=taxonomy.discipline_count)
@@ -390,8 +398,7 @@ def corpus_stats(
     pubs_total: set[str] = set()
     unknown: set[str] = set()
 
-    for item in items:
-        pid = resolve_strict(item, registry)
+    for item, pid in corpus.pairs():
         scopes = scopes_of_item(item, taxonomy)
         unknown.update(scopes.unknown_categories)
         for fieldname in scopes.fields:
@@ -407,14 +414,6 @@ def corpus_stats(
     for pid in pubs_total:
         _count_publisher(total, registry, pid)
     return CorpusStats(per_field=per_field, total=total, unknown_categories=tuple(sorted(unknown)))
-
-
-def resolve_strict(item: ItemRecord, registry: PublisherRegistry) -> str:
-    folded = fold_name(item.raw_publisher)
-    pid = registry.variants.get(folded)
-    if pid is None:
-        raise UnresolvedPublisherError(folded)
-    return registry.terminal[pid]
 
 
 def _tally(stats: FieldStats, item: ItemRecord) -> None:

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
-
 from .corpus import ItemRecord, ResolvedCorpus, edited_book_map
 from .errors import FingerprintMismatchError
 from .taxonomy import TaxonomyMap
@@ -81,11 +79,6 @@ def _known_disciplines(item: ItemRecord, discipline_of: dict[str, str]) -> set[s
     return discs
 
 
-def _check_fingerprint(corpus: ResolvedCorpus, baselines: BaselineTable) -> None:
-    if corpus.fingerprint != baselines.fingerprint:
-        raise FingerprintMismatchError(corpus.fingerprint, baselines.fingerprint)
-
-
 def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> BaselineTable:
     """One cell per occupied (discipline, doc_type, year) triple, built
     from every item of every publisher; eligibility never trims baselines.
@@ -105,119 +98,6 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
         key: BaselineCell(key[0], key[1], key[2], n, s) for key, (n, s) in counts.items()
     }
     return BaselineTable(cells=cells, fingerprint=corpus.fingerprint)
-
-
-def _in_scope(scope: Scope, discs: set[str], taxonomy: TaxonomyMap) -> bool:
-    if scope.kind == SCOPE_DISCIPLINE:
-        return scope.name in discs
-    return any(taxonomy.field_of[d] == scope.name for d in discs)
-
-
-def compute_counts(
-    publisher_id: str, scope: Scope, corpus: ResolvedCorpus, taxonomy: TaxonomyMap
-) -> tuple[int, int, int]:
-    """(pbk, pch, cit) for one publisher in one scope. Book and chapter
-    citations are counted independently; nothing rolls up."""
-    pbk = pch = cit = 0
-    for item, pid in corpus.pairs():
-        if pid != publisher_id:
-            continue
-        if not _in_scope(scope, _known_disciplines(item, taxonomy.discipline_of), taxonomy):
-            continue
-        if item.is_book:
-            pbk += 1
-        else:
-            pch += 1
-        cit += item.citations
-    return pbk, pch, cit
-
-
-def _expected_of(
-    item: ItemRecord, scope: Scope, discs: set[str], baselines: BaselineTable, taxonomy: TaxonomyMap
-) -> Fraction:
-    """Expected citations for one item in one scope: its cell mean for a
-    discipline scope, the average of its cell means across the field's
-    disciplines for a field scope."""
-    if scope.kind == SCOPE_DISCIPLINE:
-        return baselines.mean_of(scope.name, item.doc_type, item.pub_year)
-    members = [d for d in discs if taxonomy.field_of[d] == scope.name]
-    total = sum(
-        (baselines.mean_of(d, item.doc_type, item.pub_year) for d in members), Fraction(0)
-    )
-    return total / len(members)
-
-
-def compute_fncs(
-    publisher_id: str,
-    scope: Scope,
-    corpus: ResolvedCorpus,
-    baselines: BaselineTable,
-    taxonomy: TaxonomyMap,
-) -> float:
-    """Ratio of sums: total citations of the publisher's items in scope
-    over total expected citations. Zero expected means every contributing
-    item is uncited, so the score is 0 by convention; no items, same."""
-    _check_fingerprint(corpus, baselines)
-    citations = 0
-    expected = Fraction(0)
-    for item, pid in corpus.pairs():
-        if pid != publisher_id:
-            continue
-        discs = _known_disciplines(item, taxonomy.discipline_of)
-        if not _in_scope(scope, discs, taxonomy):
-            continue
-        citations += item.citations
-        expected += _expected_of(item, scope, discs, baselines, taxonomy)
-    if expected == 0:
-        return 0.0
-    return float(Fraction(citations) / expected)
-
-
-def compute_ai(
-    publisher_id: str, scope: Scope, corpus: ResolvedCorpus, taxonomy: TaxonomyMap
-) -> float:
-    """Books only: the publisher's share of its own output in the scope
-    divided by the corpus share in the scope. 1.0 means proportional
-    activity. Empty denominators yield 0."""
-    own_scope = own_total = all_scope = all_total = 0
-    for item, pid in corpus.pairs():
-        if not item.is_book:
-            continue
-        discs = _known_disciplines(item, taxonomy.discipline_of)
-        if not discs:
-            continue
-        in_scope = _in_scope(scope, discs, taxonomy)
-        all_total += 1
-        if in_scope:
-            all_scope += 1
-        if pid == publisher_id:
-            own_total += 1
-            if in_scope:
-                own_scope += 1
-    if own_total == 0 or all_scope == 0:
-        return 0.0
-    return float(Fraction(own_scope * all_total, own_total * all_scope))
-
-
-def compute_ed(
-    publisher_id: str, scope: Scope, corpus: ResolvedCorpus, taxonomy: TaxonomyMap
-) -> float:
-    """Percentage of the publisher's chapters in scope that belong to
-    edited books. Chapters whose parent is unknown or unflagged count in
-    the denominator only."""
-    edited = edited_book_map(corpus.items)
-    chapters = from_edited = 0
-    for item, pid in corpus.pairs():
-        if pid != publisher_id or not item.is_chapter:
-            continue
-        if not _in_scope(scope, _known_disciplines(item, taxonomy.discipline_of), taxonomy):
-            continue
-        chapters += 1
-        if edited.get(item.parent_book_id, False):
-            from_edited += 1
-    if chapters == 0:
-        return 0.0
-    return 100 * from_edited / chapters
 
 
 class _Acc:
@@ -250,10 +130,11 @@ def compute_all_rows(
     """All indicator rows in one pass over the corpus.
 
     Produces one row per occupied (publisher, scope) pair; pairs with no
-    items have all-zero indicators and no row. Matches the per-pair
-    operations exactly, it only amortizes the corpus scans.
+    items have all-zero indicators and no row. Every row equals the
+    brute-force `testkit.oracle_indicators` exactly.
     """
-    _check_fingerprint(corpus, baselines)
+    if corpus.fingerprint != baselines.fingerprint:
+        raise FingerprintMismatchError(corpus.fingerprint, baselines.fingerprint)
     discipline_of = taxonomy.discipline_of
     field_of = taxonomy.field_of
     edited = edited_book_map(corpus.items)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import ResolvedCorpus
-from .errors import ConfigError, FingerprintMismatchError
+from .errors import ConfigError
 from .indicators import (
     SCOPE_DISCIPLINE,
     SCOPE_FIELD,
@@ -52,7 +52,6 @@ class RunMeta:
     corpus_fingerprint: str
     window: tuple[int, int]
     policy: ThresholdPolicy
-    sort_key: str = "pbk"
     type_filter: str | None = None
 
 
@@ -84,10 +83,10 @@ def _table_for_scope(
     scope: Scope,
     rows: dict[tuple[str, Scope], IndicatorRow],
     registry: PublisherRegistry,
-    policy: ThresholdPolicy,
     globals_: dict[str, tuple[int, int]],
     meta: RunMeta,
 ) -> RankingTable:
+    policy = meta.policy
     entries = []
     for (pid, row_scope), row in rows.items():
         if row_scope != scope:
@@ -105,25 +104,6 @@ def _table_for_scope(
     return RankingTable(scope=scope, entries=_order_entries(entries), meta=meta)
 
 
-def build_ranking(
-    scope: Scope,
-    corpus: ResolvedCorpus,
-    registry: PublisherRegistry,
-    taxonomy: TaxonomyMap,
-    baselines: BaselineTable,
-    policy: ThresholdPolicy,
-    window: tuple[int, int] = (0, 0),
-    type_filter: str | None = None,
-) -> RankingTable:
-    """One ordered table of eligible publishers for one scope."""
-    if corpus.fingerprint != baselines.fingerprint:
-        raise FingerprintMismatchError(corpus.fingerprint, baselines.fingerprint)
-    rows = compute_all_rows(corpus, taxonomy, baselines)
-    globals_ = global_counts(corpus, taxonomy) if policy.basis == BASIS_GLOBAL else {}
-    meta = RunMeta(corpus.fingerprint, window, policy, type_filter=type_filter)
-    return _table_for_scope(scope, rows, registry, policy, globals_, meta)
-
-
 def build_all_rankings(
     corpus: ResolvedCorpus,
     registry: PublisherRegistry,
@@ -136,10 +116,9 @@ def build_all_rankings(
     """One table per field then one per discipline, in taxonomy order.
 
     The corpus is scanned once; the 4-field/38-discipline sample taxonomy
-    therefore yields its 42 tables from a single aggregation pass.
+    therefore yields its 42 tables from a single aggregation pass. Raises
+    FingerprintMismatchError when the baselines come from another corpus.
     """
-    if corpus.fingerprint != baselines.fingerprint:
-        raise FingerprintMismatchError(corpus.fingerprint, baselines.fingerprint)
     rows = compute_all_rows(corpus, taxonomy, baselines)
     globals_ = global_counts(corpus, taxonomy) if policy.basis == BASIS_GLOBAL else {}
     meta = RunMeta(corpus.fingerprint, window, policy, type_filter=type_filter)
@@ -148,7 +127,7 @@ def build_all_rankings(
         Scope(SCOPE_DISCIPLINE, d) for d in taxonomy.disciplines
     ]
     return [
-        _table_for_scope(scope, rows, registry, policy, globals_, meta) for scope in scopes
+        _table_for_scope(scope, rows, registry, globals_, meta) for scope in scopes
     ]
 
 

@@ -65,10 +65,16 @@ class PublisherRegistry:
     terminal: dict[str, str] = field(default_factory=dict)  # publisher_id -> terminal owner
 
     def resolve(self, raw: str) -> str:
-        return resolve_publisher(raw, self)
-
-    def terminal_of(self, publisher_id: str) -> str:
-        return apply_acquisitions(publisher_id, self)
+        """Fold a raw publisher string, match it against the variant map, and
+        follow acquisitions to the terminal owner, whatever the years
+        involved. Raises UnresolvedPublisherError when no variant matches;
+        the caller decides whether that is fatal (strict) or an exclusion.
+        """
+        folded = fold_name(raw)
+        publisher_id = self.variants.get(folded)
+        if publisher_id is None:
+            raise UnresolvedPublisherError(folded)
+        return self.terminal[publisher_id]
 
     def publisher(self, publisher_id: str) -> CanonicalPublisher:
         try:
@@ -84,32 +90,6 @@ class PublisherRegistry:
         return tuple(sorted(rows, key=lambda v: fold_name(v.raw)))
 
 
-def resolve_publisher(raw: str, registry: PublisherRegistry) -> str:
-    """Fold a raw publisher string, match it against the variant map, and
-    follow acquisitions to the terminal owner.
-
-    Raises UnresolvedPublisherError when no variant matches; the caller
-    decides whether that is fatal (strict mode) or an exclusion (lenient).
-    """
-    folded = fold_name(raw)
-    publisher_id = registry.variants.get(folded)
-    if publisher_id is None:
-        raise UnresolvedPublisherError(folded)
-    return registry.terminal[publisher_id]
-
-
-def apply_acquisitions(publisher_id: str, registry: PublisherRegistry) -> str:
-    """Follow acquired -> acquirer edges to the publisher with no acquirer.
-
-    Attribution ignores publication dates: all output of an acquired
-    publisher belongs to the terminal owner, whatever the years involved.
-    """
-    try:
-        return registry.terminal[publisher_id]
-    except KeyError:
-        raise UnknownPublisherError(publisher_id) from None
-
-
 def _read_csv(source: str | Path, expected_header: list[str]) -> list[dict[str, str]]:
     path = Path(source)
     try:
@@ -121,7 +101,17 @@ def _read_csv(source: str | Path, expected_header: list[str]) -> list[dict[str, 
                 raise RegistryError(
                     f"{path}: bad header {reader.fieldnames}, expected {expected_header}"
                 )
-            return [row for row in reader]
+            # rows are keyed by the stripped names the check accepted
+            reader.fieldnames = expected_header
+            rows = []
+            for row in reader:
+                # a short row gets None values, a long row's surplus the key None
+                if None in row or None in row.values():
+                    raise RegistryError(
+                        f"{path}: line {reader.line_num}: expected {len(expected_header)} cells"
+                    )
+                rows.append(row)
+            return rows
     except OSError as exc:
         raise RegistryError(f"cannot read {path}: {exc}") from exc
 
@@ -203,7 +193,12 @@ def load_registry(
         if acquired in acquirer_of:
             raise RegistryError(f"publisher {acquired!r} has two acquirers")
         year_text = row["year"].strip()
-        year = int(year_text) if year_text else None
+        try:
+            year = int(year_text) if year_text else None
+        except ValueError:
+            raise RegistryError(
+                f"acquisition of {acquired!r} has year {year_text!r}, expected an integer"
+            ) from None
         acquirer_of[acquired] = acquirer
         acquisitions.append(AcquisitionEvent(acquired, acquirer, year))
 

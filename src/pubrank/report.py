@@ -13,13 +13,15 @@ import html
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .corpus import (
     DEFAULT_EXCLUDED_PUBLISHERS,
     DEFAULT_WINDOW,
     CorpusStats,
+    Diagnostic,
     ResolvedCorpus,
     corpus_stats,
     filter_corpus,
@@ -27,7 +29,7 @@ from .corpus import (
     resolve_corpus,
     unknown_parent_chapters,
 )
-from .errors import ConfigError, ExportError, PubrankError
+from .errors import ConfigError, ExportError
 from .indicators import BaselineTable, IndicatorRow, compute_baselines
 from .ranking import PublisherProfile, RankingTable, ThresholdPolicy, build_all_rankings, build_profile
 from .registry import PublisherRegistry, load_registry_dir
@@ -35,7 +37,9 @@ from .taxonomy import TaxonomyMap, load_taxonomy, scopes_of_item
 
 FORMATS = ("csv", "json", "html")
 
-CSV_HEADER = "rank,publisher,type,pbk,pch,cit,fncs,ai,ed"
+INDICATORS = ("pbk", "pch", "cit", "fncs", "ai", "ed")
+
+CSV_HEADER = ",".join(("rank", "publisher", "type", *INDICATORS))
 
 
 @dataclass(frozen=True)
@@ -88,17 +92,56 @@ def _atomic_write(path: Path, text: str) -> None:
         raise ExportError(f"cannot write {path}: {exc}") from exc
 
 
+def _csv_cell(text: str) -> str:
+    """A text cell, quoted when it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _indicator_cells(row: IndicatorRow, percent: str = "") -> tuple[str, ...]:
+    """pbk, pch, cit, fncs, ai and ed as rendered in CSV and HTML."""
+    return (
+        str(row.pbk),
+        str(row.pch),
+        str(row.cit),
+        f"{row.fncs:.2f}",
+        f"{row.ai:.2f}",
+        f"{row.ed:.0f}{percent}",
+    )
+
+
+def _indicator_json(row: IndicatorRow) -> dict:
+    return {"pbk": row.pbk, "pch": row.pch, "cit": row.cit,
+            "fncs": row.fncs, "ai": row.ai, "ed": row.ed}
+
+
+_HTML_PAGE = """<!DOCTYPE html>
+<html lang="en">
+<head><meta charset="utf-8"><title>{title}</title></head>
+<body>
+<h1>{title}</h1>
+{body}</body>
+</html>
+"""
+
+
+def _html_row(cells, tag: str = "td") -> str:
+    """One table row of already-escaped cells."""
+    return "<tr>" + "".join(f"<{tag}>{c}</{tag}>" for c in cells) + "</tr>"
+
+
+def _html_table(columns: Iterable[str], rows: Iterable[str]) -> str:
+    head = _html_row(columns, "th")
+    return f'<table border="1">\n{head}\n' + "\n".join(rows) + "\n</table>\n"
+
+
 def _csv_rows(table: RankingTable) -> list[str]:
     lines = [CSV_HEADER]
     for rank, entry in enumerate(table.entries, start=1):
-        r = entry.row
-        name = entry.publisher.name
-        if "," in name or '"' in name:
-            name = '"' + name.replace('"', '""') + '"'
-        lines.append(
-            f"{rank},{name},{entry.publisher.publisher_type},"
-            f"{r.pbk},{r.pch},{r.cit},{r.fncs:.2f},{r.ai:.2f},{r.ed:.0f}"
-        )
+        pub = entry.publisher
+        cells = (str(rank), _csv_cell(pub.name), pub.publisher_type, *_indicator_cells(entry.row))
+        lines.append(",".join(cells))
     return lines
 
 
@@ -113,7 +156,7 @@ def _json_payload(table: RankingTable) -> dict:
             "min_chapters": meta.policy.min_chapters,
             "basis": meta.policy.basis,
         },
-        "sort_key": meta.sort_key,
+        "sort_key": "pbk",
         "type_filter": meta.type_filter,
         "rows": [
             {
@@ -121,49 +164,18 @@ def _json_payload(table: RankingTable) -> dict:
                 "publisher_id": e.publisher.publisher_id,
                 "publisher": e.publisher.name,
                 "type": e.publisher.publisher_type,
-                "pbk": e.row.pbk,
-                "pch": e.row.pch,
-                "cit": e.row.cit,
-                "fncs": e.row.fncs,
-                "ai": e.row.ai,
-                "ed": e.row.ed,
+                **_indicator_json(e.row),
             }
             for rank, e in enumerate(table.entries, start=1)
         ],
     }
 
 
-_HTML_PAGE = """<!DOCTYPE html>
-<html lang="en">
-<head><meta charset="utf-8"><title>{title}</title></head>
-<body>
-<h1>{title}</h1>
-<table border="1">
-<tr><th>rank</th><th>publisher</th><th>type</th><th>pbk</th><th>pch</th><th>cit</th><th>fncs</th><th>ai</th><th>ed</th></tr>
-{rows}
-</table>
-</body>
-</html>
-"""
-
-
-def _html_rows(table: RankingTable) -> str:
-    out = []
+def _html_rows(table: RankingTable) -> Iterator[str]:
     for rank, entry in enumerate(table.entries, start=1):
-        r = entry.row
-        cells = (
-            str(rank),
-            html.escape(entry.publisher.name),
-            entry.publisher.publisher_type,
-            str(r.pbk),
-            str(r.pch),
-            str(r.cit),
-            f"{r.fncs:.2f}",
-            f"{r.ai:.2f}",
-            f"{r.ed:.0f}%",
-        )
-        out.append("<tr>" + "".join(f"<td>{c}</td>" for c in cells) + "</tr>")
-    return "\n".join(out)
+        pub = entry.publisher
+        name = html.escape(pub.name)
+        yield _html_row((str(rank), name, pub.publisher_type, *_indicator_cells(entry.row, "%")))
 
 
 def export_ranking(table: RankingTable, fmt: str, destination: str | Path) -> Path:
@@ -178,7 +190,8 @@ def export_ranking(table: RankingTable, fmt: str, destination: str | Path) -> Pa
         text = json.dumps(_json_payload(table), indent=2) + "\n"
     else:
         title = f"{table.scope.kind.capitalize()}: {table.scope.name}"
-        text = _HTML_PAGE.format(title=html.escape(title), rows=_html_rows(table))
+        body = _html_table(CSV_HEADER.split(","), _html_rows(table))
+        text = _HTML_PAGE.format(title=html.escape(title), body=body)
     _atomic_write(path, text)
     return path
 
@@ -212,16 +225,7 @@ def _profile_json(profile: PublisherProfile) -> dict:
             {"raw": v.raw, "city": v.city, "address": v.address} for v in profile.variants
         ],
         "rows": [
-            {
-                "scope_kind": r.scope.kind,
-                "scope": r.scope.name,
-                "pbk": r.pbk,
-                "pch": r.pch,
-                "cit": r.cit,
-                "fncs": r.fncs,
-                "ai": r.ai,
-                "ed": r.ed,
-            }
+            {"scope_kind": r.scope.kind, "scope": r.scope.name, **_indicator_json(r)}
             for r in profile.rows
         ],
     }
@@ -231,105 +235,85 @@ def export_profile(profile: PublisherProfile, fmt: str, destination: str | Path)
     """Write a publisher profile; file name publisher_<slug>.<fmt>."""
     if fmt not in FORMATS:
         raise ExportError(f"unknown format {fmt!r}")
-    path = Path(destination) / f"publisher_{scope_slug(profile.publisher.name)}.{fmt}"
+    pub = profile.publisher
+    path = Path(destination) / f"publisher_{scope_slug(pub.name)}.{fmt}"
     if fmt == "json":
         text = json.dumps(_profile_json(profile), indent=2) + "\n"
     elif fmt == "csv":
-        lines = ["scope_kind,scope,pbk,pch,cit,fncs,ai,ed"]
+        lines = [",".join(("scope_kind", "scope", *INDICATORS))]
         for r in profile.rows:
-            scope_name = r.scope.name
-            if "," in scope_name or '"' in scope_name:
-                scope_name = '"' + scope_name.replace('"', '""') + '"'
-            lines.append(
-                f"{r.scope.kind},{scope_name},{r.pbk},{r.pch},{r.cit},"
-                f"{r.fncs:.2f},{r.ai:.2f},{r.ed:.0f}"
-            )
+            lines.append(",".join((r.scope.kind, _csv_cell(r.scope.name), *_indicator_cells(r))))
         text = "\n".join(lines) + "\n"
     else:
-        pub = profile.publisher
-        variant_rows = "\n".join(
-            "<tr>" + "".join(f"<td>{html.escape(c or '')}</td>" for c in (v.raw, v.city, v.address)) + "</tr>"
+        website = f" | website: {html.escape(pub.website)}" if pub.website else ""
+        variant_rows = (
+            _html_row(html.escape(c or "") for c in (v.raw, v.city, v.address))
             for v in profile.variants
         )
-        indicator_rows = "\n".join(
-            "<tr>"
-            + "".join(
-                f"<td>{c}</td>"
-                for c in (
-                    r.scope.kind,
-                    html.escape(r.scope.name),
-                    str(r.pbk),
-                    str(r.pch),
-                    str(r.cit),
-                    f"{r.fncs:.2f}",
-                    f"{r.ai:.2f}",
-                    f"{r.ed:.0f}%",
-                )
-            )
-            + "</tr>"
+        indicator_rows = (
+            _html_row((r.scope.kind, html.escape(r.scope.name), *_indicator_cells(r, "%")))
             for r in profile.rows
         )
-        text = (
-            "<!DOCTYPE html>\n<html lang=\"en\">\n<head><meta charset=\"utf-8\">"
-            f"<title>{html.escape(pub.name)}</title></head>\n<body>\n"
-            f"<h1>{html.escape(pub.name)}</h1>\n"
-            f"<p>type: {pub.publisher_type}"
-            + (f" | website: {html.escape(pub.website)}" if pub.website else "")
-            + "</p>\n<h2>Name variants</h2>\n<table border=\"1\">\n"
-            "<tr><th>raw</th><th>city</th><th>address</th></tr>\n"
-            f"{variant_rows}\n</table>\n<h2>Indicators by scope</h2>\n<table border=\"1\">\n"
-            "<tr><th>kind</th><th>scope</th><th>pbk</th><th>pch</th><th>cit</th>"
-            "<th>fncs</th><th>ai</th><th>ed</th></tr>\n"
-            f"{indicator_rows}\n</table>\n</body>\n</html>\n"
+        body = (
+            f"<p>type: {pub.publisher_type}{website}</p>\n<h2>Name variants</h2>\n"
+            + _html_table(("raw", "city", "address"), variant_rows)
+            + "<h2>Indicators by scope</h2>\n"
+            + _html_table(("kind", "scope", *INDICATORS), indicator_rows)
         )
+        text = _HTML_PAGE.format(title=html.escape(pub.name), body=body)
     _atomic_write(path, text)
     return path
 
 
 @dataclass
-class PipelineResult:
-    """Everything the pipeline produced, for callers that keep going."""
+class PreparedInputs:
+    """Loaded registry and taxonomy, and the corpus after ingest, filter
+    and resolution, with what each step reported."""
 
     registry: PublisherRegistry
     taxonomy: TaxonomyMap
     corpus: ResolvedCorpus
+    diagnostics: list[Diagnostic]
+    unresolved: set[str]
+    ingested: int
+    filtered: int
+
+
+@dataclass
+class PipelineResult(PreparedInputs):
+    """Everything the pipeline produced, for callers that keep going."""
+
     baselines: BaselineTable
     tables: list[RankingTable]
-    diagnostics: list = field(default_factory=list)
-    unresolved: set[str] = field(default_factory=set)
-    ingested: int = 0
-    filtered: int = 0
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Load everything, filter, resolve, compute baselines, and build all
-    ranking tables. Raises PubrankError subclasses on fatal problems."""
+def _prepare_inputs(config: RunConfig) -> PreparedInputs:
+    """Load registry and taxonomy, then ingest, filter and resolve the
+    corpus. Raises PubrankError subclasses on fatal problems."""
     registry = load_registry_dir(config.registry_dir)
     taxonomy = load_taxonomy(config.taxonomy)
     records, diagnostics = ingest_corpus(config.corpus, config.window)
     filtered = filter_corpus(records, registry, config.window, config.excluded_publishers)
     corpus, unresolved = resolve_corpus(filtered, registry, strict=config.strict)
-    baselines = compute_baselines(corpus, taxonomy)
+    return PreparedInputs(
+        registry, taxonomy, corpus, diagnostics, unresolved, len(records), len(filtered)
+    )
+
+
+def run_pipeline(config: RunConfig) -> PipelineResult:
+    """Prepare the inputs, compute baselines, and build all ranking tables."""
+    inputs = _prepare_inputs(config)
+    baselines = compute_baselines(inputs.corpus, inputs.taxonomy)
     tables = build_all_rankings(
-        corpus,
-        registry,
-        taxonomy,
+        inputs.corpus,
+        inputs.registry,
+        inputs.taxonomy,
         baselines,
         config.policy(),
         window=config.window,
         type_filter=config.type_filter,
     )
-    return PipelineResult(
-        registry=registry,
-        taxonomy=taxonomy,
-        corpus=corpus,
-        baselines=baselines,
-        tables=tables,
-        diagnostics=diagnostics,
-        unresolved=unresolved,
-        ingested=len(records),
-        filtered=len(filtered),
-    )
+    return PipelineResult(**vars(inputs), baselines=baselines, tables=tables)
 
 
 def run_rank(config: RunConfig) -> tuple[PipelineResult, list[Path]]:
@@ -356,12 +340,8 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
 
 
 def run_stats(config: RunConfig) -> CorpusStats:
-    registry = load_registry_dir(config.registry_dir)
-    taxonomy = load_taxonomy(config.taxonomy)
-    records, _ = ingest_corpus(config.corpus, config.window)
-    filtered = filter_corpus(records, registry, config.window, config.excluded_publishers)
-    corpus, _ = resolve_corpus(filtered, registry, strict=config.strict)
-    return corpus_stats(list(corpus.items), registry, taxonomy)
+    inputs = _prepare_inputs(config)
+    return corpus_stats(inputs.corpus, inputs.registry, inputs.taxonomy)
 
 
 @dataclass
@@ -384,11 +364,8 @@ def run_validate(config: RunConfig) -> ValidationReport:
     """Load and cross-check every input, collecting per-line diagnostics
     and resolution gaps instead of failing on them (load errors and, in
     strict mode, unresolved publishers stay fatal)."""
-    registry = load_registry_dir(config.registry_dir)
-    taxonomy = load_taxonomy(config.taxonomy)
-    records, diagnostics = ingest_corpus(config.corpus, config.window)
-    filtered = filter_corpus(records, registry, config.window, config.excluded_publishers)
-    corpus, unresolved = resolve_corpus(filtered, registry, strict=config.strict)
+    inputs = _prepare_inputs(config)
+    registry, taxonomy, corpus = inputs.registry, inputs.taxonomy, inputs.corpus
     unknown: set[str] = set()
     for item in corpus.items:
         unknown.update(scopes_of_item(item, taxonomy).unknown_categories)
@@ -398,11 +375,11 @@ def run_validate(config: RunConfig) -> ValidationReport:
         acquisitions=len(registry.acquisitions),
         fields=taxonomy.field_count,
         disciplines=taxonomy.discipline_count,
-        ingested=len(records),
-        diagnostics=diagnostics,
-        filtered=len(filtered),
+        ingested=inputs.ingested,
+        diagnostics=inputs.diagnostics,
+        filtered=inputs.filtered,
         resolved=len(corpus),
-        unresolved=unresolved,
+        unresolved=inputs.unresolved,
         unknown_categories=tuple(sorted(unknown)),
         orphan_chapters=len(unknown_parent_chapters(corpus.items)),
     )

@@ -1,11 +1,8 @@
 import pytest
 
-from pubrank import (
-    load_registry_dir,
-    load_taxonomy,
-    sample_registry_dir,
-    sample_taxonomy_path,
-)
+from pubrank.registry import load_registry_dir
+from pubrank.samples import sample_registry_dir, sample_taxonomy_path
+from pubrank.taxonomy import load_taxonomy
 
 
 @pytest.fixture(scope="session")

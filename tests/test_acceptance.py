@@ -16,22 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from pubrank import (
-    ResolvedCorpus,
-    RunConfig,
-    Scope,
-    SynthParams,
-    ThresholdPolicy,
-    check_eligibility,
-    compute_all_rows,
-    compute_baselines,
-    corpus_fingerprint,
-    generate_corpus,
-    oracle_indicators,
-    run_rank,
-)
-from pubrank.ranking import build_ranking
-from util import load_synth_bundle, pipeline_artifacts, record, tree_hash
+from pubrank.corpus import ResolvedCorpus, corpus_fingerprint
+from pubrank.indicators import Scope, compute_all_rows, compute_baselines
+from pubrank.ranking import ThresholdPolicy, check_eligibility
+from pubrank.report import RunConfig, run_rank
+from pubrank.testkit import SynthParams, generate_corpus, oracle_indicators
+from util import load_synth_bundle, pipeline_artifacts, ranking_table, record, tree_hash
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -162,7 +152,7 @@ def test_criterion_5_humanities_ordering_fixture(registry, taxonomy):
                     )
                 )
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-        table = build_ranking(
+        table = ranking_table(
             Scope("field", "Humanities & Arts"),
             corpus,
             registry,

@@ -1,9 +1,17 @@
+import hashlib
 import json
 
 import pytest
 
 from pubrank.cli import EXIT_DIRTY, EXIT_FATAL, EXIT_OK, build_parser, run_cli
+from pubrank.samples import sample_taxonomy_path
+from pubrank.taxonomy import load_taxonomy
+from pubrank.testkit import SynthParams, generate_corpus
 from util import record, tree_hash, write_jsonl, write_registry
+
+# SHA-256 over everything rank, profile, stats and validate write and print
+# for one fixed synthetic bundle; any change to an output byte changes it.
+PINNED_OUTPUT_SHA256 = "7cef3fda83f878b566ea976853dbd1cded078310b6e9de5db436acdc7ac67b17"
 
 
 @pytest.fixture
@@ -92,6 +100,15 @@ class TestValidate:
         captured = capsys.readouterr()
         assert code == EXIT_FATAL
         assert captured.err.startswith("error:")
+
+    def test_non_utf8_corpus_is_fatal(self, tmp_path, capsys):
+        corpus = tmp_path / "latin1.jsonl"
+        rec = record("a", publisher="Presses de l'Universit\u00e9")
+        corpus.write_bytes(json.dumps(rec, ensure_ascii=False).encode("latin-1"))
+        code = run_cli(["validate", "--corpus", str(corpus)])
+        captured = capsys.readouterr()
+        assert code == EXIT_FATAL
+        assert "not UTF-8" in captured.err
 
     def test_broken_registry_is_fatal(self, clean_corpus, tmp_path, capsys):
         registry_dir = write_registry(
@@ -234,3 +251,39 @@ class TestSynth:
         )
         assert code == EXIT_OK
         assert len(list(tables.iterdir())) == 42
+
+
+def test_outputs_match_pinned_digest(tmp_path, capsys):
+    bundle = generate_corpus(
+        SynthParams(seed=3, publisher_count=8, items_per_publisher=(25, 45)),
+        load_taxonomy(sample_taxonomy_path()),
+        tmp_path / "bundle",
+    )
+    dirty = tmp_path / "dirty.jsonl"
+    dirty.write_text(
+        bundle.corpus_path.read_text(encoding="utf-8")
+        + '{"id": "broken"\n'
+        + json.dumps(record("x1", publisher="Mystery House")) + "\n"
+        + json.dumps(record("x2", publisher="Granite Press", categories=["Phrenology"])) + "\n",
+        encoding="utf-8",
+    )
+    inputs = ["--registry-dir", str(bundle.registry_dir), "--taxonomy", str(bundle.taxonomy_path)]
+    clean = ["--corpus", str(bundle.corpus_path), *inputs]
+    tables = ["--min-books", "2", "--min-chapters", "2", "--format", "csv,json,html"]
+    runs = [
+        (["rank", *clean, *tables, "--out", str(tmp_path / "tables")], EXIT_OK),
+        (
+            ["profile", "granite-press", *clean, *tables, "--out", str(tmp_path / "profile")],
+            EXIT_OK,
+        ),
+        (["stats", *clean], EXIT_OK),
+        (["validate", *clean], EXIT_OK),
+        (["validate", "--corpus", str(dirty), *inputs], EXIT_DIRTY),
+    ]
+    digest = hashlib.sha256()
+    for argv, code in runs:
+        assert run_cli(argv) == code
+        digest.update(capsys.readouterr().out.replace(str(tmp_path), "<tmp>").encode("utf-8"))
+    digest.update(tree_hash(tmp_path / "tables").encode("ascii"))
+    digest.update(tree_hash(tmp_path / "profile").encode("ascii"))
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256

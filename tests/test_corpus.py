@@ -3,10 +3,7 @@ import random
 
 import pytest
 
-from pubrank import (
-    CorpusError,
-    DuplicateItemError,
-    UnresolvedPublisherError,
+from pubrank.corpus import (
     corpus_fingerprint,
     corpus_stats,
     edited_book_map,
@@ -15,6 +12,7 @@ from pubrank import (
     resolve_corpus,
     unknown_parent_chapters,
 )
+from pubrank.errors import CorpusError, DuplicateItemError, UnresolvedPublisherError
 from util import ingest_and_resolve, jsonl, record
 
 
@@ -50,6 +48,14 @@ class TestIngest:
         assert len(diagnostics) == 2
         assert "invalid JSON" in diagnostics[0].reason
         assert "not a JSON object" in diagnostics[1].reason
+
+    def test_too_deep_nesting_and_overlong_integers_become_diagnostics(self):
+        deep = "[" * 200_000 + "]" * 200_000
+        huge = json.dumps(record("h")).replace('"citations": 0', '"citations": 1' + "0" * 5000)
+        records, diagnostics = ingest_corpus([deep, huge, json.dumps(record("ok"))])
+        assert [r.item_id for r in records] == ["ok"]
+        assert [(d.line, d.severity) for d in diagnostics] == [(1, "error"), (2, "error")]
+        assert all("invalid JSON" in d.reason for d in diagnostics)
 
     def test_blank_lines_skipped(self):
         records, diagnostics = ingest_corpus(["", "  ", json.dumps(record("a")), "\n"])
@@ -114,6 +120,13 @@ class TestIngest:
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(CorpusError):
             ingest_corpus(tmp_path / "nope.jsonl")
+
+    def test_non_utf8_source_fatal(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        rec = record("a", publisher="Presses de l'Universit\u00e9")
+        path.write_bytes(json.dumps(rec, ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(CorpusError, match="not UTF-8"):
+            ingest_corpus(path)
 
     def test_empty_window_fatal(self):
         with pytest.raises(CorpusError):
@@ -248,43 +261,44 @@ def test_edited_book_map_and_orphans(registry):
 
 class TestStats:
     def test_book_citation_average(self, registry, taxonomy):
-        records, _ = ingest_corpus(
-            jsonl([record("b1", citations=4), record("b2", citations=2)])
+        corpus, _, _ = ingest_and_resolve(
+            [record("b1", citations=4), record("b2", citations=2)], registry
         )
-        stats = corpus_stats(records, registry, taxonomy)
+        stats = corpus_stats(corpus, registry, taxonomy)
         assert stats.total.books == 2
         assert stats.total.book_citation_avg == 3.0
         assert stats.total.chapter_citation_avg is None
 
     def test_publisher_type_split(self, registry, taxonomy):
-        records, _ = ingest_corpus(
-            jsonl(
-                [
-                    record("b1", publisher="Springer"),
-                    record("b2", publisher="Cambridge University Press"),
-                ]
-            )
+        corpus, _, _ = ingest_and_resolve(
+            [
+                record("b1", publisher="Springer"),
+                record("b2", publisher="Cambridge University Press"),
+            ],
+            registry,
         )
-        stats = corpus_stats(records, registry, taxonomy)
+        stats = corpus_stats(corpus, registry, taxonomy)
         fs = stats.per_field["Humanities & Arts"]
         assert fs.commercial_publishers == 1
         assert fs.university_publishers == 1
         assert fs.publishers == 2
 
     def test_unresolved_is_fatal_for_stats(self, registry, taxonomy):
-        records, _ = ingest_corpus(jsonl([record("b1", publisher="Mystery House")]))
-        with pytest.raises(UnresolvedPublisherError):
-            corpus_stats(records, registry, taxonomy)
+        # stats take a resolved corpus; in strict mode resolution refuses
+        # the unresolvable name before any stats exist
+        with pytest.raises(UnresolvedPublisherError) as err:
+            ingest_and_resolve([record("b1", publisher="Mystery House")], registry, strict=True)
+        assert err.value.folded == "mystery house"
 
     def test_stats_deterministic(self, registry, taxonomy):
         recs = [record(f"r{i}", citations=i % 4) for i in range(25)]
-        records, _ = ingest_corpus(jsonl(recs))
-        again, _ = ingest_corpus(jsonl(recs))
-        assert corpus_stats(records, registry, taxonomy) == corpus_stats(
+        corpus, _, _ = ingest_and_resolve(recs, registry)
+        again, _, _ = ingest_and_resolve(recs, registry)
+        assert corpus_stats(corpus, registry, taxonomy) == corpus_stats(
             again, registry, taxonomy
         )
 
     def test_unknown_categories_surface(self, registry, taxonomy):
-        records, _ = ingest_corpus(jsonl([record("b1", categories=["Phrenology"])]))
-        stats = corpus_stats(records, registry, taxonomy)
+        corpus, _, _ = ingest_and_resolve([record("b1", categories=["Phrenology"])], registry)
+        stats = corpus_stats(corpus, registry, taxonomy)
         assert stats.unknown_categories == ("Phrenology",)

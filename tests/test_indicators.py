@@ -3,26 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from pubrank import (
-    FingerprintMismatchError,
-    Scope,
-    compute_ai,
-    compute_all_rows,
-    compute_baselines,
-    compute_counts,
-    compute_ed,
-    compute_fncs,
-    global_counts,
-)
+from pubrank.errors import FingerprintMismatchError
+from pubrank.indicators import Scope, compute_all_rows, compute_baselines, global_counts
+from pubrank.testkit import oracle_indicators
 from util import ingest_and_resolve, pipeline_artifacts, random_records, record
 
 HIST = Scope("discipline", "History")
 HUM = Scope("field", "Humanities & Arts")
+LAW = Scope("discipline", "Law")
+
+
+def rows_of(records, registry, taxonomy):
+    """The engine's rows for a small record list, plus the resolved corpus."""
+    corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
+    return compute_all_rows(corpus, taxonomy, baselines), corpus
 
 
 class TestCounts:
     def test_books_and_chapters_counted_independently(self, registry, taxonomy):
-        corpus, baselines = pipeline_artifacts(
+        rows, _ = rows_of(
             [
                 record("b1", citations=3),
                 record("b2", citations=1),
@@ -31,21 +30,29 @@ class TestCounts:
             registry,
             taxonomy,
         )
-        assert compute_counts("springer", HIST, corpus, taxonomy) == (2, 1, 4)
+        row = rows[("springer", HIST)]
+        assert (row.pbk, row.pch, row.cit) == (2, 1, 4)
 
     def test_publisher_absent_from_scope(self, registry, taxonomy):
-        corpus, _ = pipeline_artifacts([record("b1")], registry, taxonomy)
-        assert compute_counts("routledge", HIST, corpus, taxonomy) == (0, 0, 0)
-        assert compute_counts("springer", Scope("discipline", "Law"), corpus, taxonomy) == (0, 0, 0)
+        rows, corpus = rows_of([record("b1")], registry, taxonomy)
+        assert ("routledge", HIST) not in rows
+        assert ("springer", LAW) not in rows
+        assert oracle_indicators("routledge", HIST, corpus, taxonomy)[:3] == (0, 0, 0)
+        assert oracle_indicators("springer", LAW, corpus, taxonomy)[:3] == (0, 0, 0)
 
     def test_field_counts_bound_discipline_counts(self, registry, taxonomy):
         rng = random.Random(11)
-        corpus, _ = pipeline_artifacts(random_records(rng, taxonomy, 60), registry, taxonomy)
+        rows, corpus = rows_of(random_records(rng, taxonomy, 60), registry, taxonomy)
+
+        def pbk(pid, scope):
+            row = rows.get((pid, scope))
+            return row.pbk if row is not None else 0
+
         for pid in set(corpus.publisher_ids):
             for fieldname in taxonomy.fields:
-                f_pbk, _, _ = compute_counts(pid, Scope("field", fieldname), corpus, taxonomy)
+                f_pbk = pbk(pid, Scope("field", fieldname))
                 per_disc = [
-                    compute_counts(pid, Scope("discipline", d), corpus, taxonomy)[0]
+                    pbk(pid, Scope("discipline", d))
                     for d in taxonomy.disciplines_by_field[fieldname]
                 ]
                 assert max(per_disc, default=0) <= f_pbk <= sum(per_disc)
@@ -85,16 +92,16 @@ class TestBaselines:
 
 class TestFncs:
     def test_items_at_cell_mean_give_one(self, registry, taxonomy):
-        corpus, baselines = pipeline_artifacts(
+        rows, _ = rows_of(
             [record("a", citations=3), record("b", publisher="Routledge", citations=3)],
             registry,
             taxonomy,
         )
-        assert compute_fncs("springer", HIST, corpus, baselines, taxonomy) == 1.0
+        assert rows[("springer", HIST)].fncs == 1.0
 
     def test_hand_computed_ratio(self, registry, taxonomy):
         # one cell, A's book has 4 citations, B's has 2 -> mean 3, A = 4/3
-        corpus, baselines = pipeline_artifacts(
+        rows, _ = rows_of(
             [
                 record("a", publisher="Springer", citations=4),
                 record("b", publisher="Routledge", citations=2),
@@ -102,18 +109,14 @@ class TestFncs:
             registry,
             taxonomy,
         )
-        assert compute_fncs("springer", HIST, corpus, baselines, taxonomy) == pytest.approx(
-            4 / 3, abs=1e-15
-        )
-        assert compute_fncs("routledge", HIST, corpus, baselines, taxonomy) == pytest.approx(
-            2 / 3, abs=1e-15
-        )
+        assert rows[("springer", HIST)].fncs == pytest.approx(4 / 3, abs=1e-15)
+        assert rows[("routledge", HIST)].fncs == pytest.approx(2 / 3, abs=1e-15)
 
     def test_field_scope_uses_only_member_disciplines(self, registry, taxonomy):
         # X (springer) sits in History (Humanities & Arts) and Law (Social
         # Sciences): each field's view of X uses only its own discipline.
         # History cell: X=4, Y=1 -> mean 5/2; Law cell: X=4, Z=5 -> mean 9/2.
-        corpus, baselines = pipeline_artifacts(
+        rows, _ = rows_of(
             [
                 record("x", categories=["History", "Law"], citations=4),
                 record("y", publisher="Routledge", categories=["History"], citations=1),
@@ -123,14 +126,14 @@ class TestFncs:
             taxonomy,
         )
         soc = Scope("field", "Social Sciences")
-        fncs_hum = compute_fncs("springer", HUM, corpus, baselines, taxonomy)
+        fncs_hum = rows[("springer", HUM)].fncs
         assert fncs_hum == pytest.approx(4 / (5 / 2), abs=1e-15)  # only History in this field
-        fncs_soc = compute_fncs("springer", soc, corpus, baselines, taxonomy)
+        fncs_soc = rows[("springer", soc)].fncs
         assert fncs_soc == pytest.approx(4 / (9 / 2), abs=1e-15)  # only Law in this field
 
     def test_field_scope_with_two_member_disciplines(self, registry, taxonomy):
         # History and Philosophy both sit in Humanities & Arts
-        corpus, baselines = pipeline_artifacts(
+        rows, _ = rows_of(
             [
                 record("x", categories=["History", "Philosophy"], citations=4),
                 record("y", publisher="Routledge", categories=["History"], citations=1),
@@ -140,32 +143,29 @@ class TestFncs:
             taxonomy,
         )
         expected = (Fraction(5, 2) + Fraction(9, 2)) / 2
-        assert compute_fncs("springer", HUM, corpus, baselines, taxonomy) == float(
-            Fraction(4) / expected
-        )
+        assert rows[("springer", HUM)].fncs == float(Fraction(4) / expected)
 
     def test_zero_citation_scope_returns_zero(self, registry, taxonomy):
-        corpus, baselines = pipeline_artifacts(
+        rows, _ = rows_of(
             [record("a", citations=0), record("b", citations=0)], registry, taxonomy
         )
-        assert compute_fncs("springer", HIST, corpus, baselines, taxonomy) == 0.0
+        assert rows[("springer", HIST)].fncs == 0.0
 
     def test_no_items_in_scope_returns_zero(self, registry, taxonomy):
-        corpus, baselines = pipeline_artifacts([record("a", citations=2)], registry, taxonomy)
-        assert compute_fncs("springer", Scope("discipline", "Law"), corpus, baselines, taxonomy) == 0.0
+        rows, corpus = rows_of([record("a", citations=2)], registry, taxonomy)
+        assert ("springer", LAW) not in rows
+        assert oracle_indicators("springer", LAW, corpus, taxonomy)[3] == 0.0
 
     def test_fingerprint_mismatch_is_fatal(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts([record("a")], registry, taxonomy)
         other, other_baselines = pipeline_artifacts([record("a", citations=9)], registry, taxonomy)
-        with pytest.raises(FingerprintMismatchError):
-            compute_fncs("springer", HIST, corpus, other_baselines, taxonomy)
         with pytest.raises(FingerprintMismatchError):
             compute_all_rows(corpus, taxonomy, other_baselines)
 
 
 class TestActivityIndex:
     def test_proportional_activity_is_one(self, registry, taxonomy):
-        corpus, _ = pipeline_artifacts(
+        rows, _ = rows_of(
             [
                 record("a1", categories=["History"]),
                 record("a2", categories=["Law"]),
@@ -175,11 +175,11 @@ class TestActivityIndex:
             registry,
             taxonomy,
         )
-        for scope in (HIST, HUM, Scope("discipline", "Law")):
-            assert compute_ai("springer", scope, corpus, taxonomy) == 1.0
+        for scope in (HIST, HUM, LAW):
+            assert rows[("springer", scope)].ai == 1.0
 
     def test_concentration_doubles_when_corpus_is_half_in_scope(self, registry, taxonomy):
-        corpus, _ = pipeline_artifacts(
+        rows, _ = rows_of(
             [
                 record("a1", categories=["History"]),
                 record("a2", categories=["History"]),
@@ -189,11 +189,11 @@ class TestActivityIndex:
             registry,
             taxonomy,
         )
-        assert compute_ai("springer", HIST, corpus, taxonomy) == 2.0
-        assert compute_ai("springer", HUM, corpus, taxonomy) == 2.0
+        assert rows[("springer", HIST)].ai == 2.0
+        assert rows[("springer", HUM)].ai == 2.0
 
     def test_chapters_do_not_move_ai(self, registry, taxonomy):
-        base, _ = pipeline_artifacts(
+        base, _ = rows_of(
             [
                 record("a1", categories=["History"]),
                 record("b1", publisher="Routledge", categories=["Economics"]),
@@ -201,7 +201,7 @@ class TestActivityIndex:
             registry,
             taxonomy,
         )
-        with_chapters, _ = pipeline_artifacts(
+        with_chapters, _ = rows_of(
             [
                 record("a1", categories=["History"]),
                 record("b1", publisher="Routledge", categories=["Economics"]),
@@ -211,12 +211,10 @@ class TestActivityIndex:
             registry,
             taxonomy,
         )
-        assert compute_ai("springer", HIST, base, taxonomy) == compute_ai(
-            "springer", HIST, with_chapters, taxonomy
-        )
+        assert base[("springer", HIST)].ai == with_chapters[("springer", HIST)].ai
 
     def test_books_without_known_categories_leave_the_population(self, registry, taxonomy):
-        corpus, _ = pipeline_artifacts(
+        rows, _ = rows_of(
             [
                 record("a1", categories=["History"]),
                 record("a2", categories=["Phrenology"]),
@@ -225,13 +223,13 @@ class TestActivityIndex:
             registry,
             taxonomy,
         )
-        assert compute_ai("springer", HIST, corpus, taxonomy) == 1.0
+        assert rows[("springer", HIST)].ai == 1.0
 
     def test_zero_conventions(self, registry, taxonomy):
-        corpus, _ = pipeline_artifacts(
+        rows, _ = rows_of(
             [record("c1", doc_type="chapter", parent_book_id="x")], registry, taxonomy
         )
-        assert compute_ai("springer", HIST, corpus, taxonomy) == 0.0
+        assert rows[("springer", HIST)].ai == 0.0
 
 
 class TestEditedShare:
@@ -241,16 +239,16 @@ class TestEditedShare:
             record(f"c{i}", doc_type="chapter", parent_book_id="b-ed" if i < 12 else "b-un")
             for i in range(30)
         ]
-        corpus, _ = pipeline_artifacts(records, registry, taxonomy)
-        assert compute_ed("springer", HIST, corpus, taxonomy) == 40.0
+        rows, _ = rows_of(records, registry, taxonomy)
+        assert rows[("springer", HIST)].ed == 40.0
 
     def test_zero_edited(self, registry, taxonomy):
         records = [record("b1", edited=False)]
         records += [
             record(f"c{i}", doc_type="chapter", parent_book_id="b1") for i in range(4)
         ]
-        corpus, _ = pipeline_artifacts(records, registry, taxonomy)
-        assert compute_ed("springer", HIST, corpus, taxonomy) == 0.0
+        rows, _ = rows_of(records, registry, taxonomy)
+        assert rows[("springer", HIST)].ed == 0.0
 
     def test_unknown_parent_counts_in_denominator_only(self, registry, taxonomy):
         records = [
@@ -258,16 +256,16 @@ class TestEditedShare:
             record("c1", doc_type="chapter", parent_book_id="b1"),
             record("c2", doc_type="chapter", parent_book_id="not-here"),
         ]
-        corpus, _ = pipeline_artifacts(records, registry, taxonomy)
-        assert compute_ed("springer", HIST, corpus, taxonomy) == 50.0
+        rows, _ = rows_of(records, registry, taxonomy)
+        assert rows[("springer", HIST)].ed == 50.0
 
     def test_no_chapters_returns_zero(self, registry, taxonomy):
-        corpus, _ = pipeline_artifacts([record("b1")], registry, taxonomy)
-        assert compute_ed("springer", HIST, corpus, taxonomy) == 0.0
+        rows, _ = rows_of([record("b1")], registry, taxonomy)
+        assert rows[("springer", HIST)].ed == 0.0
 
 
 class TestSinglePassAggregation:
-    """compute_all_rows must agree with the four per-pair operations."""
+    """compute_all_rows must agree exactly with the brute-force oracle."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_pair_functions(self, registry, taxonomy, seed):
@@ -278,10 +276,9 @@ class TestSinglePassAggregation:
         rows = compute_all_rows(corpus, taxonomy, baselines)
         assert rows, "corpus should occupy at least one (publisher, scope)"
         for (pid, scope), row in rows.items():
-            assert compute_counts(pid, scope, corpus, taxonomy) == (row.pbk, row.pch, row.cit)
-            assert compute_fncs(pid, scope, corpus, baselines, taxonomy) == row.fncs
-            assert compute_ai(pid, scope, corpus, taxonomy) == row.ai
-            assert compute_ed(pid, scope, corpus, taxonomy) == row.ed
+            assert oracle_indicators(pid, scope, corpus, taxonomy) == (
+                row.pbk, row.pch, row.cit, row.fncs, row.ai, row.ed
+            )
             # row invariants
             assert row.pbk >= 0 and row.pch >= 0 and row.cit >= 0
             assert row.fncs >= 0.0 and row.ai >= 0.0

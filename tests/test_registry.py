@@ -1,14 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pubrank import (
+from pubrank.errors import (
     AcquisitionCycleError,
     RegistryError,
     UnknownPublisherError,
     UnresolvedPublisherError,
-    fold_name,
-    load_registry_dir,
 )
+from pubrank.registry import fold_name, load_registry_dir
 from util import write_registry
 
 
@@ -49,16 +48,16 @@ class TestSampleRegistry:
 
     def test_ak_peters_resolves_to_crc(self, registry):
         assert registry.resolve("AK Peters") == "crc-press"
-        assert registry.terminal_of("ak-peters") == "crc-press"
+        assert registry.terminal["ak-peters"] == "crc-press"
 
     def test_canonical_name_of_terminal_publisher_is_identity(self, registry):
         assert registry.resolve("Springer") == "springer"
-        assert registry.terminal_of("springer") == "springer"
+        assert registry.terminal["springer"] == "springer"
 
     def test_terminal_is_a_closure(self, registry):
         for pid in registry.publishers:
-            t = registry.terminal_of(pid)
-            assert registry.terminal_of(t) == t
+            t = registry.terminal[pid]
+            assert registry.terminal[t] == t
 
     def test_unresolved_carries_folded_string(self, registry):
         with pytest.raises(UnresolvedPublisherError) as err:
@@ -91,8 +90,8 @@ def test_acquisition_chain_resolves_transitively(tmp_path):
         acquisitions=[("a", "b", "2001"), ("b", "c", "")],
     )
     registry = load_registry_dir(d)
-    assert registry.terminal_of("a") == "c"
-    assert registry.terminal_of("b") == "c"
+    assert registry.terminal["a"] == "c"
+    assert registry.terminal["b"] == "c"
     assert registry.resolve("Alpha") == "c"
     assert registry.acquisitions[0].year == 2001
     assert registry.acquisitions[1].year is None
@@ -112,7 +111,7 @@ def test_two_cycle_is_fatal_and_names_members(tmp_path):
 def test_empty_acquisitions_file_is_valid(tmp_path):
     d = write_registry(tmp_path, [("a", "Alpha", "commercial")])
     registry = load_registry_dir(d)
-    assert registry.terminal_of("a") == "a"
+    assert registry.terminal["a"] == "a"
 
 
 @pytest.mark.parametrize(
@@ -132,6 +131,9 @@ def test_empty_acquisitions_file_is_valid(tmp_path):
         ([("a", "Alpha", "commercial"), ("b", "Beta", "commercial"), ("c", "Gamma", "commercial")],
          [], [("a", "b"), ("a", "c")], "two acquirers"),
         ([("a", "Alpha", "commercial")], [], [("a", "zz")], "unknown publisher"),
+        ([["a", "Alpha"]], [], [], "expected 4 cells"),
+        ([("a", "Alpha", "commercial"), ("b", "Beta", "commercial")],
+         [], [("a", "b", "abc")], "expected an integer"),
     ],
 )
 def test_load_validation_errors(tmp_path, publishers, variants, acquisitions, fragment):
@@ -164,6 +166,15 @@ def test_two_publishers_sharing_a_folded_canonical_name_fatal(tmp_path):
 def test_missing_file_is_fatal(tmp_path):
     with pytest.raises(RegistryError):
         load_registry_dir(tmp_path)
+
+
+def test_header_cells_may_carry_spaces(tmp_path):
+    write_registry(tmp_path, [("a", "Alpha", "commercial")])
+    (tmp_path / "publishers.csv").write_text(
+        "id, name, type, website\na, Alpha, commercial,\n", encoding="utf-8"
+    )
+    registry = load_registry_dir(tmp_path)
+    assert registry.publisher("a").name == "Alpha"
 
 
 def test_bad_header_is_fatal(tmp_path):

@@ -4,17 +4,18 @@ import json
 
 import pytest
 
-from pubrank import (
-    CSV_HEADER,
-    ConfigError,
-    ExportError,
+from pubrank.errors import ConfigError, ExportError, UnresolvedPublisherError
+from pubrank.indicators import Scope
+from pubrank.ranking import (
     RankingTable,
-    RunConfig,
     RunMeta,
-    Scope,
     ThresholdPolicy,
-    UnresolvedPublisherError,
-    build_ranking,
+    build_all_rankings,
+    build_profile,
+)
+from pubrank.report import (
+    CSV_HEADER,
+    RunConfig,
     export_all_rankings,
     export_profile,
     export_ranking,
@@ -23,14 +24,12 @@ from pubrank import (
     run_rank,
     run_stats,
     run_validate,
-    sample_registry_dir,
-    sample_taxonomy_path,
     scope_slug,
     table_filename,
 )
-from pubrank.ranking import build_all_rankings, build_profile
+from pubrank.samples import sample_registry_dir, sample_taxonomy_path
 from pubrank.registry import load_registry_dir
-from util import jsonl, pipeline_artifacts, record, write_jsonl, write_registry
+from util import jsonl, pipeline_artifacts, ranking_table, record, write_jsonl, write_registry
 
 HIST = Scope("discipline", "History")
 OPEN = ThresholdPolicy(min_books=1, min_chapters=1)
@@ -48,7 +47,7 @@ def history_table(registry, taxonomy):
         registry,
         taxonomy,
     )
-    return build_ranking(HIST, corpus, registry, taxonomy, baselines, OPEN)
+    return ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
 
 
 class TestSlugs:
@@ -86,7 +85,7 @@ class TestCsvExport:
 
     def test_empty_table_is_header_only(self, registry, taxonomy, tmp_path):
         corpus, baselines = pipeline_artifacts([record("b1")], registry, taxonomy)
-        table = build_ranking(
+        table = ranking_table(
             Scope("discipline", "Law"), corpus, registry, taxonomy, baselines, OPEN
         )
         path = export_ranking(table, "csv", tmp_path)
@@ -102,12 +101,34 @@ class TestCsvExport:
         corpus, baselines = pipeline_artifacts(
             [record("b1", publisher="Smith, Jones & Co")], registry, taxonomy
         )
-        table = build_ranking(HIST, corpus, registry, taxonomy, baselines, OPEN)
+        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
         text = export_ranking(table, "csv", tmp_path).read_text(encoding="utf-8")
         assert '1,"Smith, Jones & Co",commercial' in text
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == CSV_HEADER.split(",")
         assert parsed[1][1] == "Smith, Jones & Co"
+
+
+    def test_line_breaks_in_names_are_quoted(self, tmp_path, taxonomy):
+        names = ["Line\nBreak Press", "Carriage\rReturn House", "Plain Press"]
+        registry_dir = write_registry(tmp_path / "reg", publishers=[])
+        # written by hand: csv.writer(lineterminator="\n") leaves a CR unquoted
+        (registry_dir / "publishers.csv").write_text(
+            "id,name,type,website\n"
+            + "".join(f'p{i},"{name}",commercial,\n' for i, name in enumerate(names)),
+            encoding="utf-8",
+            newline="",
+        )
+        registry = load_registry_dir(registry_dir)
+        records = [
+            record(f"b{i}", publisher=" ".join(name.split())) for i, name in enumerate(names)
+        ]
+        corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
+        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
+        with export_ranking(table, "csv", tmp_path).open(newline="", encoding="utf-8") as fh:
+            parsed = list(csv.reader(fh))
+        assert len(parsed) == 1 + len(names)
+        assert sorted(row[1] for row in parsed[1:]) == sorted(names)
 
 
 class TestJsonExport:
@@ -150,7 +171,7 @@ class TestHtmlExport:
         corpus, baselines = pipeline_artifacts(
             [record("b1", publisher="Angle <Bracket> & Sons")], registry, taxonomy
         )
-        table = build_ranking(HIST, corpus, registry, taxonomy, baselines, OPEN)
+        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
         text = export_ranking(table, "html", tmp_path).read_text(encoding="utf-8")
         assert "<td>Angle &lt;Bracket&gt; &amp; Sons</td>" in text
         assert "<td>Angle <Bracket>" not in text

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pubrank import TaxonomyError, load_taxonomy, scopes_of_item, sample_taxonomy_path
+from pubrank.errors import TaxonomyError
+from pubrank.samples import sample_taxonomy_path
+from pubrank.taxonomy import load_taxonomy, scopes_of_item
 from pubrank.corpus import ItemRecord
 from util import record
 

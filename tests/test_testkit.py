@@ -3,17 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from pubrank import (
-    ConfigError,
-    Scope,
-    SynthParams,
-    compute_all_rows,
-    compute_baselines,
-    corpus_stats,
-    generate_corpus,
-    load_ledger,
-    oracle_indicators,
-)
+from pubrank.corpus import corpus_stats
+from pubrank.errors import ConfigError
+from pubrank.indicators import Scope, compute_all_rows, compute_baselines
+from pubrank.testkit import SynthParams, generate_corpus, load_ledger, oracle_indicators
 from pubrank.registry import fold_name
 from util import load_synth_bundle as load_bundle
 from util import pipeline_artifacts, record, tree_hash
@@ -134,7 +127,7 @@ class TestLedgerAgainstEngine:
     def test_field_rollups_match_corpus_stats(self, taxonomy, tmp_path):
         result = generate_corpus(SynthParams(seed=12, **SMALL), taxonomy, tmp_path)
         registry, tax, corpus = load_bundle(result)
-        stats = corpus_stats(list(corpus.items), registry, tax)
+        stats = corpus_stats(corpus, registry, tax)
         ledger = result.ledger
         assert stats.total.books == ledger.total_books
         assert stats.total.chapters == ledger.total_chapters

@@ -6,14 +6,15 @@ import hashlib
 import json
 from pathlib import Path
 
-from pubrank import (
+from pubrank.corpus import (
     DEFAULT_EXCLUDED_PUBLISHERS,
     DEFAULT_WINDOW,
-    compute_baselines,
     filter_corpus,
     ingest_corpus,
     resolve_corpus,
 )
+from pubrank.indicators import compute_baselines
+from pubrank.ranking import build_all_rankings
 from pubrank.registry import load_registry_dir
 from pubrank.taxonomy import load_taxonomy
 
@@ -64,6 +65,11 @@ def pipeline_artifacts(records, registry, taxonomy, window=(2009, 2013)):
     return corpus, baselines
 
 
+def ranking_table(scope, *args, **kwargs):
+    """The table for one scope, picked from build_all_rankings(*args, **kwargs)."""
+    return next(t for t in build_all_rankings(*args, **kwargs) if t.scope == scope)
+
+
 def load_synth_bundle(result):
     """Run a generated bundle through the real pipeline, strictly.
 
@@ -106,7 +112,9 @@ def random_records(rng, taxonomy, n, publishers=("Springer", "Routledge", "Elsev
 
 def write_registry(directory: Path, publishers, variants=(), acquisitions=()):
     """publishers: (id, name, type[, website]); variants: (raw, canonical_id[,
-    city, address]); acquisitions: (acquired, acquirer[, year])."""
+    city, address]); acquisitions: (acquired, acquirer[, year]). Tuple rows
+    are padded with empty cells to the header's width; list rows are
+    written as given."""
     import csv
 
     directory.mkdir(parents=True, exist_ok=True)
@@ -116,7 +124,9 @@ def write_registry(directory: Path, publishers, variants=(), acquisitions=()):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow(list(row) + [""] * (width - len(row)))
+                if isinstance(row, tuple):
+                    row = list(row) + [""] * (width - len(row))
+                writer.writerow(row)
 
     dump("publishers.csv", ["id", "name", "type", "website"], publishers, 4)
     dump("variants.csv", ["raw", "canonical_id", "city", "address"], variants, 4)
