@@ -6,9 +6,10 @@ baseline cells keyed by discipline, document type, and year). Profile:
 AI (share of own output in a scope relative to the whole corpus share)
 and ED (percentage of chapters from edited books).
 
-All ratio arithmetic is exact (integers and Fractions) until the final
-conversion to float, so results are independent of accumulation order
-and invariant under uniform citation scaling.
+All ratio arithmetic is exact: each ratio stays a pair of integers until
+one correctly rounded int / int division per indicator, so results are
+independent of accumulation order and invariant under uniform citation
+scaling.
 
 Scoped computations run over the items that map to at least one known
 discipline; items whose categories are all unknown are excluded from
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+
 from .corpus import ItemRecord, ResolvedCorpus, edited_book_map
 from .errors import FingerprintMismatchError
 from .taxonomy import TaxonomyMap
@@ -180,17 +183,24 @@ def compute_all_rows(
     rows: dict[tuple[str, Scope], IndicatorRow] = {}
     cells = baselines.cells
     for (pid, kind, name), acc in accs.items():
-        expected = Fraction(0)
+        # expected citations as the reduced fraction num/den; int / int is
+        # correctly rounded, so each float equals float() of the Fraction
+        num, den = 0, 1
         for (d, dt, year, k), n in acc.cells.items():
             cell = cells[(d, dt, year)]
             if cell.citation_sum:
-                expected += Fraction(n * cell.citation_sum, k * cell.item_count)
-        fncs = float(Fraction(acc.cit) / expected) if expected else 0.0
+                cell_den = k * cell.item_count
+                num = num * cell_den + n * cell.citation_sum * den
+                den *= cell_den
+                g = gcd(num, den)
+                num //= g
+                den //= g
+        fncs = acc.cit * den / num if num else 0.0
 
         own_total = books_by_publisher.get(pid, 0)
         all_scope = books_by_scope.get((kind, name), 0)
         if acc.pbk and own_total and all_scope:
-            ai = float(Fraction(acc.pbk * total_books, own_total * all_scope))
+            ai = acc.pbk * total_books / (own_total * all_scope)
         else:
             ai = 0.0
 

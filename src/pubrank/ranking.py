@@ -81,16 +81,16 @@ def _order_entries(entries: list[RankingEntry]) -> tuple[RankingEntry, ...]:
 
 def _table_for_scope(
     scope: Scope,
-    rows: dict[tuple[str, Scope], IndicatorRow],
+    rows: list[IndicatorRow],
     registry: PublisherRegistry,
     globals_: dict[str, tuple[int, int]],
     meta: RunMeta,
 ) -> RankingTable:
+    """The ranking table of one scope, from that scope's rows."""
     policy = meta.policy
     entries = []
-    for (pid, row_scope), row in rows.items():
-        if row_scope != scope:
-            continue
+    for row in rows:
+        pid = row.publisher_id
         if policy.basis == BASIS_GLOBAL:
             pbk, pch = globals_.get(pid, (0, 0))
         else:
@@ -123,11 +123,17 @@ def build_all_rankings(
     globals_ = global_counts(corpus, taxonomy) if policy.basis == BASIS_GLOBAL else {}
     meta = RunMeta(corpus.fingerprint, window, policy, type_filter=type_filter)
 
-    scopes = [Scope(SCOPE_FIELD, f) for f in taxonomy.fields] + [
-        Scope(SCOPE_DISCIPLINE, d) for d in taxonomy.disciplines
+    # rows bucketed by (kind, name) in one pass, keeping their order
+    by_scope: dict[tuple[str, str], list[IndicatorRow]] = {}
+    for row in rows.values():
+        by_scope.setdefault((row.scope.kind, row.scope.name), []).append(row)
+
+    keys = [(SCOPE_FIELD, f) for f in taxonomy.fields] + [
+        (SCOPE_DISCIPLINE, d) for d in taxonomy.disciplines
     ]
     return [
-        _table_for_scope(scope, rows, registry, globals_, meta) for scope in scopes
+        _table_for_scope(Scope(*key), by_scope.get(key, []), registry, globals_, meta)
+        for key in keys
     ]
 
 

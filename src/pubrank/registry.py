@@ -8,11 +8,11 @@ either as a variant or as a canonical name.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from .csvfile import read_csv
 from .errors import (
     AcquisitionCycleError,
     RegistryError,
@@ -90,32 +90,6 @@ class PublisherRegistry:
         return tuple(sorted(rows, key=lambda v: fold_name(v.raw)))
 
 
-def _read_csv(source: str | Path, expected_header: list[str]) -> list[dict[str, str]]:
-    path = Path(source)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise RegistryError(f"{path}: empty file, expected header {expected_header}")
-            if [h.strip() for h in reader.fieldnames] != expected_header:
-                raise RegistryError(
-                    f"{path}: bad header {reader.fieldnames}, expected {expected_header}"
-                )
-            # rows are keyed by the stripped names the check accepted
-            reader.fieldnames = expected_header
-            rows = []
-            for row in reader:
-                # a short row gets None values, a long row's surplus the key None
-                if None in row or None in row.values():
-                    raise RegistryError(
-                        f"{path}: line {reader.line_num}: expected {len(expected_header)} cells"
-                    )
-                rows.append(row)
-            return rows
-    except OSError as exc:
-        raise RegistryError(f"cannot read {path}: {exc}") from exc
-
-
 def load_registry(
     publishers_source: str | Path,
     variants_source: str | Path,
@@ -128,7 +102,7 @@ def load_registry(
     acquisition graph. Any violation is fatal.
     """
     publishers: dict[str, CanonicalPublisher] = {}
-    for row in _read_csv(publishers_source, ["id", "name", "type", "website"]):
+    for row in read_csv(publishers_source, ["id", "name", "type", "website"], RegistryError):
         pid = row["id"].strip()
         name = row["name"].strip()
         ptype = row["type"].strip()
@@ -158,7 +132,8 @@ def load_registry(
         variants[folded] = pub.publisher_id
 
     variant_rows: list[NameVariant] = []
-    for row in _read_csv(variants_source, ["raw", "canonical_id", "city", "address"]):
+    variant_header = ["raw", "canonical_id", "city", "address"]
+    for row in read_csv(variants_source, variant_header, RegistryError):
         raw = row["raw"].strip()
         canonical = row["canonical_id"].strip()
         if not raw:
@@ -182,7 +157,7 @@ def load_registry(
 
     acquisitions: list[AcquisitionEvent] = []
     acquirer_of: dict[str, str] = {}
-    for row in _read_csv(acquisitions_source, ["acquired_id", "acquirer_id", "year"]):
+    for row in read_csv(acquisitions_source, ["acquired_id", "acquirer_id", "year"], RegistryError):
         acquired = row["acquired_id"].strip()
         acquirer = row["acquirer_id"].strip()
         for pid in (acquired, acquirer):

@@ -14,6 +14,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -145,7 +146,8 @@ def _csv_rows(table: RankingTable) -> list[str]:
     return lines
 
 
-def _json_payload(table: RankingTable) -> dict:
+def _json_header(table: RankingTable) -> dict:
+    """The ranking JSON document with an empty "rows" list."""
     meta = table.meta
     return {
         "scope": {"kind": table.scope.kind, "name": table.scope.name},
@@ -158,6 +160,15 @@ def _json_payload(table: RankingTable) -> dict:
         },
         "sort_key": "pbk",
         "type_filter": meta.type_filter,
+        "rows": [],
+    }
+
+
+def _json_payload(table: RankingTable) -> dict:
+    """The ranking JSON document as plain data; `_ranking_json` writes
+    exactly `json.dumps(_json_payload(table), indent=2) + "\n"`."""
+    return {
+        **_json_header(table),
         "rows": [
             {
                 "rank": rank,
@@ -169,6 +180,39 @@ def _json_payload(table: RankingTable) -> dict:
             for rank, e in enumerate(table.entries, start=1)
         ],
     }
+
+
+def _json_rows(table: RankingTable) -> Iterator[str]:
+    # json.dumps renders a str with encode_basestring_ascii, an int with
+    # int.__repr__ and a finite float with float.__repr__
+    enc = encode_basestring_ascii
+    for rank, e in enumerate(table.entries, start=1):
+        pub, row = e.publisher, e.row
+        yield (
+            "    {\n"
+            f'      "rank": {rank!r},\n'
+            f'      "publisher_id": {enc(pub.publisher_id)},\n'
+            f'      "publisher": {enc(pub.name)},\n'
+            f'      "type": {enc(pub.publisher_type)},\n'
+            f'      "pbk": {row.pbk!r},\n'
+            f'      "pch": {row.pch!r},\n'
+            f'      "cit": {row.cit!r},\n'
+            f'      "fncs": {row.fncs!r},\n'
+            f'      "ai": {row.ai!r},\n'
+            f'      "ed": {row.ed!r}\n'
+            "    }"
+        )
+
+
+def _ranking_json(table: RankingTable) -> str:
+    """The ranking JSON text: the header through json.dumps, the rows from
+    a fixed template, since json.dumps with indent runs in pure Python."""
+    head = json.dumps(_json_header(table), indent=2)
+    if not table.entries:
+        return head + "\n"
+    # head ends in '"rows": []\n}'; drop "]\n}" and write the rows into the list
+    rows = ",\n".join(_json_rows(table))
+    return f"{head[:-3]}\n{rows}\n  ]\n}}\n"
 
 
 def _html_rows(table: RankingTable) -> Iterator[str]:
@@ -187,7 +231,7 @@ def export_ranking(table: RankingTable, fmt: str, destination: str | Path) -> Pa
     if fmt == "csv":
         text = "\n".join(_csv_rows(table)) + "\n"
     elif fmt == "json":
-        text = json.dumps(_json_payload(table), indent=2) + "\n"
+        text = _ranking_json(table)
     else:
         title = f"{table.scope.kind.capitalize()}: {table.scope.name}"
         body = _html_table(CSV_HEADER.split(","), _html_rows(table))

@@ -8,11 +8,11 @@ matter how many of its categories land there.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .csvfile import read_csv
 from .errors import TaxonomyError
 
 if TYPE_CHECKING:
@@ -50,25 +50,13 @@ class ItemScopes:
 def load_taxonomy(source: str | Path) -> TaxonomyMap:
     """Load and validate a taxonomy CSV (category,discipline,field).
 
-    Fatal: a category mapped twice, a discipline under two fields, or an
+    Fatal: a fault of the file itself (see `csvfile.read_csv`), an empty
+    cell, a category mapped twice, a discipline under two fields, or an
     empty taxonomy. The ordered field/discipline lists are sorted so a
     reload is independent of row order.
     """
     path = Path(source)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [h.strip() for h in reader.fieldnames] != [
-                "category",
-                "discipline",
-                "field",
-            ]:
-                raise TaxonomyError(
-                    f"{path}: expected header category,discipline,field, got {reader.fieldnames}"
-                )
-            rows = list(reader)
-    except OSError as exc:
-        raise TaxonomyError(f"cannot read {path}: {exc}") from exc
+    rows = read_csv(path, ["category", "discipline", "field"], TaxonomyError)
 
     discipline_of: dict[str, str] = {}
     field_of: dict[str, str] = {}

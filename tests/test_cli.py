@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pubrank.cli import EXIT_DIRTY, EXIT_FATAL, EXIT_OK, build_parser, run_cli
-from pubrank.samples import sample_taxonomy_path
+from pubrank.samples import sample_registry_dir, sample_taxonomy_path
 from pubrank.taxonomy import load_taxonomy
 from pubrank.testkit import SynthParams, generate_corpus
 from util import record, tree_hash, write_jsonl, write_registry
@@ -12,6 +17,19 @@ from util import record, tree_hash, write_jsonl, write_registry
 # SHA-256 over everything rank, profile, stats and validate write and print
 # for one fixed synthetic bundle; any change to an output byte changes it.
 PINNED_OUTPUT_SHA256 = "7cef3fda83f878b566ea976853dbd1cded078310b6e9de5db436acdc7ac67b17"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _pubrank(*argv) -> subprocess.CompletedProcess:
+    """`python -m pubrank.cli` in a child process, so stderr shows whether a
+    failure ends in a message or in a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "pubrank.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 @pytest.fixture
@@ -109,6 +127,18 @@ class TestValidate:
         captured = capsys.readouterr()
         assert code == EXIT_FATAL
         assert "not UTF-8" in captured.err
+
+    @pytest.mark.parametrize("faulty", ["registry", "taxonomy"])
+    def test_non_utf8_csv_is_fatal(self, clean_corpus, tmp_path, faulty):
+        registry_dir = shutil.copytree(sample_registry_dir(), tmp_path / "registry")
+        taxonomy = shutil.copy(sample_taxonomy_path(), tmp_path / "taxonomy.csv")
+        with open(registry_dir / "variants.csv" if faulty == "registry" else taxonomy, "ab") as fh:
+            fh.write(b"\xe9")
+        proc = _pubrank("validate", "--corpus", clean_corpus,
+                        "--registry-dir", registry_dir, "--taxonomy", taxonomy)
+        assert proc.returncode == EXIT_FATAL
+        assert proc.stderr.startswith("error:") and "not UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_broken_registry_is_fatal(self, clean_corpus, tmp_path, capsys):
         registry_dir = write_registry(

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pubrank.errors import FingerprintMismatchError
 from pubrank.indicators import Scope, compute_all_rows, compute_baselines, global_counts
@@ -288,6 +289,79 @@ class TestSinglePassAggregation:
         corpus, baselines = pipeline_artifacts([record("b1")], registry, taxonomy)
         rows = compute_all_rows(corpus, taxonomy, baselines)
         assert set(rows) == {("springer", HIST), ("springer", HUM)}
+
+
+EDGE_SHAPES = ("single_publisher", "zero_citations", "several_disciplines_of_one_field",
+               "chapter_only_publisher")
+
+
+@st.composite
+def edge_records(draw, taxonomy, shape):
+    """Record dicts of one edge shape over the sample registry."""
+    publishers = ["Springer", "Routledge", "CRC Press"]
+    if shape == "single_publisher":
+        publishers = ["Springer"]
+    if shape == "several_disciplines_of_one_field":
+        fieldname = draw(st.sampled_from(
+            [f for f in taxonomy.fields if len(taxonomy.disciplines_by_field[f]) >= 2]
+        ))
+        by_discipline = {}
+        for category, d in sorted(taxonomy.discipline_of.items()):
+            if taxonomy.field_of[d] == fieldname:
+                by_discipline.setdefault(d, []).append(category)
+    categories = sorted(taxonomy.discipline_of)
+    records = []
+    book_ids = []
+    for i in range(draw(st.integers(min_value=1, max_value=25))):
+        publisher = draw(st.sampled_from(publishers))
+        chapter_only = shape == "chapter_only_publisher" and publisher == "CRC Press"
+        is_book = not chapter_only and draw(st.booleans())
+        if shape == "several_disciplines_of_one_field":
+            discs = draw(st.lists(st.sampled_from(sorted(by_discipline)), min_size=2, max_size=3,
+                                  unique=True))
+            cats = sorted(draw(st.sampled_from(by_discipline[d])) for d in discs)
+        else:
+            cats = sorted(draw(st.lists(st.sampled_from(categories), min_size=1, max_size=3,
+                                        unique=True)))
+        citations = 0 if shape == "zero_citations" else draw(st.integers(min_value=0, max_value=9))
+        rec = record(f"r{i}", doc_type="book" if is_book else "chapter", publisher=publisher,
+                     year=draw(st.integers(2009, 2013)), categories=cats, citations=citations)
+        if is_book:
+            rec["edited"] = draw(st.booleans())
+            book_ids.append(rec["id"])
+        else:
+            rec["parent_book_id"] = draw(st.sampled_from(book_ids + ["missing-parent"]))
+        records.append(rec)
+    return records
+
+
+class TestEdgeShapes:
+    """compute_all_rows equals the brute-force oracle exactly (==) on the
+    shapes where exact arithmetic is most easily lost: one publisher, no
+    citations at all, items split over several disciplines of one field,
+    and a publisher with chapters only."""
+
+    @pytest.mark.parametrize("shape", EDGE_SHAPES)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_engine_equals_oracle(self, registry, taxonomy, shape, data):
+        records = data.draw(edge_records(taxonomy, shape))
+        corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
+        rows = compute_all_rows(corpus, taxonomy, baselines)
+        if shape == "chapter_only_publisher":
+            assert all(row.pbk == 0 for (pid, _), row in rows.items() if pid == "crc-press")
+        for (pid, scope), row in rows.items():
+            assert oracle_indicators(pid, scope, corpus, taxonomy) == (
+                row.pbk, row.pch, row.cit, row.fncs, row.ai, row.ed
+            )
+        scopes = [Scope("field", f) for f in taxonomy.fields] + [
+            Scope("discipline", d) for d in taxonomy.disciplines
+        ]
+        for pid in set(corpus.publisher_ids):
+            for scope in scopes:
+                if (pid, scope) not in rows:
+                    zeros = (0, 0, 0, 0.0, 0.0, 0.0)
+                    assert oracle_indicators(pid, scope, corpus, taxonomy) == zeros
 
 
 class TestExactArithmetic:

@@ -134,6 +134,8 @@ def test_empty_acquisitions_file_is_valid(tmp_path):
         ([["a", "Alpha"]], [], [], "expected 4 cells"),
         ([("a", "Alpha", "commercial"), ("b", "Beta", "commercial")],
          [], [("a", "b", "abc")], "expected an integer"),
+        # a cell past the csv module's field size limit (128 KiB)
+        ([("a", "Alpha", "commercial", "x" * 200_000)], [], [], "malformed CSV"),
     ],
 )
 def test_load_validation_errors(tmp_path, publishers, variants, acquisitions, fragment):
@@ -182,3 +184,4 @@ def test_bad_header_is_fatal(tmp_path):
     (tmp_path / "publishers.csv").write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(RegistryError):
         load_registry_dir(tmp_path)
+

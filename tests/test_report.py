@@ -3,10 +3,12 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pubrank.errors import ConfigError, ExportError, UnresolvedPublisherError
-from pubrank.indicators import Scope
+from pubrank.indicators import IndicatorRow, Scope
 from pubrank.ranking import (
+    RankingEntry,
     RankingTable,
     RunMeta,
     ThresholdPolicy,
@@ -16,6 +18,8 @@ from pubrank.ranking import (
 from pubrank.report import (
     CSV_HEADER,
     RunConfig,
+    _json_payload,
+    _ranking_json,
     export_all_rankings,
     export_profile,
     export_ranking,
@@ -28,7 +32,7 @@ from pubrank.report import (
     table_filename,
 )
 from pubrank.samples import sample_registry_dir, sample_taxonomy_path
-from pubrank.registry import load_registry_dir
+from pubrank.registry import CanonicalPublisher, load_registry_dir
 from util import jsonl, pipeline_artifacts, ranking_table, record, write_jsonl, write_registry
 
 HIST = Scope("discipline", "History")
@@ -150,6 +154,54 @@ class TestJsonExport:
             assert row["fncs"] == entry.row.fncs
             assert row["ai"] == entry.row.ai
             assert row["ed"] == entry.row.ed
+
+
+# names that exercise every escape json.dumps makes: non-ASCII, quotes,
+# backslashes, control characters, astral-plane characters
+_TRICKY_TEXT = st.sampled_from(
+    ["", "Presses de l'Universit\u00e9", 'say "hi"', "back\\slash", "tab\tnul\x00\x1f\x7f",
+     "line\nbreak\r", "\U0001f4da Books", "\u2028\u2029", "\ud800"]
+)
+_TEXT = _TRICKY_TEXT | st.text(max_size=12)
+_FLOATS = st.sampled_from([0.0, 5e-324, 1e16, 0.1, 1 / 3, 1e-7, 1.5e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_COUNTS = st.integers(min_value=0, max_value=10**20)
+
+
+@st.composite
+def ranking_tables(draw):
+    scope = Scope(draw(st.sampled_from(["field", "discipline"])), draw(_TEXT))
+    entries = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        pid = draw(_TEXT)
+        publisher = CanonicalPublisher(pid, draw(_TEXT), draw(_TEXT))
+        row = IndicatorRow(pid, scope, draw(_COUNTS), draw(_COUNTS), draw(_COUNTS),
+                           draw(_FLOATS), draw(_FLOATS), draw(_FLOATS))
+        entries.append(RankingEntry(publisher, row))
+    basis = draw(st.sampled_from(["scope", "global"]))
+    policy = ThresholdPolicy(draw(_COUNTS), draw(_COUNTS), basis)
+    window = (draw(st.integers(1900, 2100)), draw(st.integers(1900, 2100)))
+    meta = RunMeta(draw(_TEXT), window, policy, type_filter=draw(st.none() | _TEXT))
+    return RankingTable(scope=scope, entries=tuple(entries), meta=meta)
+
+
+class TestJsonWriter:
+    """The ranking JSON writer renders rows from a template; it must give
+    exactly what json.dumps gives for the same document."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=ranking_tables())
+    def test_matches_json_dumps(self, table):
+        assert _ranking_json(table) == json.dumps(_json_payload(table), indent=2) + "\n"
+
+    @pytest.mark.parametrize("type_filter", [None, "university_press"])
+    def test_empty_table(self, type_filter):
+        meta = RunMeta("f" * 64, (2009, 2013), OPEN, type_filter=type_filter)
+        table = RankingTable(scope=HIST, entries=(), meta=meta)
+        text = _ranking_json(table)
+        assert text == json.dumps(_json_payload(table), indent=2) + "\n"
+        assert text.endswith('  "rows": []\n}\n')
 
 
 class TestHtmlExport:

@@ -73,6 +73,23 @@ def test_empty_cell_is_fatal(tmp_path):
         load_taxonomy(p)
 
 
+@pytest.mark.parametrize(
+    "row", [b"Extra Cat,History\n", b"Extra Cat,History,Humanities & Arts,surplus\n"],
+    ids=["short", "long"],
+)
+def test_row_of_wrong_width_is_fatal(tmp_path, row):
+    p = tmp_path / "t.csv"
+    p.write_bytes(sample_taxonomy_path().read_bytes() + row)
+    with pytest.raises(TaxonomyError, match="expected 3 cells"):
+        load_taxonomy(p)
+
+
+def test_header_cells_may_carry_spaces(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("category, discipline, field\nC,D,F\n", encoding="utf-8")
+    assert load_taxonomy(p).discipline_of == {"C": "D"}
+
+
 def test_row_order_never_changes_the_map(tmp_path):
     lines = sample_taxonomy_path().read_text(encoding="utf-8").splitlines()
     header, rows = lines[0], lines[1:]
