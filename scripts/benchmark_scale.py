@@ -23,8 +23,13 @@ import resource
 import sys
 import tempfile
 import time
+from pathlib import Path
 
-from pubrank import (
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+from pubrank import (  # noqa: E402
     DEFAULT_EXCLUDED_PUBLISHERS,
     DEFAULT_WINDOW,
     SynthParams,
@@ -37,8 +42,8 @@ from pubrank import (
     resolve_corpus,
     sample_taxonomy_path,
 )
-from pubrank.registry import load_registry_dir
-from pubrank.taxonomy import load_taxonomy
+from pubrank.registry import load_registry_dir  # noqa: E402
+from pubrank.taxonomy import load_taxonomy  # noqa: E402
 
 ITEMS_PER_PUBLISHER = 400
 

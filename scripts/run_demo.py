@@ -13,7 +13,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from pubrank import (
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+from pubrank import (  # noqa: E402
     RunConfig,
     Scope,
     SynthParams,
@@ -21,7 +25,7 @@ from pubrank import (
     run_rank,
     sample_taxonomy_path,
 )
-from pubrank.taxonomy import load_taxonomy
+from pubrank.taxonomy import load_taxonomy  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .errors import CorpusError, DuplicateItemError, UnresolvedPublisherError
 from .registry import PublisherRegistry
-from .taxonomy import TaxonomyMap, scopes_of_item
+from .taxonomy import SCOPE_FIELD, TaxonomyMap
 
 DOC_BOOK = "book"
 DOC_CHAPTER = "chapter"
@@ -26,7 +26,7 @@ DOC_CHAPTER = "chapter"
 DEFAULT_WINDOW = (2009, 2013)
 DEFAULT_EXCLUDED_PUBLISHERS = ("Annual Reviews",)
 
-_KNOWN_KEYS = {
+_KNOWN_KEYS = frozenset({
     "id",
     "doc_type",
     "publisher",
@@ -36,7 +36,7 @@ _KNOWN_KEYS = {
     "serial",
     "parent_book_id",
     "edited",
-}
+})
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,58 +80,71 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     return (start, end)
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass; reject it explicitly
-    return type(value) is int
+_CATEGORIES_ERROR = "categories must be a non-empty array of strings"
 
 
-def _parse_line(obj: dict) -> tuple[ItemRecord, list[str]]:
+def _normalise_categories(raw: list) -> tuple[str, ...]:
+    """The sorted, stripped, interned and deduplicated category tuple."""
+    if not raw or not all(type(c) is str and c.strip() for c in raw):
+        raise ValueError(_CATEGORIES_ERROR)
+    return tuple(sorted({sys.intern(c.strip()) for c in raw}))
+
+
+def _parse_line(obj: dict, categories_memo: dict) -> tuple[ItemRecord, list[str]]:
     """Build an ItemRecord from one parsed JSON object.
 
     Returns the record plus any non-fatal warnings. Raises ValueError with
-    the rejection reason for malformed objects.
+    the rejection reason for malformed objects. `categories_memo` maps a
+    raw category list, as a tuple, to its normalised tuple; it only ever
+    holds lists that passed the check, so records with the same list share
+    one tuple. Values come from `json.loads`, so exact-type checks (bool is
+    an int subclass and must not pass as one) and identity on the two
+    bools are the same tests as isinstance.
     """
     warnings = []
-    unknown = sorted(set(obj) - _KNOWN_KEYS)
-    if unknown:
-        warnings.append("unknown keys ignored: " + ", ".join(unknown))
+    if not obj.keys() <= _KNOWN_KEYS:
+        warnings.append("unknown keys ignored: " + ", ".join(sorted(obj.keys() - _KNOWN_KEYS)))
 
-    if "doc_type" not in obj:
-        raise ValueError("missing doc_type")
-    doc_type = obj["doc_type"]
-    if not isinstance(doc_type, str) or not doc_type:
+    get = obj.get
+    doc_type = get("doc_type")
+    if type(doc_type) is not str or not doc_type:
+        if "doc_type" not in obj:
+            raise ValueError("missing doc_type")
         raise ValueError("doc_type must be a non-empty string")
 
-    item_id = obj.get("id")
-    if not isinstance(item_id, str) or not item_id:
+    item_id = get("id")
+    if type(item_id) is not str or not item_id:
         raise ValueError("missing or empty id")
-    raw_publisher = obj.get("publisher")
-    if not isinstance(raw_publisher, str) or not raw_publisher.strip():
+    raw_publisher = get("publisher")
+    if type(raw_publisher) is not str or not raw_publisher.strip():
         raise ValueError("missing or empty publisher")
-    year = obj.get("year")
-    if not _is_int(year):
+    year = get("year")
+    if type(year) is not int:
         raise ValueError("year must be an integer")
-    citations = obj.get("citations")
-    if not _is_int(citations):
+    citations = get("citations")
+    if type(citations) is not int:
         raise ValueError("citations must be an integer")
     if citations < 0:
         raise ValueError("citations must be >= 0")
-    categories = obj.get("categories")
-    if (
-        not isinstance(categories, list)
-        or not categories
-        or not all(isinstance(c, str) and c.strip() for c in categories)
-    ):
-        raise ValueError("categories must be a non-empty array of strings")
-    serial = obj.get("serial", False)
-    if not isinstance(serial, bool):
+    raw_categories = get("categories")
+    if type(raw_categories) is not list:
+        raise ValueError(_CATEGORIES_ERROR)
+    key = tuple(raw_categories)
+    try:
+        categories = categories_memo[key]
+    except KeyError:
+        categories = categories_memo[key] = _normalise_categories(raw_categories)
+    except TypeError:  # an unhashable element, which the full check rejects
+        categories = _normalise_categories(raw_categories)
+    serial = get("serial", False)
+    if serial is not False and serial is not True:
         raise ValueError("serial must be a boolean")
 
-    parent_book_id = obj.get("parent_book_id")
-    if parent_book_id is not None and (not isinstance(parent_book_id, str) or not parent_book_id):
+    parent_book_id = get("parent_book_id")
+    if parent_book_id is not None and (type(parent_book_id) is not str or not parent_book_id):
         raise ValueError("parent_book_id must be a non-empty string")
-    edited = obj.get("edited")
-    if edited is not None and not isinstance(edited, bool):
+    edited = get("edited")
+    if edited is not None and edited is not False and edited is not True:
         raise ValueError("edited must be a boolean")
 
     if doc_type == DOC_CHAPTER and parent_book_id is None:
@@ -143,15 +156,15 @@ def _parse_line(obj: dict) -> tuple[ItemRecord, list[str]]:
         edited = None
 
     record = ItemRecord(
-        item_id=item_id,
-        doc_type=sys.intern(doc_type),
-        raw_publisher=raw_publisher,
-        pub_year=year,
-        categories=tuple(sorted({sys.intern(c.strip()) for c in categories})),
-        citations=citations,
-        is_serial=serial,
-        parent_book_id=parent_book_id,
-        book_is_edited=edited,
+        item_id,
+        sys.intern(doc_type),
+        raw_publisher,
+        year,
+        categories,
+        citations,
+        serial,
+        parent_book_id,
+        edited,
     )
     return record, warnings
 
@@ -186,11 +199,13 @@ def ingest_corpus(
     records: list[ItemRecord] = []
     diagnostics: list[Diagnostic] = []
     seen: dict[str, int] = {}
+    categories_memo: dict[tuple, tuple[str, ...]] = {}
+    loads = json.loads
     for line_no, line in enumerate(_open_lines(source), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            obj = json.loads(line)
+            obj = loads(line)
         except json.JSONDecodeError as exc:
             diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc.msg}"))
             continue
@@ -199,17 +214,18 @@ def ingest_corpus(
             # past the interpreter's recursion limit
             diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc}"))
             continue
-        if not isinstance(obj, dict):
+        if type(obj) is not dict:
             diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
             continue
         try:
-            record, warnings = _parse_line(obj)
+            record, warnings = _parse_line(obj, categories_memo)
         except ValueError as exc:
             diagnostics.append(Diagnostic(line_no, str(exc)))
             continue
-        if record.item_id in seen:
-            raise DuplicateItemError(record.item_id, seen[record.item_id], line_no)
-        seen[record.item_id] = line_no
+        item_id = record.item_id
+        if item_id in seen:
+            raise DuplicateItemError(item_id, seen[item_id], line_no)
+        seen[item_id] = line_no
         records.append(record)
         for message in warnings:
             diagnostics.append(Diagnostic(line_no, message, severity="warning"))
@@ -398,12 +414,14 @@ def corpus_stats(
     pubs_total: set[str] = set()
     unknown: set[str] = set()
 
+    plans = taxonomy.plans
     for item, pid in corpus.pairs():
-        scopes = scopes_of_item(item, taxonomy)
-        unknown.update(scopes.unknown_categories)
-        for fieldname in scopes.fields:
-            pubs_by_field[fieldname].add(pid)
-            _tally(per_field[fieldname], item)
+        plan = plans[item.categories]
+        unknown.update(plan.unknown)
+        for kind, fieldname, _, _ in plan.scopes:
+            if kind == SCOPE_FIELD:
+                pubs_by_field[fieldname].add(pid)
+                _tally(per_field[fieldname], item)
         pubs_total.add(pid)
         _tally(total, item)
 

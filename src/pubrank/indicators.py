@@ -9,11 +9,14 @@ and ED (percentage of chapters from edited books).
 All ratio arithmetic is exact: each ratio stays a pair of integers until
 one correctly rounded int / int division per indicator, so results are
 independent of accumulation order and invariant under uniform citation
-scaling.
+scaling. Each (discipline, doc_type, year, k) cell mean is reduced once
+per run; a row's expected citations are then one exact sum of those
+means over a common denominator.
 
 Scoped computations run over the items that map to at least one known
 discipline; items whose categories are all unknown are excluded from
-baselines, counts, and the AI denominators alike.
+baselines, counts, and the AI denominators alike. Every item reads its
+scopes from the taxonomy's `ScopePlan` for its category tuple.
 """
 
 from __future__ import annotations
@@ -22,12 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .corpus import ItemRecord, ResolvedCorpus, edited_book_map
+from .corpus import DOC_BOOK, DOC_CHAPTER, ResolvedCorpus, edited_book_map
 from .errors import FingerprintMismatchError
-from .taxonomy import TaxonomyMap
-
-SCOPE_FIELD = "field"
-SCOPE_DISCIPLINE = "discipline"
+from .taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, TaxonomyMap
 
 
 @dataclass(frozen=True)
@@ -73,23 +73,16 @@ class IndicatorRow:
     ed: float
 
 
-def _known_disciplines(item: ItemRecord, discipline_of: dict[str, str]) -> set[str]:
-    discs = set()
-    for category in item.categories:
-        d = discipline_of.get(category)
-        if d is not None:
-            discs.add(d)
-    return discs
-
-
 def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> BaselineTable:
     """One cell per occupied (discipline, doc_type, year) triple, built
     from every item of every publisher; eligibility never trims baselines.
     An item in k disciplines contributes whole to all k cells."""
     counts: dict[tuple[str, str, int], list[int]] = {}
-    discipline_of = taxonomy.discipline_of
+    plans = taxonomy.plans
     for item in corpus.items:
-        for d in _known_disciplines(item, discipline_of):
+        for kind, d, _, _ in plans[item.categories].scopes:
+            if kind != SCOPE_DISCIPLINE:
+                continue
             key = (d, item.doc_type, item.pub_year)
             acc = counts.get(key)
             if acc is None:
@@ -115,17 +108,6 @@ class _Acc:
         # the item's disciplines inside the scope (1 for discipline scopes)
         self.cells: dict[tuple[str, str, int, int], int] = {}
 
-    def add(self, item: ItemRecord, from_edited: bool, cell_keys: list[tuple[str, str, int, int]]):
-        if item.is_book:
-            self.pbk += 1
-        else:
-            self.pch += 1
-            if from_edited:
-                self.edited_chapters += 1
-        self.cit += item.citations
-        for key in cell_keys:
-            self.cells[key] = self.cells.get(key, 0) + 1
-
 
 def compute_all_rows(
     corpus: ResolvedCorpus, taxonomy: TaxonomyMap, baselines: BaselineTable
@@ -138,63 +120,77 @@ def compute_all_rows(
     """
     if corpus.fingerprint != baselines.fingerprint:
         raise FingerprintMismatchError(corpus.fingerprint, baselines.fingerprint)
-    discipline_of = taxonomy.discipline_of
-    field_of = taxonomy.field_of
+    plans = taxonomy.plans
     edited = edited_book_map(corpus.items)
 
     accs: dict[tuple[str, str, str], _Acc] = {}
     books_by_publisher: dict[str, int] = {}
-    books_by_scope: dict[tuple[str, str], int] = {}
     total_books = 0
 
     for item, pid in corpus.pairs():
-        discs = _known_disciplines(item, discipline_of)
-        if not discs:
+        scopes = plans[item.categories].scopes
+        if not scopes:
             continue
-        from_edited = item.is_chapter and edited.get(item.parent_book_id, False)
-        by_field: dict[str, list[str]] = {}
-        for d in discs:
-            by_field.setdefault(field_of[d], []).append(d)
-
-        if item.is_book:
-            total_books += 1
-            books_by_publisher[pid] = books_by_publisher.get(pid, 0) + 1
-
         dt = item.doc_type
         year = item.pub_year
-        for d in discs:
-            acc = accs.get((pid, SCOPE_DISCIPLINE, d))
+        cit = item.citations
+        is_book = dt == DOC_BOOK
+        if is_book:
+            total_books += 1
+            books_by_publisher[pid] = books_by_publisher.get(pid, 0) + 1
+            from_edited = False
+        else:
+            from_edited = dt == DOC_CHAPTER and edited.get(item.parent_book_id, False)
+        for kind, name, members, k in scopes:
+            key = (pid, kind, name)
+            acc = accs.get(key)
             if acc is None:
-                acc = accs[(pid, SCOPE_DISCIPLINE, d)] = _Acc()
-            acc.add(item, from_edited, [(d, dt, year, 1)])
-            if item.is_book:
-                key = (SCOPE_DISCIPLINE, d)
-                books_by_scope[key] = books_by_scope.get(key, 0) + 1
-        for f, members in by_field.items():
-            acc = accs.get((pid, SCOPE_FIELD, f))
-            if acc is None:
-                acc = accs[(pid, SCOPE_FIELD, f)] = _Acc()
-            k = len(members)
-            acc.add(item, from_edited, [(d, dt, year, k) for d in members])
-            if item.is_book:
-                key = (SCOPE_FIELD, f)
-                books_by_scope[key] = books_by_scope.get(key, 0) + 1
+                acc = accs[key] = _Acc()
+            if is_book:
+                acc.pbk += 1
+            else:
+                acc.pch += 1
+                if from_edited:
+                    acc.edited_chapters += 1
+            acc.cit += cit
+            acc_cells = acc.cells
+            for d in members:
+                cell_key = (d, dt, year, k)
+                acc_cells[cell_key] = acc_cells.get(cell_key, 0) + 1
+
+    # the scope's books over all publishers; one Scope object per scope
+    books_by_scope: dict[tuple[str, str], int] = {}
+    scope_of: dict[tuple[str, str], Scope] = {}
+    for (_, kind, name), acc in accs.items():
+        scope_key = (kind, name)
+        books_by_scope[scope_key] = books_by_scope.get(scope_key, 0) + acc.pbk
+        if scope_key not in scope_of:
+            scope_of[scope_key] = Scope(kind, name)
 
     rows: dict[tuple[str, Scope], IndicatorRow] = {}
     cells = baselines.cells
+    # (d, dt, year, k) -> the cell mean over k as a reduced fraction p/q
+    means: dict[tuple[str, str, int, int], tuple[int, int]] = {}
     for (pid, kind, name), acc in accs.items():
-        # expected citations as the reduced fraction num/den; int / int is
-        # correctly rounded, so each float equals float() of the Fraction
+        # expected citations as num/den, den the lcm of the terms' q; it
+        # need not be reduced, since int / int is correctly rounded and so
+        # each float equals float() of the Fraction
         num, den = 0, 1
-        for (d, dt, year, k), n in acc.cells.items():
-            cell = cells[(d, dt, year)]
-            if cell.citation_sum:
-                cell_den = k * cell.item_count
-                num = num * cell_den + n * cell.citation_sum * den
-                den *= cell_den
-                g = gcd(num, den)
-                num //= g
-                den //= g
+        for cell_key, n in acc.cells.items():
+            mean = means.get(cell_key)
+            if mean is None:
+                d, dt, year, k = cell_key
+                cell = cells[(d, dt, year)]
+                q = k * cell.item_count
+                g = gcd(cell.citation_sum, q)
+                mean = means[cell_key] = (cell.citation_sum // g, q // g)
+            p, q = mean
+            if p:
+                if den % q:
+                    grow = q // gcd(den, q)
+                    num *= grow
+                    den *= grow
+                num += n * p * (den // q)
         fncs = acc.cit * den / num if num else 0.0
 
         own_total = books_by_publisher.get(pid, 0)
@@ -205,7 +201,7 @@ def compute_all_rows(
             ai = 0.0
 
         ed = 100 * acc.edited_chapters / acc.pch if acc.pch else 0.0
-        scope = Scope(kind, name)
+        scope = scope_of[(kind, name)]
         rows[(pid, scope)] = IndicatorRow(
             publisher_id=pid,
             scope=scope,
@@ -223,9 +219,9 @@ def global_counts(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> dict[str, tu
     """Corpus-wide (pbk, pch) per publisher, over scoped items; feeds the
     global threshold basis."""
     counts: dict[str, list[int]] = {}
-    discipline_of = taxonomy.discipline_of
+    plans = taxonomy.plans
     for item, pid in corpus.pairs():
-        if not _known_disciplines(item, discipline_of):
+        if not plans[item.categories].scopes:
             continue
         acc = counts.setdefault(pid, [0, 0])
         if item.is_book:

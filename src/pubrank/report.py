@@ -34,7 +34,7 @@ from .errors import ConfigError, ExportError
 from .indicators import BaselineTable, IndicatorRow, compute_baselines
 from .ranking import PublisherProfile, RankingTable, ThresholdPolicy, build_all_rankings, build_profile
 from .registry import PublisherRegistry, load_registry_dir
-from .taxonomy import TaxonomyMap, load_taxonomy, scopes_of_item
+from .taxonomy import TaxonomyMap, load_taxonomy
 
 FORMATS = ("csv", "json", "html")
 
@@ -137,12 +137,17 @@ def _html_table(columns: Iterable[str], rows: Iterable[str]) -> str:
     return f'<table border="1">\n{head}\n' + "\n".join(rows) + "\n</table>\n"
 
 
-def _csv_rows(table: RankingTable) -> list[str]:
+def _table_cells(table: RankingTable) -> list[tuple[str, ...]]:
+    """Per entry: rank, then the indicator cells, as CSV renders them and
+    HTML renders them with a "%" after ED."""
+    return [(str(rank), *_indicator_cells(e.row)) for rank, e in enumerate(table.entries, start=1)]
+
+
+def _csv_rows(table: RankingTable, cells: list[tuple[str, ...]]) -> list[str]:
     lines = [CSV_HEADER]
-    for rank, entry in enumerate(table.entries, start=1):
+    for entry, (rank, *indicators) in zip(table.entries, cells):
         pub = entry.publisher
-        cells = (str(rank), _csv_cell(pub.name), pub.publisher_type, *_indicator_cells(entry.row))
-        lines.append(",".join(cells))
+        lines.append(",".join((rank, _csv_cell(pub.name), pub.publisher_type, *indicators)))
     return lines
 
 
@@ -215,27 +220,36 @@ def _ranking_json(table: RankingTable) -> str:
     return f"{head[:-3]}\n{rows}\n  ]\n}}\n"
 
 
-def _html_rows(table: RankingTable) -> Iterator[str]:
-    for rank, entry in enumerate(table.entries, start=1):
+def _html_rows(table: RankingTable, cells: list[tuple[str, ...]]) -> Iterator[str]:
+    for entry, (rank, *indicators, ed) in zip(table.entries, cells):
         pub = entry.publisher
         name = html.escape(pub.name)
-        yield _html_row((str(rank), name, pub.publisher_type, *_indicator_cells(entry.row, "%")))
+        yield _html_row((rank, name, pub.publisher_type, *indicators, ed + "%"))
 
 
-def export_ranking(table: RankingTable, fmt: str, destination: str | Path) -> Path:
+def export_ranking(
+    table: RankingTable,
+    fmt: str,
+    destination: str | Path,
+    cells: list[tuple[str, ...]] | None = None,
+) -> Path:
     """Write one ranking table in one format into the destination
-    directory; the file name is derived from the scope."""
+    directory; the file name is derived from the scope. `cells` are the
+    table's `_table_cells`, when the caller has them already."""
     if fmt not in FORMATS:
         raise ExportError(f"unknown format {fmt!r}")
     path = Path(destination) / table_filename(table, fmt)
-    if fmt == "csv":
-        text = "\n".join(_csv_rows(table)) + "\n"
-    elif fmt == "json":
+    if fmt == "json":
         text = _ranking_json(table)
     else:
-        title = f"{table.scope.kind.capitalize()}: {table.scope.name}"
-        body = _html_table(CSV_HEADER.split(","), _html_rows(table))
-        text = _HTML_PAGE.format(title=html.escape(title), body=body)
+        if cells is None:
+            cells = _table_cells(table)
+        if fmt == "csv":
+            text = "\n".join(_csv_rows(table, cells)) + "\n"
+        else:
+            title = f"{table.scope.kind.capitalize()}: {table.scope.name}"
+            body = _html_table(CSV_HEADER.split(","), _html_rows(table, cells))
+            text = _HTML_PAGE.format(title=html.escape(title), body=body)
     _atomic_write(path, text)
     return path
 
@@ -253,8 +267,10 @@ def export_all_rankings(
         slugs[key] = table
     written = []
     for table in tables:
+        # CSV and HTML share one formatting of the indicator cells
+        cells = _table_cells(table) if "csv" in formats or "html" in formats else None
         for fmt in formats:
-            written.append(export_ranking(table, fmt, destination))
+            written.append(export_ranking(table, fmt, destination, cells=cells))
     return written
 
 
@@ -370,15 +386,17 @@ def run_rank(config: RunConfig) -> tuple[PipelineResult, list[Path]]:
 
 def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, list[Path]]:
     """Build and export the profile for one publisher, given by id or by
-    any resolvable name form."""
+    any resolvable name form. Either way the profile is that of the
+    terminal owner, the publisher the rankings count the items under."""
     if config.out is None:
         raise ConfigError("profile requires an output directory")
     result = run_pipeline(config)
-    if publisher in result.registry.publishers:
-        pid = publisher
+    registry = result.registry
+    if publisher in registry.publishers:
+        pid = registry.terminal[publisher]
     else:
-        pid = result.registry.resolve(publisher)
-    profile = build_profile(pid, result.tables, result.registry)
+        pid = registry.resolve(publisher)
+    profile = build_profile(pid, result.tables, registry)
     written = [export_profile(profile, fmt, config.out) for fmt in config.formats]
     return profile, written
 
@@ -410,9 +428,10 @@ def run_validate(config: RunConfig) -> ValidationReport:
     strict mode, unresolved publishers stay fatal)."""
     inputs = _prepare_inputs(config)
     registry, taxonomy, corpus = inputs.registry, inputs.taxonomy, inputs.corpus
+    plans = taxonomy.plans
     unknown: set[str] = set()
     for item in corpus.items:
-        unknown.update(scopes_of_item(item, taxonomy).unknown_categories)
+        unknown.update(plans[item.categories].unknown)
     return ValidationReport(
         publishers=len(registry.publishers),
         variants=len(registry.variant_rows),

@@ -3,20 +3,70 @@
 Both levels are many-to-one, so each category has exactly one discipline
 and each discipline exactly one field. Scope membership of an item is a
 set image of its categories: an item never counts twice in one scope no
-matter how many of its categories land there.
+matter how many of its categories land there. `TaxonomyMap.plans` holds
+that image once per distinct category tuple, as a `ScopePlan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .csvfile import read_csv
 from .errors import TaxonomyError
 
-if TYPE_CHECKING:
-    from .corpus import ItemRecord
+SCOPE_FIELD = "field"
+SCOPE_DISCIPLINE = "discipline"
+
+
+class ScopeEntry(NamedTuple):
+    """One scope an item falls in, with the item's disciplines inside it."""
+
+    kind: str  # SCOPE_FIELD | SCOPE_DISCIPLINE
+    name: str
+    members: tuple[str, ...]  # sorted; (name,) for a discipline scope
+    k: int  # len(members): the divisor of the item's expected citations
+
+
+@dataclass(frozen=True, slots=True)
+class ScopePlan:
+    """Where the items with one category tuple count. An item whose
+    categories are all unknown has no scopes and is excluded from scoped
+    computations by the callers."""
+
+    scopes: tuple[ScopeEntry, ...]  # its disciplines, then its fields, each sorted
+    unknown: tuple[str, ...]  # categories the taxonomy does not map, sorted
+
+
+class ScopePlans(dict):
+    """category tuple -> ScopePlan, each built on first lookup; plans
+    share their ScopeEntry objects."""
+
+    def __init__(self, discipline_of: dict[str, str], field_of: dict[str, str]):
+        super().__init__()
+        self._discipline_of = discipline_of
+        self._field_of = field_of
+        self._entries: dict[tuple[str, str, tuple[str, ...]], ScopeEntry] = {}
+
+    def _entry(self, kind: str, name: str, members: tuple[str, ...]) -> ScopeEntry:
+        key = (kind, name, members)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = ScopeEntry(kind, name, members, len(members))
+        return entry
+
+    def __missing__(self, categories: tuple[str, ...]) -> ScopePlan:
+        discipline_of = self._discipline_of
+        disciplines = sorted({discipline_of[c] for c in categories if c in discipline_of})
+        unknown = tuple(sorted({c for c in categories if c not in discipline_of}))
+        by_field: dict[str, list[str]] = {}
+        for d in disciplines:
+            by_field.setdefault(self._field_of[d], []).append(d)
+        scopes = [self._entry(SCOPE_DISCIPLINE, d, (d,)) for d in disciplines]
+        scopes += [self._entry(SCOPE_FIELD, f, tuple(ds)) for f, ds in sorted(by_field.items())]
+        plan = self[categories] = ScopePlan(tuple(scopes), unknown)
+        return plan
 
 
 @dataclass(frozen=True)
@@ -26,6 +76,12 @@ class TaxonomyMap:
     fields: tuple[str, ...]  # sorted; stable under row reordering
     disciplines: tuple[str, ...]  # sorted
     disciplines_by_field: dict[str, tuple[str, ...]]
+    # one ScopePlan per item category tuple looked up, for as long as this
+    # map lives, so one run builds each plan once
+    plans: ScopePlans = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plans", ScopePlans(self.discipline_of, self.field_of))
 
     @property
     def field_count(self) -> int:
@@ -38,13 +94,6 @@ class TaxonomyMap:
     @property
     def category_count(self) -> int:
         return len(self.discipline_of)
-
-
-@dataclass(frozen=True)
-class ItemScopes:
-    disciplines: frozenset[str]
-    fields: frozenset[str]
-    unknown_categories: frozenset[str]
 
 
 def load_taxonomy(source: str | Path) -> TaxonomyMap:
@@ -91,22 +140,3 @@ def load_taxonomy(source: str | Path) -> TaxonomyMap:
         disciplines=disciplines,
         disciplines_by_field={f: tuple(ds) for f, ds in by_field.items()},
     )
-
-
-def scopes_of_item(item: "ItemRecord", taxonomy: TaxonomyMap) -> ItemScopes:
-    """Set of disciplines and fields an item belongs to.
-
-    Unknown categories are skipped and reported back; an item whose
-    categories are all unknown has empty scope sets and is excluded from
-    scoped computations by the callers.
-    """
-    disciplines = set()
-    unknown = set()
-    for category in item.categories:
-        discipline = taxonomy.discipline_of.get(category)
-        if discipline is None:
-            unknown.add(category)
-        else:
-            disciplines.add(discipline)
-    fields = {taxonomy.field_of[d] for d in disciplines}
-    return ItemScopes(frozenset(disciplines), frozenset(fields), frozenset(unknown))

@@ -1,7 +1,10 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pubrank.corpus import (
     corpus_fingerprint,
@@ -12,7 +15,12 @@ from pubrank.corpus import (
     resolve_corpus,
     unknown_parent_chapters,
 )
-from pubrank.errors import CorpusError, DuplicateItemError, UnresolvedPublisherError
+from pubrank.errors import (
+    CorpusError,
+    DuplicateItemError,
+    PubrankError,
+    UnresolvedPublisherError,
+)
 from util import ingest_and_resolve, jsonl, record
 
 
@@ -131,6 +139,93 @@ class TestIngest:
     def test_empty_window_fatal(self):
         with pytest.raises(CorpusError):
             ingest_corpus([], window=(2013, 2009))
+
+
+CATEGORIES_ERROR = "categories must be a non-empty array of strings"
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10**6) | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+RECORD_KEYS = ["id", "doc_type", "publisher", "year", "categories", "citations", "serial",
+               "parent_book_id", "edited", "isbn"]
+
+
+@st.composite
+def corpus_line_bytes(draw, index):
+    """One line: arbitrary bytes, or a record whose fields may be replaced
+    by arbitrary JSON values."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=60))
+    rec = record(f"r{index}", doc_type=draw(st.sampled_from(["book", "chapter"])),
+                 categories=draw(st.lists(st.sampled_from(["History", " Law", "Law"]),
+                                          max_size=3)))
+    rec.update(draw(st.dictionaries(st.sampled_from(RECORD_KEYS), JSON_VALUES, max_size=3)))
+    for key in draw(st.lists(st.sampled_from(RECORD_KEYS), max_size=2)):
+        rec.pop(key, None)
+    return json.dumps(rec, ensure_ascii=draw(st.booleans())).encode("utf-8")
+
+
+class TestIngestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_bytes_return_or_raise_pubrank_error(self, data):
+        lines = [data.draw(corpus_line_bytes(i)) for i in range(data.draw(st.integers(0, 8)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_bytes(b"\n".join(lines))
+            try:
+                records, diagnostics = ingest_corpus(path)
+            except PubrankError:
+                return
+            with path.open(encoding="utf-8") as fh:
+                line_count = len(fh.readlines())
+        assert len(records) + sum(d.severity == "error" for d in diagnostics) <= line_count
+        for item in records:
+            assert item.categories == tuple(sorted(set(item.categories)))
+            assert all(c and c == c.strip() for c in item.categories)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_memoised_categories_equal_the_full_check(self, data):
+        """Repeated lists, whitespace and duplicate variants, and bad lists
+        that extend an already seen good list: each record gets the sorted,
+        stripped set of its list, equal lists share one tuple, and each bad
+        list still gets its diagnostic."""
+        names = st.sampled_from(["History", " History", "History ", "Law", "\tLaw", "Economics"])
+        bad_elements = st.sampled_from([[], {}, ["History"], 3, None, "", "  ", True, 1.5])
+        seen: list[list] = []
+        raws = []
+        for _ in range(data.draw(st.integers(1, 25))):
+            choice = data.draw(st.sampled_from(["new", "repeat", "bad", "empty"]))
+            if choice == "repeat" and seen:
+                raw = list(data.draw(st.sampled_from(seen)))
+            elif choice == "bad" and seen:
+                prefix = data.draw(st.sampled_from(seen))
+                raw = prefix + [data.draw(bad_elements)]
+            elif choice == "empty":
+                raw = []
+            else:
+                raw = data.draw(st.lists(names, min_size=1, max_size=4))
+                seen.append(raw)
+            raws.append(raw)
+        lines = jsonl([record(f"r{i}", categories=raw) for i, raw in enumerate(raws)])
+        records, diagnostics = ingest_corpus(lines)
+        by_id = {item.item_id: item for item in records}
+        errors = {d.line: d.reason for d in diagnostics}
+        shared: dict[tuple, tuple] = {}
+        for i, raw in enumerate(raws):
+            good = bool(raw) and all(isinstance(c, str) and c.strip() for c in raw)
+            if not good:
+                assert f"r{i}" not in by_id
+                assert errors[i + 1] == CATEGORIES_ERROR
+                continue
+            categories = by_id[f"r{i}"].categories
+            assert categories == tuple(sorted({c.strip() for c in raw}))
+            assert shared.setdefault(tuple(raw), categories) is categories
 
 
 class TestFilter:

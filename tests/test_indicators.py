@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -392,6 +393,59 @@ class TestExactArithmetic:
         assert compute_all_rows(corpus, taxonomy, baselines) == compute_all_rows(
             shuffled, taxonomy, shuffled_baselines
         )
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_engine_equals_oracle_on_coprime_denominators(self, registry, taxonomy, seed):
+        """Cells whose item counts are distinct primes, plus one cell group
+        of items in two disciplines (k=2) and one in three (k=3): every
+        distinct k*item_count of a row is co-prime with the others, so a
+        row sums terms over a denominator past 2**40 with nothing to cancel."""
+        rng = random.Random(seed)
+        fieldname = next(f for f in taxonomy.fields if len(taxonomy.disciplines_by_field[f]) >= 3)
+        d0, d1, d2 = taxonomy.disciplines_by_field[fieldname][:3]
+        category = {
+            d: min(c for c, disc in taxonomy.discipline_of.items() if disc == d) for d in (d0, d1, d2)
+        }
+        # (disciplines, doc_type, year, k, items); every count is a distinct prime
+        groups = [
+            ((d0,), "book", 2009, 1, 41),
+            ((d0,), "book", 2010, 1, 43),
+            ((d1,), "book", 2009, 1, 47),
+            ((d1,), "book", 2010, 1, 53),
+            ((d2,), "book", 2009, 1, 59),
+            ((d0, d1), "chapter", 2011, 2, 61),
+            ((d0, d1, d2), "chapter", 2012, 3, 67),
+        ]
+        records = []
+        for g, (discs, doc_type, year, k, count) in enumerate(groups):
+            citations = [rng.randint(0, 9) for _ in range(count)]
+            while gcd(sum(citations), k * count) != 1:
+                citations[0] += 1
+            for i, cit in enumerate(citations):
+                rec = record(f"g{g}-{i}", doc_type=doc_type, year=year, citations=cit,
+                             publisher=rng.choice(["Springer", "Routledge"]),
+                             categories=sorted(category[d] for d in discs))
+                if doc_type == "chapter":
+                    rec["parent_book_id"] = rng.choice(["g0-0", "g2-0", "missing-parent"])
+                else:
+                    rec["edited"] = rng.random() < 0.5
+                records.append(rec)
+        corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
+        denominators = {k * count for _, _, _, k, count in groups}
+        assert all(gcd(a, b) == 1 for a in denominators for b in denominators if a < b)
+        assert prod(denominators) > 2**40
+        for discs, doc_type, year, _, count in groups:
+            for d in discs:
+                assert baselines.cells[(d, doc_type, year)].item_count == count
+
+        rows = compute_all_rows(corpus, taxonomy, baselines)
+        assert {(pid, scope.name) for pid, scope in rows} == {
+            (pid, name) for pid in ("springer", "routledge") for name in (d0, d1, d2, fieldname)
+        }
+        for (pid, scope), row in rows.items():
+            assert oracle_indicators(pid, scope, corpus, taxonomy) == (
+                row.pbk, row.pch, row.cit, row.fncs, row.ai, row.ed
+            )
 
 
 def test_global_counts_cover_all_scoped_items(registry, taxonomy):

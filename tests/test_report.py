@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -18,6 +19,7 @@ from pubrank.ranking import (
 from pubrank.report import (
     CSV_HEADER,
     RunConfig,
+    _indicator_cells,
     _json_payload,
     _ranking_json,
     export_all_rankings,
@@ -245,6 +247,17 @@ class TestExportAll:
         assert "discipline_law.json" in names
         assert "discipline_history.html" in names
 
+    def test_csv_and_html_format_each_row_once(self, registry, taxonomy, tmp_path, monkeypatch):
+        corpus, baselines = pipeline_artifacts(
+            [record("b1"), record("b2", categories=["Law"])], registry, taxonomy
+        )
+        tables = build_all_rankings(corpus, registry, taxonomy, baselines, OPEN)
+        formatted = []
+        monkeypatch.setattr("pubrank.report._indicator_cells",
+                            lambda row, *args: formatted.append(row) or _indicator_cells(row, *args))
+        export_all_rankings(tables, ("csv", "json", "html"), tmp_path)
+        assert len(formatted) == sum(len(t.entries) for t in tables) > 0
+
     def test_colliding_slugs_are_fatal(self, tmp_path):
         meta = RunMeta("f" * 64, (2009, 2013), OPEN)
         tables = [
@@ -371,6 +384,24 @@ class TestRunProfile:
         by_name, _ = run_profile(run_inputs, "  PERGAMON  press ")
         assert by_name.publisher.publisher_id == "elsevier"
         assert by_name.rows == by_id.rows
+
+    def test_acquired_id_gives_the_acquirer_profile(self, run_inputs):
+        # A K Peters was acquired by CRC Press; its items rank under CRC Press
+        corpus = write_jsonl(
+            run_inputs.corpus,
+            [
+                record("a1", publisher="AK Peters", citations=3),
+                record("a2", publisher="A K Peters Ltd", categories=["Law"], citations=1),
+                record("c1", publisher="CRC Press LLC", citations=5),
+            ],
+        )
+        config = dataclasses.replace(run_inputs, corpus=corpus)
+        by_id, _ = run_profile(config, "ak-peters")
+        by_name, _ = run_profile(config, "A K Peters")
+        by_acquirer, _ = run_profile(config, "crc-press")
+        assert by_id.publisher.publisher_id == "crc-press"
+        assert by_id == by_name == by_acquirer
+        assert by_id.rows
 
     def test_profile_csv_lists_scopes(self, run_inputs):
         _, files = run_profile(run_inputs, "springer")

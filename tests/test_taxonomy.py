@@ -5,23 +5,20 @@ from hypothesis import given, strategies as st
 
 from pubrank.errors import TaxonomyError
 from pubrank.samples import sample_taxonomy_path
-from pubrank.taxonomy import load_taxonomy, scopes_of_item
-from pubrank.corpus import ItemRecord
+from pubrank.taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, load_taxonomy
 from util import record
 
 
-def make_item(categories):
-    return ItemRecord(
-        item_id="x",
-        doc_type="book",
-        raw_publisher="Springer",
-        pub_year=2010,
-        categories=tuple(sorted(set(categories))),
-        citations=0,
-        is_serial=False,
-        parent_book_id=None,
-        book_is_edited=None,
-    )
+class Scopes:
+    """The scope sets of an item with the given categories, read from the
+    taxonomy's plan for its normalised category tuple."""
+
+    def __init__(self, taxonomy, categories):
+        plan = taxonomy.plans[tuple(sorted(set(categories)))]
+        self.plan = plan
+        self.disciplines = {e.name for e in plan.scopes if e.kind == SCOPE_DISCIPLINE}
+        self.fields = {e.name for e in plan.scopes if e.kind == SCOPE_FIELD}
+        self.unknown_categories = set(plan.unknown)
 
 
 def test_sample_taxonomy_counts(taxonomy):
@@ -106,26 +103,26 @@ def test_row_order_never_changes_the_map(tmp_path):
 
 def test_two_categories_one_discipline_deduplicate(taxonomy):
     # History and History & Philosophy Of Science share one discipline
-    scopes = scopes_of_item(make_item(["History", "History & Philosophy Of Science"]), taxonomy)
+    scopes = Scopes(taxonomy, ["History", "History & Philosophy Of Science"])
     assert scopes.disciplines == {"History"}
     assert scopes.fields == {"Humanities & Arts"}
     assert not scopes.unknown_categories
 
 
 def test_categories_across_fields(taxonomy):
-    scopes = scopes_of_item(make_item(["History", "Economics"]), taxonomy)
+    scopes = Scopes(taxonomy, ["History", "Economics"])
     assert scopes.disciplines == {"History", "Economics"}
     assert scopes.fields == {"Humanities & Arts", "Social Sciences"}
 
 
 def test_unknown_category_reported_and_skipped(taxonomy):
-    scopes = scopes_of_item(make_item(["History", "Phrenology"]), taxonomy)
+    scopes = Scopes(taxonomy, ["History", "Phrenology"])
     assert scopes.disciplines == {"History"}
     assert scopes.unknown_categories == {"Phrenology"}
 
 
 def test_all_unknown_leaves_empty_scopes(taxonomy):
-    scopes = scopes_of_item(make_item(["Phrenology"]), taxonomy)
+    scopes = Scopes(taxonomy, ["Phrenology"])
     assert not scopes.disciplines
     assert not scopes.fields
     assert scopes.unknown_categories == {"Phrenology"}
@@ -137,8 +134,36 @@ def test_scope_cardinality_chain(taxonomy, data):
     categories = data.draw(
         st.lists(st.sampled_from(sorted(taxonomy.discipline_of)), min_size=1, max_size=6)
     )
-    scopes = scopes_of_item(make_item(categories), taxonomy)
+    scopes = Scopes(taxonomy, categories)
     assert len(scopes.fields) <= len(scopes.disciplines) <= len(set(categories))
+
+
+@given(data=st.data())
+def test_plan_matches_the_category_mapping(taxonomy, data):
+    """A plan lists each discipline of the item once, then each field with
+    exactly the item's disciplines in it, and the unknown categories; a
+    second lookup returns the same plan."""
+    known = st.sampled_from(sorted(taxonomy.discipline_of))
+    categories = data.draw(st.lists(known | st.text(max_size=3), min_size=1, max_size=6))
+    key = tuple(sorted(set(categories)))
+    plan = taxonomy.plans[key]
+    assert taxonomy.plans[key] is plan
+    discs = sorted({taxonomy.discipline_of[c] for c in key if c in taxonomy.discipline_of})
+    members = {}
+    for d in discs:
+        members.setdefault(taxonomy.field_of[d], []).append(d)
+    assert plan.unknown == tuple(c for c in key if c not in taxonomy.discipline_of)
+    assert list(plan.scopes) == [(SCOPE_DISCIPLINE, d, (d,), 1) for d in discs] + [
+        (SCOPE_FIELD, f, tuple(members[f]), len(members[f])) for f in sorted(members)
+    ]
+
+
+def test_plans_share_their_entries(taxonomy):
+    alone = taxonomy.plans[("History",)]
+    mixed = taxonomy.plans[("Economics", "History", "Phrenology")]
+    history = next(e for e in mixed.scopes if e.name == "History")
+    assert alone.scopes[0] is history
+    assert taxonomy.plans[("History & Philosophy Of Science",)].scopes == alone.scopes
 
 
 def test_record_helper_round_trips_categories():
