@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CorpusError, DuplicateItemError, UnresolvedPublisherError
 from .registry import PublisherRegistry
@@ -22,6 +22,7 @@ from .taxonomy import SCOPE_FIELD, TaxonomyMap
 
 DOC_BOOK = "book"
 DOC_CHAPTER = "chapter"
+_ANALYSED_TYPES = frozenset({DOC_BOOK, DOC_CHAPTER})
 
 DEFAULT_WINDOW = (2009, 2013)
 DEFAULT_EXCLUDED_PUBLISHERS = ("Annual Reviews",)
@@ -39,10 +40,10 @@ _KNOWN_KEYS = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
-class ItemRecord:
+class ItemRecord(NamedTuple):
     """One bibliographic item. doc_type keeps the source label verbatim;
-    only the exact labels "book" and "chapter" take part in the analysis."""
+    only the exact labels "book" and "chapter" take part in the analysis.
+    A NamedTuple: immutable, hashable and cheap to build, one per line."""
 
     item_id: str
     doc_type: str
@@ -90,16 +91,20 @@ def _normalise_categories(raw: list) -> tuple[str, ...]:
     return tuple(sorted({sys.intern(c.strip()) for c in raw}))
 
 
-def _parse_line(obj: dict, categories_memo: dict) -> tuple[ItemRecord, list[str]]:
+def _parse_line(
+    obj: dict, categories_memo: dict, publishers: dict
+) -> tuple[ItemRecord, list[str]]:
     """Build an ItemRecord from one parsed JSON object.
 
     Returns the record plus any non-fatal warnings. Raises ValueError with
     the rejection reason for malformed objects. `categories_memo` maps a
     raw category list, as a tuple, to its normalised tuple; it only ever
     holds lists that passed the check, so records with the same list share
-    one tuple. Values come from `json.loads`, so exact-type checks (bool is
-    an int subclass and must not pass as one) and identity on the two
-    bools are the same tests as isinstance.
+    one tuple. `publishers` maps each publisher string to its first copy,
+    which every record with that publisher text then holds. Values come
+    from `json.loads`, so exact-type checks (bool is an int subclass and
+    must not pass as one) and identity on the two bools are the same tests
+    as isinstance.
     """
     warnings = []
     if not obj.keys() <= _KNOWN_KEYS:
@@ -158,7 +163,7 @@ def _parse_line(obj: dict, categories_memo: dict) -> tuple[ItemRecord, list[str]
     record = ItemRecord(
         item_id,
         sys.intern(doc_type),
-        raw_publisher,
+        publishers.setdefault(raw_publisher, raw_publisher),
         year,
         categories,
         citations,
@@ -167,6 +172,12 @@ def _parse_line(obj: dict, categories_memo: dict) -> tuple[ItemRecord, list[str]
         edited,
     )
     return record, warnings
+
+
+# json.loads(line) minus its three Python frames: the C scanner of a
+# default decoder, called on the line as it stands
+_scan_once = json.JSONDecoder().scan_once
+_LINE_ENDS = ("\n", "", "\r\n")
 
 
 def _open_lines(source) -> Iterator[str]:
@@ -200,12 +211,27 @@ def ingest_corpus(
     diagnostics: list[Diagnostic] = []
     seen: dict[str, int] = {}
     categories_memo: dict[tuple, tuple[str, ...]] = {}
+    # a table of its own, not sys.intern's, so that it goes with the call:
+    # it has an entry per distinct publisher string, 17k on a long-tail corpus
+    publishers: dict[str, str] = {}
     loads = json.loads
+    scan_once = _scan_once
     for line_no, line in enumerate(_open_lines(source), start=1):
         if not line or line.isspace():
             continue
+        # A line that starts with a value is scanned exactly as json.loads
+        # scans it, so the scan raises what json.loads would. The result
+        # stands only when the value ends the line; anything else (leading
+        # whitespace, a BOM, trailing data) goes through json.loads, which
+        # gives the same object or the same error message.
         try:
-            obj = loads(line)
+            try:
+                obj, end = scan_once(line, 0)
+            except StopIteration:
+                obj = loads(line)
+            else:
+                if line[end:] not in _LINE_ENDS:
+                    obj = loads(line)
         except json.JSONDecodeError as exc:
             diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc.msg}"))
             continue
@@ -218,7 +244,7 @@ def ingest_corpus(
             diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
             continue
         try:
-            record, warnings = _parse_line(obj, categories_memo)
+            record, warnings = _parse_line(obj, categories_memo, publishers)
         except ValueError as exc:
             diagnostics.append(Diagnostic(line_no, str(exc)))
             continue
@@ -253,20 +279,15 @@ def filter_corpus(
         else:
             with contextlib.suppress(UnresolvedPublisherError):
                 excluded_ids.add(registry.resolve(entry))
-    resolved, _ = _resolve_names(items, registry)
+    kept = [
+        item
+        for item in items
+        if item.doc_type in _ANALYSED_TYPES and not item.is_serial and start <= item.pub_year <= end
+    ]
+    resolved, _ = _resolve_names(kept, registry)
     excluded_raw = {raw for raw, pid in resolved.items() if pid in excluded_ids}
-
-    kept = []
-    for item in items:
-        if not (item.is_book or item.is_chapter):
-            continue
-        if item.is_serial:
-            continue
-        if not (start <= item.pub_year <= end):
-            continue
-        if item.raw_publisher in excluded_raw:
-            continue
-        kept.append(item)
+    if excluded_raw:
+        kept = [item for item in kept if item.raw_publisher not in excluded_raw]
     return kept
 
 
@@ -340,11 +361,13 @@ def _resolve_names(
     string that does not resolve."""
     resolved: dict[str, str] = {}
     unresolved: list[str] = []
+    lookup = registry.lookup
     for raw in dict.fromkeys(item.raw_publisher for item in items):
-        try:
-            resolved[raw] = registry.resolve(raw)
-        except UnresolvedPublisherError as exc:
-            unresolved.append(exc.folded)
+        publisher_id, folded = lookup(raw)
+        if publisher_id is None:
+            unresolved.append(folded)
+        else:
+            resolved[raw] = publisher_id
     return resolved, unresolved
 
 

@@ -63,18 +63,38 @@ class PublisherRegistry:
     variant_rows: tuple[NameVariant, ...]
     acquisitions: tuple[AcquisitionEvent, ...]
     terminal: dict[str, str] = field(default_factory=dict)  # publisher_id -> terminal owner
+    # what lookup found, per raw string, so each distinct raw string is
+    # folded and matched once for the life of the registry: the terminal
+    # id of a matched string, the folded form of an unmatched one
+    _matched: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _unmatched: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def resolve(self, raw: str) -> str:
+    def lookup(self, raw: str) -> tuple[str | None, str | None]:
         """Fold a raw publisher string, match it against the variant map, and
         follow acquisitions to the terminal owner, whatever the years
-        involved. Raises UnresolvedPublisherError when no variant matches;
-        the caller decides whether that is fatal (strict) or an exclusion.
-        """
-        folded = fold_name(raw)
-        publisher_id = self.variants.get(folded)
+        involved: (terminal publisher id, None), or (None, the folded
+        string) when no variant matches."""
+        publisher_id = self._matched.get(raw)
+        if publisher_id is not None:
+            return publisher_id, None
+        folded = self._unmatched.get(raw)
+        if folded is None:
+            folded = fold_name(raw)
+            publisher_id = self.variants.get(folded)
+            if publisher_id is not None:
+                publisher_id = self._matched[raw] = self.terminal[publisher_id]
+                return publisher_id, None
+            self._unmatched[raw] = folded
+        return None, folded
+
+    def resolve(self, raw: str) -> str:
+        """The terminal publisher id of a raw string, as `lookup` finds it.
+        Raises UnresolvedPublisherError when no variant matches; the caller
+        decides whether that is fatal (strict) or an exclusion."""
+        publisher_id, folded = self.lookup(raw)
         if publisher_id is None:
             raise UnresolvedPublisherError(folded)
-        return self.terminal[publisher_id]
+        return publisher_id
 
     def publisher(self, publisher_id: str) -> CanonicalPublisher:
         try:

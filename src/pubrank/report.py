@@ -69,6 +69,7 @@ class RunConfig:
         for name in ("corpus", "registry_dir", "taxonomy"):
             if not str(getattr(self, name)):
                 raise ConfigError(f"{name} path must be non-empty")
+        self.policy()  # thresholds and basis, checked before any input is read
 
     def policy(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.min_books, self.min_chapters, self.basis)

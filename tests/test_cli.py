@@ -1,18 +1,22 @@
+import gc
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import pubrank.cli
 from pubrank.cli import EXIT_DIRTY, EXIT_FATAL, EXIT_OK, build_parser, run_cli
 from pubrank.samples import sample_registry_dir, sample_taxonomy_path
 from pubrank.taxonomy import load_taxonomy
 from pubrank.testkit import SynthParams, generate_corpus
-from util import record, tree_hash, write_jsonl, write_registry
+from util import csv_text, record, tree_hash, write_jsonl, write_registry
 
 # SHA-256 over everything rank, profile, stats and validate write and print
 # for one fixed synthetic bundle; any change to an output byte changes it.
@@ -152,6 +156,38 @@ class TestValidate:
         captured = capsys.readouterr()
         assert code == EXIT_FATAL
         assert "cycle" in captured.err
+
+    def test_bad_threshold_is_rejected_before_any_input_is_read(self, tmp_path, capsys):
+        code = run_cli(["validate", "--corpus", str(tmp_path / "absent.jsonl"),
+                        "--min-chapters", "-1"])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err == "error: thresholds must be >= 0\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("expected", [EXIT_OK, EXIT_DIRTY, EXIT_FATAL])
+def test_gc_is_off_during_a_command_and_restored_after(
+    clean_corpus, dirty_corpus, tmp_path, monkeypatch, enabled, expected
+):
+    corpus = {EXIT_OK: clean_corpus, EXIT_DIRTY: dirty_corpus,
+              EXIT_FATAL: tmp_path / "absent.jsonl"}[expected]
+    seen = []
+
+    def run_validate(config):
+        seen.append(gc.isenabled())
+        return real_run_validate(config)
+
+    real_run_validate = pubrank.cli.run_validate
+    monkeypatch.setattr(pubrank.cli, "run_validate", run_validate)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        code = run_cli(["validate", "--corpus", str(corpus)])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert code == expected
+    assert seen == [False]
 
 
 class TestRank:
@@ -317,3 +353,93 @@ def test_outputs_match_pinned_digest(tmp_path, capsys):
     digest.update(tree_hash(tmp_path / "tables").encode("ascii"))
     digest.update(tree_hash(tmp_path / "profile").encode("ascii"))
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+CELLS = st.one_of(
+    st.sampled_from(["a", "b", "Alpha", "Beta", "commercial", "university_press", "2010", ""]),
+    st.text(max_size=8),
+)
+CATEGORY_CELLS = st.one_of(st.sampled_from(["History", "Law", "Arts", "Field"]),
+                           st.text(max_size=8))
+# a small loadable bundle, which each example damages in a few places
+VALID_CSV = {
+    "registry/publishers.csv": [["id", "name", "type", "website"],
+                                ["a", "Alpha", "commercial", ""],
+                                ["b", "Beta", "university_press", "beta.example"]],
+    "registry/variants.csv": [["raw", "canonical_id", "city", "address"],
+                              ["Alpha Press", "a", "Oxford", ""]],
+    "registry/acquisitions.csv": [["acquired_id", "acquirer_id", "year"]],
+    "taxonomy.csv": [["category", "discipline", "field"], ["History", "History", "Humanities"],
+                     ["Arts", "Arts", "Humanities"], ["Law", "Law", "Social Sciences"]],
+}
+
+
+@st.composite
+def damaged_csv(draw, rows, cells, edits):
+    """The CSV text of `rows` after `edits` random edits: a cell replaced,
+    a row of about the right width added, or a row dropped."""
+    rows = [list(row) for row in rows]
+    for _ in range(edits):
+        edit = draw(st.sampled_from(["cell", "add", "drop"]))
+        if edit == "cell":
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, len(row) - 1))] = draw(cells)
+        elif edit == "add":
+            width = len(rows[0])
+            rows.append(draw(st.lists(cells, min_size=width - 1, max_size=width + 1)))
+        else:
+            del rows[draw(st.integers(0, len(rows) - 1))]
+            if not rows:
+                return ""
+    return csv_text(rows)
+
+
+@st.composite
+def corpus_text(draw):
+    lines = []
+    for i in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.text(max_size=30)))
+            continue
+        rec = record(f"r{i}", doc_type=draw(st.sampled_from(["book", "chapter", "article"])),
+                     publisher=draw(st.one_of(st.sampled_from(["Alpha", "alpha press", "Beta"]),
+                                              CELLS)),
+                     year=draw(st.integers(2008, 2014)),
+                     categories=draw(st.lists(CATEGORY_CELLS, max_size=3)),
+                     citations=draw(st.integers(-1, 5)))
+        if rec["doc_type"] == "chapter":
+            rec["parent_book_id"] = draw(st.sampled_from(["r0", "r1", "elsewhere"]))
+        lines.append(json.dumps(rec, ensure_ascii=draw(st.booleans())))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_inputs_end_in_an_exit_code(capsys, data):
+    """Whatever the corpus, registry and taxonomy files hold, a command
+    returns 0, 1 or 2 and raises nothing. Each example damages the corpus
+    and at most one CSV file, so that some examples get past loading and
+    run the whole command."""
+    damaged = data.draw(st.sampled_from([None, *VALID_CSV]))
+    files = {
+        name: damaged_csv(rows, CATEGORY_CELLS if name == "taxonomy.csv" else CELLS,
+                       data.draw(st.integers(1, 3)) if name == damaged else 0)
+        for name, rows in VALID_CSV.items()
+    }
+    files["corpus.jsonl"] = corpus_text()
+    command = data.draw(st.sampled_from(["validate", "stats", "rank", "profile"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "registry").mkdir()
+        for name, strategy in files.items():
+            (root / name).write_text(data.draw(strategy), encoding="utf-8", newline="")
+        argv = [command, "--corpus", str(root / "corpus.jsonl"),
+                "--registry-dir", str(root / "registry"), "--taxonomy", str(root / "taxonomy.csv"),
+                "--min-books", "0", "--min-chapters", "0"]
+        if command == "profile":
+            argv.insert(1, data.draw(CELLS))
+        if command in ("rank", "profile"):
+            argv += ["--out", str(root / "out"), "--format", "csv,json,html"]
+        assert run_cli(argv) in (EXIT_OK, EXIT_DIRTY, EXIT_FATAL)
+    capsys.readouterr()

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pubrank.corpus import (
+    Diagnostic,
+    _parse_line,
     corpus_fingerprint,
     corpus_stats,
     edited_book_map,
@@ -125,6 +127,17 @@ class TestIngest:
         records, _ = ingest_corpus([json.dumps(rec)])
         assert records[0].categories == ("History", "Law")
 
+    def test_records_are_immutable_hashable_and_share_publisher_strings(self):
+        lines = jsonl([record("a", publisher="Oxford University Press", categories=["Law"]),
+                       record("b", publisher="Oxford University Press")])
+        (first, second), _ = ingest_corpus(lines)
+        with pytest.raises(AttributeError):
+            first.citations = 5
+        (twin,), _ = ingest_corpus(lines[:1])
+        assert twin == first and twin is not first
+        assert hash(twin) == hash(first)
+        assert first.raw_publisher is second.raw_publisher
+
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(CorpusError):
             ingest_corpus(tmp_path / "nope.jsonl")
@@ -169,7 +182,80 @@ def corpus_line_bytes(draw, index):
     return json.dumps(rec, ensure_ascii=draw(st.booleans())).encode("utf-8")
 
 
+@st.composite
+def jsonl_text_line(draw, index):
+    """One line as a reader hands it over: a record, another JSON value or
+    arbitrary text, maybe truncated, with whitespace, a BOM or trailing
+    data around it and an LF, a CRLF or no line end."""
+    kind = draw(st.sampled_from(["record", "value", "text"]))
+    if kind == "record":
+        body = draw(corpus_line_bytes(index)).decode("utf-8", errors="replace")
+    elif kind == "value":
+        body = json.dumps(draw(JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    else:
+        body = draw(st.text(max_size=20))
+    if draw(st.booleans()):
+        body = body[: draw(st.integers(0, len(body)))]
+    lead = draw(st.sampled_from(["", "", " ", "\t", "\ufeff", "\r"]))
+    trail = draw(st.sampled_from(["", "", " ", "\t", " x", "{}", "]", ",", "\r"]))
+    return lead + body + trail + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+def reference_ingest(lines):
+    """ingest_corpus for a list of lines, decoding each with json.loads:
+    (records, diagnostics), or the error it raises."""
+    records, diagnostics, seen, memo, publishers = [], [], {}, {}, {}
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc.msg}"))
+            continue
+        except (ValueError, RecursionError) as exc:
+            diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc}"))
+            continue
+        if not isinstance(obj, dict):
+            diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
+            continue
+        try:
+            item, warnings = _parse_line(obj, memo, publishers)
+        except ValueError as exc:
+            diagnostics.append(Diagnostic(line_no, str(exc)))
+            continue
+        if item.item_id in seen:
+            return ("DuplicateItemError", item.item_id, seen[item.item_id], line_no)
+        seen[item.item_id] = line_no
+        records.append(item)
+        diagnostics += [Diagnostic(line_no, w, severity="warning") for w in warnings]
+    return records, diagnostics
+
+
+def ingest_outcome(source):
+    try:
+        return ingest_corpus(source)
+    except DuplicateItemError as exc:
+        return ("DuplicateItemError", exc.item_id, exc.first_line, exc.second_line)
+
+
 class TestIngestFuzz:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_scan_equals_json_loads_reference(self, data):
+        """The C-scanner fast path gives the records and the diagnostics,
+        message for message, that json.loads gives, for lines handed over
+        as strings and for the same text read from a file."""
+        lines = [data.draw(jsonl_text_line(i)) for i in range(data.draw(st.integers(0, 8)))]
+        assert ingest_outcome(lines) == reference_ingest(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text("".join(lines), encoding="utf-8", newline="")
+            with path.open(encoding="utf-8") as fh:
+                file_lines = list(fh)
+            assert ingest_outcome(path) == reference_ingest(file_lines)
+
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_arbitrary_bytes_return_or_raise_pubrank_error(self, data):

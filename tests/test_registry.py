@@ -1,5 +1,8 @@
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pubrank.errors import (
     AcquisitionCycleError,
@@ -7,8 +10,8 @@ from pubrank.errors import (
     UnknownPublisherError,
     UnresolvedPublisherError,
 )
-from pubrank.registry import fold_name, load_registry_dir
-from util import write_registry
+from pubrank.registry import fold_name, load_registry, load_registry_dir
+from util import csv_text, write_registry
 
 
 def test_fold_name_trims_collapses_and_casefolds():
@@ -185,3 +188,36 @@ def test_bad_header_is_fatal(tmp_path):
     with pytest.raises(RegistryError):
         load_registry_dir(tmp_path)
 
+
+REGISTRY_CELLS = st.one_of(
+    st.sampled_from(["a", "b", "Alpha", "alpha", "commercial", "university_press", "2010", ""]),
+    st.text(max_size=10),
+)
+
+
+@st.composite
+def registry_csv(draw, header):
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.lists(st.text(max_size=6), max_size=5))
+    width = len(header)
+    rows = st.lists(REGISTRY_CELLS, min_size=max(width - 1, 0), max_size=width + 1)
+    return csv_text([header, *draw(st.lists(rows, max_size=5))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    publishers=registry_csv(["id", "name", "type", "website"]),
+    variants=registry_csv(["raw", "canonical_id", "city", "address"]),
+    acquisitions=registry_csv(["acquired_id", "acquirer_id", "year"]),
+)
+def test_arbitrary_cells_load_or_raise_registry_error(publishers, variants, acquisitions):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("p.csv", "v.csv", "a.csv")]
+        for path, text in zip(paths, (publishers, variants, acquisitions)):
+            path.write_text(text, encoding="utf-8", newline="")
+        try:
+            registry = load_registry(*paths)
+        except RegistryError:
+            return
+    for terminal in registry.terminal.values():
+        assert registry.terminal[terminal] == terminal

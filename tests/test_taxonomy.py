@@ -1,12 +1,14 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pubrank.errors import TaxonomyError
 from pubrank.samples import sample_taxonomy_path
 from pubrank.taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, load_taxonomy
-from util import record
+from util import csv_text, record
 
 
 class Scopes:
@@ -169,3 +171,25 @@ def test_plans_share_their_entries(taxonomy):
 def test_record_helper_round_trips_categories():
     rec = record("a", categories=("History", "Economics"))
     assert rec["categories"] == ["History", "Economics"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.one_of(st.just(["category", "discipline", "field"]),
+                     st.lists(st.text(max_size=6), max_size=4)),
+    rows=st.lists(
+        st.lists(st.one_of(st.sampled_from(["History", "Law", "Humanities", ""]),
+                           st.text(max_size=10)), min_size=2, max_size=4),
+        max_size=6,
+    ),
+)
+def test_arbitrary_cells_load_or_raise_taxonomy_error(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "taxonomy.csv"
+        path.write_text(csv_text([header, *rows]), encoding="utf-8", newline="")
+        try:
+            taxonomy = load_taxonomy(path)
+        except TaxonomyError:
+            return
+    for category, discipline in taxonomy.discipline_of.items():
+        assert category and discipline in taxonomy.disciplines_by_field[taxonomy.field_of[discipline]]

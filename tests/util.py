@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -42,6 +44,13 @@ def record(
 
 def jsonl(records) -> list[str]:
     return [json.dumps(r) for r in records]
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV text with LF line ends, quoted as the csv module quotes."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def write_jsonl(path: Path, records) -> Path:
