@@ -7,9 +7,16 @@ citation baselines -> all ranking tables. Corpus generation and table
 export are deliberately outside the timed span; they are one-off setup
 and I/O, not the per-run analysis cost.
 
+Then runs the CLI path on the same corpus, `pubrank rank --format
+csv,json,html` in a child process, from JSONL on disk to written tables,
+and reports its own wall time and peak RSS. The child is spawned through
+perfbench/launcher.py, started before generation: on exec, Linux folds the
+parent's resident-set high-water mark into the child's ru_maxrss.
+
 Prints one JSON object, e.g.:
 
-    {"records": 500123, "tables": 42, "elapsed": 31.4, "maxrss_mb": 1210.5}
+    {"records": 500123, "tables": 42, "elapsed": 31.4, "maxrss_mb": 1210.5,
+     "cli_wall_s": 10.4, "cli_maxrss_mb": 276.0}
 
 ru_maxrss covers the whole process (generation included), so the memory
 figure is an upper bound on what the pipeline itself needs.
@@ -19,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -61,10 +70,12 @@ def main(argv: list[str] | None = None) -> int:
         publisher_count=publishers,
         items_per_publisher=(ITEMS_PER_PUBLISHER - 10, ITEMS_PER_PUBLISHER + 10),
     )
-    taxonomy = load_taxonomy(sample_taxonomy_path())
-
-    with tempfile.TemporaryDirectory(prefix="pubrank-bench-") as tmp:
+    launcher = subprocess.Popen([sys.executable, str(ROOT / "perfbench" / "launcher.py")],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    with launcher, tempfile.TemporaryDirectory(prefix="pubrank-bench-") as tmp:
+        taxonomy = load_taxonomy(sample_taxonomy_path())
         result = generate_corpus(params, taxonomy, tmp)
+        cli = _run_cli_rank(launcher, result, Path(tmp))
         registry = load_registry_dir(result.registry_dir)
 
         t0 = time.perf_counter()
@@ -83,8 +94,29 @@ def main(argv: list[str] | None = None) -> int:
         "tables": len(tables),
         "elapsed": round(elapsed, 3),
         "maxrss_mb": round(maxrss_mb, 1),
+        "cli_wall_s": round(cli["wall_s"], 3),
+        "cli_maxrss_mb": round(cli["maxrss_kb"] / 1024, 1),
     }))
     return 0
+
+
+def _run_cli_rank(launcher: subprocess.Popen, result, tmp: Path) -> dict:
+    """`pubrank rank --format csv,json,html` on the generated bundle, run by
+    the launcher; returns its reply (wall_s, cpu_s, maxrss_kb)."""
+    argv = [sys.executable, "-m", "pubrank.cli", "rank",
+            "--corpus", str(result.corpus_path), "--registry-dir", str(result.registry_dir),
+            "--taxonomy", str(result.taxonomy_path), "--out", str(tmp / "tables"),
+            "--format", "csv,json,html"]
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    request = {"argv": argv, "env": dict(os.environ, PYTHONPATH=pythonpath), "cwd": str(ROOT),
+               "stdout": str(tmp / "cli.out"), "stderr": str(tmp / "cli.err")}
+    launcher.stdin.write(json.dumps(request) + "\n")
+    launcher.stdin.flush()
+    reply = json.loads(launcher.stdout.readline())
+    if reply["returncode"] != 0:
+        raise SystemExit(f"pubrank rank exited {reply['returncode']}: "
+                         + (tmp / "cli.err").read_text(encoding="utf-8"))
+    return reply
 
 
 if __name__ == "__main__":

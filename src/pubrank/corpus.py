@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -299,13 +300,18 @@ class ResolvedCorpus:
 
     items: tuple[ItemRecord, ...]
     publisher_ids: tuple[str, ...]
-    fingerprint: str
 
     def __len__(self) -> int:
         return len(self.items)
 
     def pairs(self) -> Iterator[tuple[ItemRecord, str]]:
         return zip(self.items, self.publisher_ids)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Computed on first read, so commands that never read it (validate,
+        stats) never hash the corpus."""
+        return corpus_fingerprint(self.items, self.publisher_ids)
 
 
 def _record_key(item: ItemRecord, publisher_id: str) -> str:
@@ -344,13 +350,8 @@ def resolve_corpus(
     if unresolved and strict:
         raise UnresolvedPublisherError(unresolved[0])
     kept_items = [item for item in items if item.raw_publisher in resolved]
-    publisher_ids = [resolved[item.raw_publisher] for item in kept_items]
-    corpus = ResolvedCorpus(
-        items=tuple(kept_items),
-        publisher_ids=tuple(publisher_ids),
-        fingerprint=corpus_fingerprint(kept_items, publisher_ids),
-    )
-    return corpus, set(unresolved)
+    publisher_ids = tuple(resolved[item.raw_publisher] for item in kept_items)
+    return ResolvedCorpus(items=tuple(kept_items), publisher_ids=publisher_ids), set(unresolved)
 
 
 def _resolve_names(

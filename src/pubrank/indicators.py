@@ -9,9 +9,11 @@ and ED (percentage of chapters from edited books).
 All ratio arithmetic is exact: each ratio stays a pair of integers until
 one correctly rounded int / int division per indicator, so results are
 independent of accumulation order and invariant under uniform citation
-scaling. Each (discipline, doc_type, year, k) cell mean is reduced once
-per run; a row's expected citations are then one exact sum of those
-means over a common denominator.
+scaling. Each (discipline, doc_type, year, k) cell gets an int id once
+per run and its mean is reduced once; a row's accumulator keeps a flat
+list of its items' cell ids, and its expected citations are then one
+exact sum of those means over a common denominator. Rows are slotted.
+The corpus fingerprint the baselines carry is computed on first read.
 
 Scoped computations run over the items that map to at least one known
 discipline; items whose categories are all unknown are excluded from
@@ -27,7 +29,7 @@ from math import gcd
 
 from .corpus import DOC_BOOK, DOC_CHAPTER, ResolvedCorpus, edited_book_map
 from .errors import FingerprintMismatchError
-from .taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, TaxonomyMap
+from .taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, ScopeEntry, TaxonomyMap
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class BaselineTable:
         return self.cells[(discipline, doc_type, year)].mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndicatorRow:
     publisher_id: str
     scope: Scope
@@ -104,9 +106,10 @@ class _Acc:
         self.pch = 0
         self.cit = 0
         self.edited_chapters = 0
-        # (discipline, doc_type, year, k) -> item count; k is the number of
-        # the item's disciplines inside the scope (1 for discipline scopes)
-        self.cells: dict[tuple[str, str, int, int], int] = {}
+        # the id of each (discipline, doc_type, year, k) cell of each of the
+        # scope's items, once per item and discipline; k is the number of the
+        # item's disciplines inside the scope (1 for discipline scopes)
+        self.cells: list[int] = []
 
 
 def compute_all_rows(
@@ -123,16 +126,42 @@ def compute_all_rows(
     plans = taxonomy.plans
     edited = edited_book_map(corpus.items)
 
-    accs: dict[tuple[str, str, str], _Acc] = {}
+    # Ids interned once per run: (kind, name) -> scope id and
+    # (discipline, doc_type, year, k) -> cell id. An item's parts, one
+    # (scope id, cell ids) pair per scope it falls in, depend only on its
+    # (categories, doc_type, year) shape; each part is shared by every shape
+    # with the same (scope entry, doc_type, year), and the entry carries the
+    # item's disciplines in the scope, on which a field scope's cells depend.
+    scope_ids: dict[tuple[str, str], int] = {}
+    cell_ids: dict[tuple[str, str, int, int], int] = {}
+    part_of: dict[tuple[ScopeEntry, str, int], tuple[int, tuple[int, ...]]] = {}
+    parts_of: dict[tuple[tuple[str, ...], str, int], tuple[tuple[int, tuple[int, ...]], ...]] = {}
+
+    accs: dict[str, dict[int, _Acc]] = {}  # publisher id -> scope id -> accumulator
     books_by_publisher: dict[str, int] = {}
     total_books = 0
 
     for item, pid in corpus.pairs():
-        scopes = plans[item.categories].scopes
-        if not scopes:
-            continue
         dt = item.doc_type
         year = item.pub_year
+        shape = (item.categories, dt, year)
+        parts = parts_of.get(shape)
+        if parts is None:
+            shape_parts = []
+            for entry in plans[item.categories].scopes:
+                part_key = (entry, dt, year)
+                part = part_of.get(part_key)
+                if part is None:
+                    kind, name, members, k = entry
+                    sid = scope_ids.setdefault((kind, name), len(scope_ids))
+                    ids = tuple(
+                        cell_ids.setdefault((d, dt, year, k), len(cell_ids)) for d in members
+                    )
+                    part = part_of[part_key] = (sid, ids)
+                shape_parts.append(part)
+            parts = parts_of[shape] = tuple(shape_parts)
+        if not parts:
+            continue
         cit = item.citations
         is_book = dt == DOC_BOOK
         if is_book:
@@ -141,11 +170,13 @@ def compute_all_rows(
             from_edited = False
         else:
             from_edited = dt == DOC_CHAPTER and edited.get(item.parent_book_id, False)
-        for kind, name, members, k in scopes:
-            key = (pid, kind, name)
-            acc = accs.get(key)
+        own = accs.get(pid)
+        if own is None:
+            own = accs[pid] = {}
+        for sid, ids in parts:
+            acc = own.get(sid)
             if acc is None:
-                acc = accs[key] = _Acc()
+                acc = own[sid] = _Acc()
             if is_book:
                 acc.pbk += 1
             else:
@@ -153,65 +184,60 @@ def compute_all_rows(
                 if from_edited:
                     acc.edited_chapters += 1
             acc.cit += cit
-            acc_cells = acc.cells
-            for d in members:
-                cell_key = (d, dt, year, k)
-                acc_cells[cell_key] = acc_cells.get(cell_key, 0) + 1
+            acc.cells.extend(ids)
 
-    # the scope's books over all publishers; one Scope object per scope
-    books_by_scope: dict[tuple[str, str], int] = {}
-    scope_of: dict[tuple[str, str], Scope] = {}
-    for (_, kind, name), acc in accs.items():
-        scope_key = (kind, name)
-        books_by_scope[scope_key] = books_by_scope.get(scope_key, 0) + acc.pbk
-        if scope_key not in scope_of:
-            scope_of[scope_key] = Scope(kind, name)
+    # by scope id: the Scope, and its books over all publishers
+    scopes = [Scope(kind, name) for kind, name in scope_ids]
+    books_by_scope = [0] * len(scopes)
+    for own in accs.values():
+        for sid, acc in own.items():
+            books_by_scope[sid] += acc.pbk
+
+    # by cell id: the cell mean over k as a reduced fraction p/q
+    cells = baselines.cells
+    means = []
+    for d, dt, year, k in cell_ids:
+        cell = cells[(d, dt, year)]
+        q = k * cell.item_count
+        g = gcd(cell.citation_sum, q)
+        means.append((cell.citation_sum // g, q // g))
 
     rows: dict[tuple[str, Scope], IndicatorRow] = {}
-    cells = baselines.cells
-    # (d, dt, year, k) -> the cell mean over k as a reduced fraction p/q
-    means: dict[tuple[str, str, int, int], tuple[int, int]] = {}
-    for (pid, kind, name), acc in accs.items():
-        # expected citations as num/den, den the lcm of the terms' q; it
-        # need not be reduced, since int / int is correctly rounded and so
-        # each float equals float() of the Fraction
-        num, den = 0, 1
-        for cell_key, n in acc.cells.items():
-            mean = means.get(cell_key)
-            if mean is None:
-                d, dt, year, k = cell_key
-                cell = cells[(d, dt, year)]
-                q = k * cell.item_count
-                g = gcd(cell.citation_sum, q)
-                mean = means[cell_key] = (cell.citation_sum // g, q // g)
-            p, q = mean
-            if p:
-                if den % q:
-                    grow = q // gcd(den, q)
-                    num *= grow
-                    den *= grow
-                num += n * p * (den // q)
-        fncs = acc.cit * den / num if num else 0.0
-
+    for pid, own in accs.items():
         own_total = books_by_publisher.get(pid, 0)
-        all_scope = books_by_scope.get((kind, name), 0)
-        if acc.pbk and own_total and all_scope:
-            ai = acc.pbk * total_books / (own_total * all_scope)
-        else:
-            ai = 0.0
+        for sid, acc in own.items():
+            # expected citations as num/den, den the lcm of the terms' q; it
+            # need not be reduced, since int / int is correctly rounded and
+            # so each float equals float() of the Fraction
+            num, den = 0, 1
+            for cid in acc.cells:
+                p, q = means[cid]
+                if p:
+                    if den % q:
+                        grow = q // gcd(den, q)
+                        num *= grow
+                        den *= grow
+                    num += p * (den // q)
+            fncs = acc.cit * den / num if num else 0.0
 
-        ed = 100 * acc.edited_chapters / acc.pch if acc.pch else 0.0
-        scope = scope_of[(kind, name)]
-        rows[(pid, scope)] = IndicatorRow(
-            publisher_id=pid,
-            scope=scope,
-            pbk=acc.pbk,
-            pch=acc.pch,
-            cit=acc.cit,
-            fncs=fncs,
-            ai=ai,
-            ed=ed,
-        )
+            all_scope = books_by_scope[sid]
+            if acc.pbk and own_total and all_scope:
+                ai = acc.pbk * total_books / (own_total * all_scope)
+            else:
+                ai = 0.0
+
+            ed = 100 * acc.edited_chapters / acc.pch if acc.pch else 0.0
+            scope = scopes[sid]
+            rows[(pid, scope)] = IndicatorRow(
+                publisher_id=pid,
+                scope=scope,
+                pbk=acc.pbk,
+                pch=acc.pch,
+                cit=acc.cit,
+                fncs=fncs,
+                ai=ai,
+                ed=ed,
+            )
     return rows
 
 

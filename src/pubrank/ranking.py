@@ -55,7 +55,7 @@ class RunMeta:
     type_filter: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankingEntry:
     publisher: CanonicalPublisher
     row: IndicatorRow

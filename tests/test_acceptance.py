@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from pubrank.corpus import ResolvedCorpus, corpus_fingerprint
+from pubrank.corpus import ResolvedCorpus
 from pubrank.indicators import Scope, compute_all_rows, compute_baselines
 from pubrank.ranking import ThresholdPolicy, check_eligibility
 from pubrank.report import RunConfig, run_rank
@@ -84,12 +84,7 @@ def test_criterion_3_fncs_closure(taxonomy, tmp_path):
                 tmp_path / f"s{seed}",
             )
             _, tax, corpus = load_synth_bundle(result)
-            pseudo_ids = ("__all__",) * len(corpus)
-            pseudo = ResolvedCorpus(
-                items=corpus.items,
-                publisher_ids=pseudo_ids,
-                fingerprint=corpus_fingerprint(corpus.items, pseudo_ids),
-            )
+            pseudo = ResolvedCorpus(items=corpus.items, publisher_ids=("__all__",) * len(corpus))
             baselines = compute_baselines(pseudo, tax)
             for (pid, scope), row in compute_all_rows(pseudo, tax, baselines).items():
                 if scope.kind != "discipline":

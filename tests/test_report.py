@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pubrank import corpus as corpus_module
 from pubrank.errors import ConfigError, ExportError, UnresolvedPublisherError
 from pubrank.indicators import IndicatorRow, Scope
 from pubrank.ranking import (
@@ -446,6 +447,39 @@ class TestRunStats:
         assert stats.per_field["Humanities & Arts"].books == 2
         assert stats.per_field["Social Sciences"].books == 1
         assert stats.unknown_categories == ()
+
+
+class TestLazyFingerprint:
+    """Only commands that write the fingerprint hash the corpus."""
+
+    # the fingerprint of the run_inputs corpus; its bytes must never change
+    DIGEST = "cbf4fa660258c7d2ef2965a384522a360fe786510142bb9ef1e977426d973283"
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = corpus_module.corpus_fingerprint
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(corpus_module, "corpus_fingerprint", counted)
+        return calls
+
+    def test_validate_and_stats_never_hash(self, run_inputs, calls):
+        run_validate(run_inputs)
+        run_stats(run_inputs)
+        assert calls == []
+
+    def test_rank_hashes_once_and_writes_the_same_digest(self, run_inputs, calls):
+        run_rank(run_inputs)
+        assert len(calls) == 1
+        written = {
+            json.loads(path.read_text(encoding="utf-8"))["corpus_fingerprint"]
+            for path in run_inputs.out.glob("*.json")
+        }
+        assert written == {self.DIGEST}
 
 
 class TestRunValidate:
