@@ -11,9 +11,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -180,6 +182,22 @@ def _parse_line(
 _scan_once = json.JSONDecoder().scan_once
 _LINE_ENDS = ("\n", "", "\r\n")
 
+# Fixed bounds: a line's diagnostic depends on the line alone, not on
+# PYTHONINTMAXSTRDIGITS or the stack depth. Only a line longer than _MAX_DEPTH,
+# a fifth of the default recursion limit, can nest deeper than that.
+_INT_MAX_DIGITS = 4300
+_MAX_DEPTH = 200
+_TOO_DEEP = f"invalid JSON: nesting deeper than {_MAX_DEPTH} levels"
+
+
+def _too_deep(line: str) -> bool:
+    """Whether the line nests more than _MAX_DEPTH levels outside strings."""
+    if line.count("[") + line.count("{") <= _MAX_DEPTH:
+        return False
+    unquoted = re.sub(r'"(?:[^"\\]|\\.)*"?', "", line)  # an unclosed string ends the line
+    steps = (1 if c in "[{" else -1 for c in unquoted if c in "[]{}")
+    return max(accumulate(steps, initial=0)) > _MAX_DEPTH
+
 
 def _open_lines(source) -> Iterator[str]:
     """Lines of a corpus file, or of any iterable of strings."""
@@ -217,45 +235,53 @@ def ingest_corpus(
     publishers: dict[str, str] = {}
     loads = json.loads
     scan_once = _scan_once
-    for line_no, line in enumerate(_open_lines(source), start=1):
-        if not line or line.isspace():
-            continue
-        # A line that starts with a value is scanned exactly as json.loads
-        # scans it, so the scan raises what json.loads would. The result
-        # stands only when the value ends the line; anything else (leading
-        # whitespace, a BOM, trailing data) goes through json.loads, which
-        # gives the same object or the same error message.
-        try:
+    digits_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_INT_MAX_DIGITS)
+    try:
+        for line_no, line in enumerate(_open_lines(source), start=1):
+            if not line or line.isspace():
+                continue
+            if len(line) > _MAX_DEPTH and _too_deep(line):
+                diagnostics.append(Diagnostic(line_no, _TOO_DEEP))
+                continue
+            # A line that starts with a value is scanned exactly as
+            # json.loads scans it, so the scan raises what json.loads would.
+            # The result stands only when the value ends the line; anything
+            # else (leading whitespace, a BOM, trailing data) goes through
+            # json.loads, which gives the same object or the same error.
             try:
-                obj, end = scan_once(line, 0)
-            except StopIteration:
-                obj = loads(line)
-            else:
-                if line[end:] not in _LINE_ENDS:
+                try:
+                    obj, end = scan_once(line, 0)
+                except StopIteration:
                     obj = loads(line)
-        except json.JSONDecodeError as exc:
-            diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc.msg}"))
-            continue
-        except (ValueError, RecursionError) as exc:
-            # an integer past the int-conversion digit limit, or nesting
-            # past the interpreter's recursion limit
-            diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc}"))
-            continue
-        if type(obj) is not dict:
-            diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
-            continue
-        try:
-            record, warnings = _parse_line(obj, categories_memo, publishers)
-        except ValueError as exc:
-            diagnostics.append(Diagnostic(line_no, str(exc)))
-            continue
-        item_id = record.item_id
-        if item_id in seen:
-            raise DuplicateItemError(item_id, seen[item_id], line_no)
-        seen[item_id] = line_no
-        records.append(record)
-        for message in warnings:
-            diagnostics.append(Diagnostic(line_no, message, severity="warning"))
+                else:
+                    if line[end:] not in _LINE_ENDS:
+                        obj = loads(line)
+            except json.JSONDecodeError as exc:
+                diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc.msg}"))
+                continue
+            except (ValueError, RecursionError) as exc:
+                # an integer past _INT_MAX_DIGITS, or a caller's stack
+                # within _MAX_DEPTH frames of the recursion limit
+                diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc}"))
+                continue
+            if type(obj) is not dict:
+                diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
+                continue
+            try:
+                record, warnings = _parse_line(obj, categories_memo, publishers)
+            except ValueError as exc:
+                diagnostics.append(Diagnostic(line_no, str(exc)))
+                continue
+            item_id = record.item_id
+            if item_id in seen:
+                raise DuplicateItemError(item_id, seen[item_id], line_no)
+            seen[item_id] = line_no
+            records.append(record)
+            for message in warnings:
+                diagnostics.append(Diagnostic(line_no, message, severity="warning"))
+    finally:
+        sys.set_int_max_str_digits(digits_limit)
     return records, diagnostics
 
 
@@ -370,12 +396,6 @@ def _resolve_names(
         else:
             resolved[raw] = publisher_id
     return resolved, unresolved
-
-
-def edited_book_map(items: Iterable[ItemRecord]) -> dict[str, bool]:
-    """item_id -> edited flag for every book in the corpus (False when the
-    flag is absent)."""
-    return {i.item_id: bool(i.book_is_edited) for i in items if i.is_book}
 
 
 def unknown_parent_chapters(items: Iterable[ItemRecord]) -> list[str]:

@@ -13,7 +13,8 @@ scaling. Each (discipline, doc_type, year, k) cell gets an int id once
 per run and its mean is reduced once; a row's accumulator keeps a flat
 list of its items' cell ids, and its expected citations are then one
 exact sum of those means over a common denominator. Rows are slotted.
-The corpus fingerprint the baselines carry is computed on first read.
+One walk over the items, `compute_baselines`, builds the baseline cells
+and the rows' accumulators; `compute_all_rows` finalises the rows.
 
 Scoped computations run over the items that map to at least one known
 discipline; items whose categories are all unknown are excluded from
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .corpus import DOC_BOOK, DOC_CHAPTER, ResolvedCorpus, edited_book_map
+from .corpus import DOC_BOOK, DOC_CHAPTER, ResolvedCorpus
 from .errors import FingerprintMismatchError
 from .taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, ScopeEntry, TaxonomyMap
 
@@ -56,8 +57,15 @@ class BaselineCell:
 
 @dataclass(frozen=True)
 class BaselineTable:
+    """The baseline cells and all else `compute_all_rows` reads, as the one
+    walk of `compute_baselines` left them."""
+
     cells: dict[tuple[str, str, int], BaselineCell]
     fingerprint: str
+    accs: dict[str, dict[int, _Acc]]  # publisher id -> scope id -> accumulator
+    totals: dict[str, list[int]]  # publisher id -> [books, chapters] over scoped items
+    scopes: list[Scope]  # by scope id
+    cell_keys: list[tuple[str, str, int, int]]  # (discipline, doc_type, year, k) by cell id
 
     def mean_of(self, discipline: str, doc_type: str, year: int) -> Fraction:
         return self.cells[(discipline, doc_type, year)].mean
@@ -75,29 +83,6 @@ class IndicatorRow:
     ed: float
 
 
-def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> BaselineTable:
-    """One cell per occupied (discipline, doc_type, year) triple, built
-    from every item of every publisher; eligibility never trims baselines.
-    An item in k disciplines contributes whole to all k cells."""
-    counts: dict[tuple[str, str, int], list[int]] = {}
-    plans = taxonomy.plans
-    for item in corpus.items:
-        for kind, d, _, _ in plans[item.categories].scopes:
-            if kind != SCOPE_DISCIPLINE:
-                continue
-            key = (d, item.doc_type, item.pub_year)
-            acc = counts.get(key)
-            if acc is None:
-                counts[key] = [1, item.citations]
-            else:
-                acc[0] += 1
-                acc[1] += item.citations
-    cells = {
-        key: BaselineCell(key[0], key[1], key[2], n, s) for key, (n, s) in counts.items()
-    }
-    return BaselineTable(cells=cells, fingerprint=corpus.fingerprint)
-
-
 class _Acc:
     __slots__ = ("pbk", "pch", "cit", "edited_chapters", "cells")
 
@@ -112,19 +97,15 @@ class _Acc:
         self.cells: list[int] = []
 
 
-def compute_all_rows(
-    corpus: ResolvedCorpus, taxonomy: TaxonomyMap, baselines: BaselineTable
-) -> dict[tuple[str, Scope], IndicatorRow]:
-    """All indicator rows in one pass over the corpus.
-
-    Produces one row per occupied (publisher, scope) pair; pairs with no
-    items have all-zero indicators and no row. Every row equals the
-    brute-force `testkit.oracle_indicators` exactly.
-    """
-    if corpus.fingerprint != baselines.fingerprint:
-        raise FingerprintMismatchError(corpus.fingerprint, baselines.fingerprint)
+def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> BaselineTable:
+    """The one walk over the corpus. One cell per occupied (discipline,
+    doc_type, year) triple, built from every item of every publisher;
+    eligibility never trims baselines. An item in k disciplines contributes
+    whole to all k cells."""
+    fingerprint = corpus.fingerprint  # first: its sorted keys go before the walk grows
     plans = taxonomy.plans
-    edited = edited_book_map(corpus.items)
+    # a chapter may come before its book
+    edited = {i.item_id for i in corpus.items if i.book_is_edited and i.doc_type == DOC_BOOK}
 
     # Ids interned once per run: (kind, name) -> scope id and
     # (discipline, doc_type, year, k) -> cell id. An item's parts, one
@@ -132,21 +113,22 @@ def compute_all_rows(
     # (categories, doc_type, year) shape; each part is shared by every shape
     # with the same (scope entry, doc_type, year), and the entry carries the
     # item's disciplines in the scope, on which a field scope's cells depend.
+    # A shape's items and citations are counts[n] and counts[n + 1], n memoised.
     scope_ids: dict[tuple[str, str], int] = {}
     cell_ids: dict[tuple[str, str, int, int], int] = {}
     part_of: dict[tuple[ScopeEntry, str, int], tuple[int, tuple[int, ...]]] = {}
-    parts_of: dict[tuple[tuple[str, ...], str, int], tuple[tuple[int, tuple[int, ...]], ...]] = {}
+    parts_of: dict[tuple[tuple[str, ...], str, int], tuple[tuple, int]] = {}
+    counts: list[int] = []
 
-    accs: dict[str, dict[int, _Acc]] = {}  # publisher id -> scope id -> accumulator
-    books_by_publisher: dict[str, int] = {}
-    total_books = 0
+    accs: dict[str, dict[int, _Acc]] = {}
+    totals: dict[str, list[int]] = {}
 
     for item, pid in corpus.pairs():
         dt = item.doc_type
         year = item.pub_year
         shape = (item.categories, dt, year)
-        parts = parts_of.get(shape)
-        if parts is None:
+        memo = parts_of.get(shape)
+        if memo is None:
             shape_parts = []
             for entry in plans[item.categories].scopes:
                 part_key = (entry, dt, year)
@@ -159,20 +141,21 @@ def compute_all_rows(
                     )
                     part = part_of[part_key] = (sid, ids)
                 shape_parts.append(part)
-            parts = parts_of[shape] = tuple(shape_parts)
+            memo = parts_of[shape] = (tuple(shape_parts), len(counts))
+            counts += (0, 0)
+        parts, n = memo
         if not parts:
             continue
         cit = item.citations
+        counts[n] += 1
+        counts[n + 1] += cit
         is_book = dt == DOC_BOOK
-        if is_book:
-            total_books += 1
-            books_by_publisher[pid] = books_by_publisher.get(pid, 0) + 1
-            from_edited = False
-        else:
-            from_edited = dt == DOC_CHAPTER and edited.get(item.parent_book_id, False)
+        from_edited = dt == DOC_CHAPTER and item.parent_book_id in edited
         own = accs.get(pid)
         if own is None:
             own = accs[pid] = {}
+            totals[pid] = [0, 0]
+        totals[pid][0 if is_book else 1] += 1
         for sid, ids in parts:
             acc = own.get(sid)
             if acc is None:
@@ -186,8 +169,34 @@ def compute_all_rows(
             acc.cit += cit
             acc.cells.extend(ids)
 
-    # by scope id: the Scope, and its books over all publishers
+    cell_counts: dict[tuple[str, str, int], list[int]] = {}
+    for (categories, dt, year), (_, n) in parts_of.items():
+        for kind, d, _, _ in plans[categories].scopes:
+            if kind == SCOPE_DISCIPLINE:
+                cell = cell_counts.setdefault((d, dt, year), [0, 0])
+                cell[0] += counts[n]
+                cell[1] += counts[n + 1]
+    cells = {key: BaselineCell(*key, n, s) for key, (n, s) in cell_counts.items()}
     scopes = [Scope(kind, name) for kind, name in scope_ids]
+    return BaselineTable(cells, fingerprint, accs, totals, scopes, list(cell_ids))
+
+
+def compute_all_rows(
+    corpus: ResolvedCorpus, taxonomy: TaxonomyMap, baselines: BaselineTable
+) -> dict[tuple[str, Scope], IndicatorRow]:
+    """All indicator rows, finalised from the baselines' accumulators,
+    which stay as they are.
+
+    Produces one row per occupied (publisher, scope) pair; pairs with no
+    items have all-zero indicators and no row. Every row equals the
+    brute-force `testkit.oracle_indicators` exactly.
+    """
+    if corpus.fingerprint != baselines.fingerprint:
+        raise FingerprintMismatchError(corpus.fingerprint, baselines.fingerprint)
+    accs, totals, scopes = baselines.accs, baselines.totals, baselines.scopes
+
+    # books over all publishers, and by scope id
+    total_books = sum(books for books, _ in totals.values())
     books_by_scope = [0] * len(scopes)
     for own in accs.values():
         for sid, acc in own.items():
@@ -196,7 +205,7 @@ def compute_all_rows(
     # by cell id: the cell mean over k as a reduced fraction p/q
     cells = baselines.cells
     means = []
-    for d, dt, year, k in cell_ids:
+    for d, dt, year, k in baselines.cell_keys:
         cell = cells[(d, dt, year)]
         q = k * cell.item_count
         g = gcd(cell.citation_sum, q)
@@ -204,7 +213,7 @@ def compute_all_rows(
 
     rows: dict[tuple[str, Scope], IndicatorRow] = {}
     for pid, own in accs.items():
-        own_total = books_by_publisher.get(pid, 0)
+        own_total = totals[pid][0]
         for sid, acc in own.items():
             # expected citations as num/den, den the lcm of the terms' q; it
             # need not be reduced, since int / int is correctly rounded and
@@ -228,30 +237,5 @@ def compute_all_rows(
 
             ed = 100 * acc.edited_chapters / acc.pch if acc.pch else 0.0
             scope = scopes[sid]
-            rows[(pid, scope)] = IndicatorRow(
-                publisher_id=pid,
-                scope=scope,
-                pbk=acc.pbk,
-                pch=acc.pch,
-                cit=acc.cit,
-                fncs=fncs,
-                ai=ai,
-                ed=ed,
-            )
+            rows[(pid, scope)] = IndicatorRow(pid, scope, acc.pbk, acc.pch, acc.cit, fncs, ai, ed)
     return rows
-
-
-def global_counts(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> dict[str, tuple[int, int]]:
-    """Corpus-wide (pbk, pch) per publisher, over scoped items; feeds the
-    global threshold basis."""
-    counts: dict[str, list[int]] = {}
-    plans = taxonomy.plans
-    for item, pid in corpus.pairs():
-        if not plans[item.categories].scopes:
-            continue
-        acc = counts.setdefault(pid, [0, 0])
-        if item.is_book:
-            acc[0] += 1
-        else:
-            acc[1] += 1
-    return {pid: (b, c) for pid, (b, c) in counts.items()}

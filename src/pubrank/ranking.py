@@ -19,7 +19,6 @@ from .indicators import (
     IndicatorRow,
     Scope,
     compute_all_rows,
-    global_counts,
 )
 from .registry import CanonicalPublisher, NameVariant, PublisherRegistry
 from .taxonomy import TaxonomyMap
@@ -83,7 +82,7 @@ def _table_for_scope(
     scope: Scope,
     rows: list[IndicatorRow],
     registry: PublisherRegistry,
-    globals_: dict[str, tuple[int, int]],
+    totals: dict[str, list[int]],  # publisher id -> corpus-wide [books, chapters]
     meta: RunMeta,
 ) -> RankingTable:
     """The ranking table of one scope, from that scope's rows."""
@@ -91,10 +90,7 @@ def _table_for_scope(
     entries = []
     for row in rows:
         pid = row.publisher_id
-        if policy.basis == BASIS_GLOBAL:
-            pbk, pch = globals_.get(pid, (0, 0))
-        else:
-            pbk, pch = row.pbk, row.pch
+        pbk, pch = totals[pid] if policy.basis == BASIS_GLOBAL else (row.pbk, row.pch)
         if not check_eligibility(pbk, pch, policy):
             continue
         publisher = registry.publisher(pid)
@@ -120,7 +116,8 @@ def build_all_rankings(
     FingerprintMismatchError when the baselines come from another corpus.
     """
     rows = compute_all_rows(corpus, taxonomy, baselines)
-    globals_ = global_counts(corpus, taxonomy) if policy.basis == BASIS_GLOBAL else {}
+    totals = baselines.totals
+    del baselines  # its accumulators go before the tables grow, unless the caller keeps it
     meta = RunMeta(corpus.fingerprint, window, policy, type_filter=type_filter)
 
     # rows bucketed by (kind, name) in one pass, keeping their order
@@ -132,7 +129,7 @@ def build_all_rankings(
         (SCOPE_DISCIPLINE, d) for d in taxonomy.disciplines
     ]
     return [
-        _table_for_scope(Scope(*key), by_scope.get(key, []), registry, globals_, meta)
+        _table_for_scope(Scope(*key), by_scope.get(key, []), registry, totals, meta)
         for key in keys
     ]
 

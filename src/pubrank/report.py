@@ -31,7 +31,7 @@ from .corpus import (
     unknown_parent_chapters,
 )
 from .errors import ConfigError, ExportError
-from .indicators import BaselineTable, IndicatorRow, compute_baselines
+from .indicators import IndicatorRow, compute_baselines
 from .ranking import PublisherProfile, RankingTable, ThresholdPolicy, build_all_rankings, build_profile
 from .registry import PublisherRegistry, load_registry_dir
 from .taxonomy import TaxonomyMap, load_taxonomy
@@ -344,7 +344,6 @@ class PreparedInputs:
 class PipelineResult(PreparedInputs):
     """Everything the pipeline produced, for callers that keep going."""
 
-    baselines: BaselineTable
     tables: list[RankingTable]
 
 
@@ -364,17 +363,16 @@ def _prepare_inputs(config: RunConfig) -> PreparedInputs:
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Prepare the inputs, compute baselines, and build all ranking tables."""
     inputs = _prepare_inputs(config)
-    baselines = compute_baselines(inputs.corpus, inputs.taxonomy)
     tables = build_all_rankings(
         inputs.corpus,
         inputs.registry,
         inputs.taxonomy,
-        baselines,
+        compute_baselines(inputs.corpus, inputs.taxonomy),
         config.policy(),
         window=config.window,
         type_filter=config.type_filter,
     )
-    return PipelineResult(**vars(inputs), baselines=baselines, tables=tables)
+    return PipelineResult(**vars(inputs), tables=tables)
 
 
 def run_rank(config: RunConfig) -> tuple[PipelineResult, list[Path]]:

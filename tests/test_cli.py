@@ -117,6 +117,18 @@ class TestValidate:
         assert captured.err.startswith("error:")
         assert "mystery house" in captured.err
 
+    def test_int_digit_setting_does_not_change_diagnostics(self, tmp_path, monkeypatch):
+        huge = json.dumps(record("h")).replace('"citations": 0', '"citations": 1' + "0" * 5000)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(huge + "\n" + json.dumps(record("ok")) + "\n", encoding="utf-8")
+        monkeypatch.delenv("PYTHONINTMAXSTRDIGITS", raising=False)
+        default = _pubrank("validate", "--corpus", corpus)
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+        unlimited = _pubrank("validate", "--corpus", corpus)
+        assert default.returncode == unlimited.returncode == EXIT_DIRTY
+        assert default.stdout == unlimited.stdout
+        assert "line 1: invalid JSON: Exceeds the limit (4300 digits)" in default.stdout
+
     def test_missing_corpus_file_is_fatal(self, tmp_path, capsys):
         code = run_cli(["validate", "--corpus", str(tmp_path / "absent.jsonl")])
         captured = capsys.readouterr()

@@ -11,7 +11,6 @@ from pubrank.corpus import (
     _parse_line,
     corpus_fingerprint,
     corpus_stats,
-    edited_book_map,
     filter_corpus,
     ingest_corpus,
     resolve_corpus,
@@ -66,6 +65,29 @@ class TestIngest:
         assert [r.item_id for r in records] == ["ok"]
         assert [(d.line, d.severity) for d in diagnostics] == [(1, "error"), (2, "error")]
         assert all("invalid JSON" in d.reason for d in diagnostics)
+
+    def test_nesting_diagnostics_do_not_depend_on_stack_depth(self):
+        # brackets inside a string, after an escaped quote and before an
+        # escaped backslash, do not nest
+        quoted = json.dumps(record("q", publisher='"' + "[" * 250 + "\\"))
+        objects = '{"a": ' * 201 + "1" + "}" * 201
+        lines = ["[" * n + "]" * n for n in (200, 201, 900, 950)] + [quoted, objects]
+
+        def deeper(frames):
+            return deeper(frames - 1) if frames else ingest_corpus(lines)
+
+        shallow = ingest_corpus(lines)
+        assert deeper(300) == shallow
+        records, diagnostics = shallow
+        assert [r.item_id for r in records] == ["q"]
+        too_deep = "invalid JSON: nesting deeper than 200 levels"
+        assert [(d.line, d.reason) for d in diagnostics] == [
+            (1, "record is not a JSON object"),
+            (2, too_deep),
+            (3, too_deep),
+            (4, too_deep),
+            (6, too_deep),
+        ]
 
     def test_blank_lines_skipped(self):
         records, diagnostics = ingest_corpus(["", "  ", json.dumps(record("a")), "\n"])
@@ -423,7 +445,7 @@ class TestResolve:
         assert corpus.fingerprint == corpus_fingerprint(corpus.items, corpus.publisher_ids)
 
 
-def test_edited_book_map_and_orphans(registry):
+def test_orphan_chapters(registry):
     records, _ = ingest_corpus(
         jsonl(
             [
@@ -435,8 +457,6 @@ def test_edited_book_map_and_orphans(registry):
             ]
         )
     )
-    edited = edited_book_map(records)
-    assert edited == {"b1": True, "b2": False, "b3": False}
     assert unknown_parent_chapters(records) == ["c2"]
 
 

@@ -8,15 +8,15 @@ from math import gcd, prod
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from pubrank.corpus import ResolvedCorpus
 from pubrank.errors import FingerprintMismatchError
 from pubrank.indicators import (
     IndicatorRow,
     Scope,
     compute_all_rows,
     compute_baselines,
-    global_counts,
 )
-from pubrank.ranking import RankingEntry
+from pubrank.ranking import BASIS_GLOBAL, RankingEntry, ThresholdPolicy, build_all_rankings
 from pubrank.testkit import SynthParams, generate_corpus, oracle_indicators
 from util import (
     ingest_and_resolve,
@@ -465,7 +465,7 @@ class TestExactArithmetic:
 
 
 def test_global_counts_cover_all_scoped_items(registry, taxonomy):
-    corpus, _ = pipeline_artifacts(
+    _, baselines = pipeline_artifacts(
         [
             record("b1", categories=["History"]),
             record("b2", categories=["Economics"]),
@@ -475,18 +475,42 @@ def test_global_counts_cover_all_scoped_items(registry, taxonomy):
         registry,
         taxonomy,
     )
-    assert global_counts(corpus, taxonomy) == {"springer": (2, 1)}
+    assert baselines.totals == {"springer": [2, 1]}
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_rankings_walk_the_items_once(registry, taxonomy):
+    """Baselines, rows and the global basis's counts come from one walk,
+    plus one pass that collects the edited books."""
+    records = random_records(random.Random(5), taxonomy, 60)
+    corpus, _ = pipeline_artifacts(records, registry, taxonomy)
+    counted = ResolvedCorpus(_CountingTuple(corpus.items), corpus.publisher_ids)
+    assert counted.fingerprint == corpus.fingerprint
+    counted.items.iterations = 0
+    baselines = compute_baselines(counted, taxonomy)
+    policy = ThresholdPolicy(basis=BASIS_GLOBAL)
+    assert build_all_rankings(counted, registry, taxonomy, baselines, policy)
+    assert counted.items.iterations <= 2
 
 
 class TestRowsMemory:
-    """The rows pass holds per-item facts as interned cell ids, so its
-    transient memory per row stays small on a long-tail corpus, and its
-    rows are slotted."""
+    """The aggregation walk holds per-item facts as interned cell ids, so
+    the transient memory per row of the walk plus the rows' finalisation
+    stays small on a long-tail corpus, and the rows are slotted."""
 
-    # tracemalloc bytes per row above what the pass keeps: about 240 with
-    # interned cell ids, about 506 with a (discipline, doc_type, year, k)
-    # tuple key per cell of every accumulator, so a return to tuple keys
-    # fails
+    # tracemalloc bytes per row above what the rows keep: about 220 with
+    # interned cell ids; the rows pass alone took about 506 with a
+    # (discipline, doc_type, year, k) tuple key per cell of every
+    # accumulator, so a return to tuple keys fails
     TRANSIENT_PER_ROW = 350
 
     def test_transient_per_row_is_bounded(self, taxonomy, tmp_path):
@@ -496,12 +520,13 @@ class TestRowsMemory:
             tmp_path,
         )
         _, tax, corpus = load_synth_bundle(result)
-        baselines = compute_baselines(corpus, tax)
         was_enabled = gc.isenabled()
         gc.disable()  # as the CLI runs; collections would move the peak
         tracemalloc.start()
         try:
+            baselines = compute_baselines(corpus, tax)
             rows = compute_all_rows(corpus, tax, baselines)
+            del baselines  # the walk's accumulators are transient to the rows
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
