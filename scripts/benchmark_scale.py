@@ -2,10 +2,11 @@
 """Measure pipeline wall time and peak memory at database scale.
 
 Generates a synthetic corpus (~500k records by default) in a temporary
-directory, then times the analysis path: ingest -> filter -> resolve ->
-citation baselines -> all ranking tables. Corpus generation and table
-export are deliberately outside the timed span; they are one-off setup
-and I/O, not the per-run analysis cost.
+directory, then times the analysis path as `run_pipeline` runs it: load
+registry and taxonomy -> ingest -> filter -> resolve -> citation
+baselines -> all ranking tables. Corpus generation and table export are
+deliberately outside the timed span; they are one-off setup and I/O, not
+the per-run analysis cost.
 
 Then runs the CLI path on the same corpus, `pubrank rank --format
 csv,json,html` in a child process, from JSONL on disk to written tables,
@@ -39,19 +40,12 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from pubrank import (  # noqa: E402
-    DEFAULT_EXCLUDED_PUBLISHERS,
-    DEFAULT_WINDOW,
+    RunConfig,
     SynthParams,
-    ThresholdPolicy,
-    build_all_rankings,
-    compute_baselines,
-    filter_corpus,
     generate_corpus,
-    ingest_corpus,
-    resolve_corpus,
+    run_pipeline,
     sample_taxonomy_path,
 )
-from pubrank.registry import load_registry_dir  # noqa: E402
 from pubrank.taxonomy import load_taxonomy  # noqa: E402
 
 ITEMS_PER_PUBLISHER = 400
@@ -76,16 +70,11 @@ def main(argv: list[str] | None = None) -> int:
         taxonomy = load_taxonomy(sample_taxonomy_path())
         result = generate_corpus(params, taxonomy, tmp)
         cli = _run_cli_rank(launcher, result, Path(tmp))
-        registry = load_registry_dir(result.registry_dir)
+        config = RunConfig(corpus=result.corpus_path, registry_dir=result.registry_dir,
+                           taxonomy=result.taxonomy_path, strict=True)
 
         t0 = time.perf_counter()
-        records, _ = ingest_corpus(result.corpus_path, DEFAULT_WINDOW)
-        filtered = filter_corpus(records, registry, DEFAULT_WINDOW,
-                                 DEFAULT_EXCLUDED_PUBLISHERS)
-        corpus, _ = resolve_corpus(filtered, registry, strict=True)
-        baselines = compute_baselines(corpus, taxonomy)
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines,
-                                    ThresholdPolicy())
+        tables = run_pipeline(config).tables
         elapsed = time.perf_counter() - t0
 
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

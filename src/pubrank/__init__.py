@@ -10,16 +10,8 @@ other name lives in its module (corpus, registry, taxonomy, indicators,
 ranking, report, cli, testkit, samples, errors).
 """
 
-from .corpus import (
-    DEFAULT_EXCLUDED_PUBLISHERS,
-    DEFAULT_WINDOW,
-    filter_corpus,
-    ingest_corpus,
-    resolve_corpus,
-)
-from .indicators import Scope, compute_baselines
-from .ranking import ThresholdPolicy, build_all_rankings
-from .report import RunConfig, run_rank
+from .indicators import Scope
+from .report import RunConfig, run_pipeline, run_rank
 from .samples import sample_taxonomy_path
 from .testkit import SynthParams, generate_corpus, oracle_indicators
 

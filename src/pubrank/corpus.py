@@ -301,11 +301,8 @@ def filter_corpus(
     start, end = _check_window(window)
     excluded_ids = set()
     for entry in excluded_publishers:
-        if entry in registry.publishers:
-            excluded_ids.add(registry.terminal[entry])
-        else:
-            with contextlib.suppress(UnresolvedPublisherError):
-                excluded_ids.add(registry.resolve(entry))
+        with contextlib.suppress(UnresolvedPublisherError):
+            excluded_ids.add(registry.resolve(entry))
     kept = [
         item
         for item in items

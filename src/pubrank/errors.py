@@ -49,17 +49,6 @@ class TaxonomyError(PubrankError):
     pass
 
 
-class FingerprintMismatchError(PubrankError):
-    """Inputs built from different corpus snapshots were combined."""
-
-    def __init__(self, expected: str, actual: str):
-        super().__init__(
-            f"corpus fingerprint mismatch: expected {expected[:12]}..., got {actual[:12]}..."
-        )
-        self.expected = expected
-        self.actual = actual
-
-
 class ExportError(PubrankError):
     pass
 

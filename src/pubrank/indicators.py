@@ -25,11 +25,9 @@ scopes from the taxonomy's `ScopePlan` for its category tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .corpus import DOC_BOOK, DOC_CHAPTER, ResolvedCorpus
-from .errors import FingerprintMismatchError
 from .taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, ScopeEntry, TaxonomyMap
 
 
@@ -50,15 +48,11 @@ class BaselineCell:
     item_count: int
     citation_sum: int
 
-    @property
-    def mean(self) -> Fraction:
-        return Fraction(self.citation_sum, self.item_count)
-
 
 @dataclass(frozen=True)
 class BaselineTable:
-    """The baseline cells and all else `compute_all_rows` reads, as the one
-    walk of `compute_baselines` left them."""
+    """The baseline cells, the accumulators `compute_all_rows` reads and the
+    fingerprint of the corpus walked, as `compute_baselines` left them."""
 
     cells: dict[tuple[str, str, int], BaselineCell]
     fingerprint: str
@@ -66,9 +60,6 @@ class BaselineTable:
     totals: dict[str, list[int]]  # publisher id -> [books, chapters] over scoped items
     scopes: list[Scope]  # by scope id
     cell_keys: list[tuple[str, str, int, int]]  # (discipline, doc_type, year, k) by cell id
-
-    def mean_of(self, discipline: str, doc_type: str, year: int) -> Fraction:
-        return self.cells[(discipline, doc_type, year)].mean
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,9 +172,7 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
     return BaselineTable(cells, fingerprint, accs, totals, scopes, list(cell_ids))
 
 
-def compute_all_rows(
-    corpus: ResolvedCorpus, taxonomy: TaxonomyMap, baselines: BaselineTable
-) -> dict[tuple[str, Scope], IndicatorRow]:
+def compute_all_rows(baselines: BaselineTable) -> dict[tuple[str, Scope], IndicatorRow]:
     """All indicator rows, finalised from the baselines' accumulators,
     which stay as they are.
 
@@ -191,8 +180,6 @@ def compute_all_rows(
     items have all-zero indicators and no row. Every row equals the
     brute-force `testkit.oracle_indicators` exactly.
     """
-    if corpus.fingerprint != baselines.fingerprint:
-        raise FingerprintMismatchError(corpus.fingerprint, baselines.fingerprint)
     accs, totals, scopes = baselines.accs, baselines.totals, baselines.scopes
 
     # books over all publishers, and by scope id

@@ -8,9 +8,8 @@ alphabetical tie-break, so every table is a total order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .corpus import ResolvedCorpus
 from .errors import ConfigError
 from .indicators import (
     SCOPE_DISCIPLINE,
@@ -101,7 +100,6 @@ def _table_for_scope(
 
 
 def build_all_rankings(
-    corpus: ResolvedCorpus,
     registry: PublisherRegistry,
     taxonomy: TaxonomyMap,
     baselines: BaselineTable,
@@ -111,14 +109,14 @@ def build_all_rankings(
 ) -> list[RankingTable]:
     """One table per field then one per discipline, in taxonomy order.
 
-    The corpus is scanned once; the 4-field/38-discipline sample taxonomy
-    therefore yields its 42 tables from a single aggregation pass. Raises
-    FingerprintMismatchError when the baselines come from another corpus.
+    Rows and run metadata both come from the baselines, the one walk over
+    the corpus; the 4-field/38-discipline sample taxonomy therefore yields
+    its 42 tables from a single aggregation pass.
     """
-    rows = compute_all_rows(corpus, taxonomy, baselines)
+    rows = compute_all_rows(baselines)
     totals = baselines.totals
+    meta = RunMeta(baselines.fingerprint, window, policy, type_filter=type_filter)
     del baselines  # its accumulators go before the tables grow, unless the caller keeps it
-    meta = RunMeta(corpus.fingerprint, window, policy, type_filter=type_filter)
 
     # rows bucketed by (kind, name) in one pass, keeping their order
     by_scope: dict[tuple[str, str], list[IndicatorRow]] = {}
@@ -139,7 +137,6 @@ class PublisherProfile:
     publisher: CanonicalPublisher
     variants: tuple[NameVariant, ...]
     rows: tuple[IndicatorRow, ...]  # one per scope where the publisher ranks
-    meta: RunMeta | None = field(default=None)
 
 
 def build_profile(
@@ -149,9 +146,7 @@ def build_profile(
     table it appears in, sorted by PBK descending."""
     publisher = registry.publisher(publisher_id)  # raises UnknownPublisherError
     rows = []
-    meta = None
     for table in rankings:
-        meta = table.meta
         for entry in table.entries:
             if entry.publisher.publisher_id == publisher_id:
                 rows.append(entry.row)
@@ -160,5 +155,4 @@ def build_profile(
         publisher=publisher,
         variants=registry.variants_of(publisher_id),
         rows=tuple(rows),
-        meta=meta,
     )

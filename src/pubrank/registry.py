@@ -88,9 +88,12 @@ class PublisherRegistry:
         return None, folded
 
     def resolve(self, raw: str) -> str:
-        """The terminal publisher id of a raw string, as `lookup` finds it.
-        Raises UnresolvedPublisherError when no variant matches; the caller
-        decides whether that is fatal (strict) or an exclusion."""
+        """The terminal publisher id of a registry id, or else of a name form
+        as `lookup` finds it. Raises UnresolvedPublisherError when neither
+        matches; the caller decides whether that is fatal (strict) or an
+        exclusion."""
+        if raw in self.publishers:
+            return self.terminal[raw]
         publisher_id, folded = self.lookup(raw)
         if publisher_id is None:
             raise UnresolvedPublisherError(folded)

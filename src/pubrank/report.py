@@ -364,7 +364,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     """Prepare the inputs, compute baselines, and build all ranking tables."""
     inputs = _prepare_inputs(config)
     tables = build_all_rankings(
-        inputs.corpus,
         inputs.registry,
         inputs.taxonomy,
         compute_baselines(inputs.corpus, inputs.taxonomy),
@@ -391,11 +390,7 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
         raise ConfigError("profile requires an output directory")
     result = run_pipeline(config)
     registry = result.registry
-    if publisher in registry.publishers:
-        pid = registry.terminal[publisher]
-    else:
-        pid = registry.resolve(publisher)
-    profile = build_profile(pid, result.tables, registry)
+    profile = build_profile(registry.resolve(publisher), result.tables, registry)
     written = [export_profile(profile, fmt, config.out) for fmt in config.formats]
     return profile, written
 

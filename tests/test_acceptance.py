@@ -86,7 +86,7 @@ def test_criterion_3_fncs_closure(taxonomy, tmp_path):
             _, tax, corpus = load_synth_bundle(result)
             pseudo = ResolvedCorpus(items=corpus.items, publisher_ids=("__all__",) * len(corpus))
             baselines = compute_baselines(pseudo, tax)
-            for (pid, scope), row in compute_all_rows(pseudo, tax, baselines).items():
+            for (pid, scope), row in compute_all_rows(baselines).items():
                 if scope.kind != "discipline":
                     continue
                 if row.cit:
@@ -112,7 +112,7 @@ def test_criterion_4_differential_oracle(taxonomy, tmp_path):
             assert result.item_count <= 2000
             _, tax, corpus = load_synth_bundle(result)
             baselines = compute_baselines(corpus, tax)
-            for (pid, scope), row in compute_all_rows(corpus, tax, baselines).items():
+            for (pid, scope), row in compute_all_rows(baselines).items():
                 pbk, pch, cit, fncs, ai, ed = oracle_indicators(pid, scope, corpus, tax)
                 assert (row.pbk, row.pch, row.cit) == (pbk, pch, cit), (seed, pid, scope)
                 assert abs(row.fncs - fncs) <= 1e-12, (seed, pid, scope)
@@ -149,7 +149,6 @@ def test_criterion_5_humanities_ordering_fixture(registry, taxonomy):
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
         table = ranking_table(
             Scope("field", "Humanities & Arts"),
-            corpus,
             registry,
             taxonomy,
             baselines,
@@ -228,7 +227,7 @@ def test_criterion_8_scaling_and_ai_closure(taxonomy, tmp_path):
             tmp_path / "base",
         )
         _, tax, corpus = load_synth_bundle(result)
-        rows = compute_all_rows(corpus, tax, compute_baselines(corpus, tax))
+        rows = compute_all_rows(compute_baselines(corpus, tax))
 
         scaled_records = []
         for line in result.corpus_path.read_text(encoding="utf-8").splitlines():
@@ -248,9 +247,7 @@ def test_criterion_8_scaling_and_ai_closure(taxonomy, tmp_path):
             item_count=result.item_count,
         )
         _, _, scaled_corpus = load_synth_bundle(scaled_result)
-        scaled_rows = compute_all_rows(
-            scaled_corpus, tax, compute_baselines(scaled_corpus, tax)
-        )
+        scaled_rows = compute_all_rows(compute_baselines(scaled_corpus, tax))
         assert set(scaled_rows) == set(rows)
         for key, row in rows.items():
             srow = scaled_rows[key]
@@ -276,7 +273,7 @@ def test_criterion_8_scaling_and_ai_closure(taxonomy, tmp_path):
                 tmp_path / f"ai{seed}",
             )
             _, tax, corpus = load_synth_bundle(result)
-            rows = compute_all_rows(corpus, tax, compute_baselines(corpus, tax))
+            rows = compute_all_rows(compute_baselines(corpus, tax))
             ledger = result.ledger
             for pid in sorted(ledger.all_publishers):
                 own_books = sum(

@@ -356,6 +356,23 @@ class TestFilter:
         kept = filter_corpus(records, registry)
         assert [i.item_id for i in kept] == ["d"]
 
+    def test_excluded_publishers_given_by_registry_id(self, registry):
+        records, _ = ingest_corpus(
+            jsonl(
+                [
+                    record("a", publisher="Springer-Verlag"),
+                    record("b", publisher="Routledge"),
+                    record("c", publisher="CRC Press"),
+                    record("d", publisher="AK Peters"),
+                ]
+            )
+        )
+        kept = filter_corpus(records, registry, excluded_publishers=("springer", "no-such-house"))
+        assert [i.item_id for i in kept] == ["b", "c", "d"]
+        # "ak-peters" is an id and no name form; it excludes its terminal owner
+        kept = filter_corpus(records, registry, excluded_publishers=("ak-peters",))
+        assert [i.item_id for i in kept] == ["a", "b"]
+
     def test_window_boundaries(self, registry):
         records, _ = ingest_corpus(
             jsonl([record(str(y), year=y) for y in (2008, 2009, 2013, 2014)])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pubrank.errors import ConfigError, FingerprintMismatchError, UnknownPublisherError
+from pubrank.errors import ConfigError, UnknownPublisherError
 from pubrank.indicators import Scope, compute_all_rows
 from pubrank.ranking import ThresholdPolicy, build_all_rankings, build_profile, check_eligibility
 from pubrank.registry import load_registry_dir
@@ -76,12 +76,12 @@ class TestTableMembership:
             + chapters("CRC Press", 49)
         )
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, DEFAULT)
+        table = ranking_table(HIST, registry, taxonomy, baselines, DEFAULT)
         assert table.publisher_ids() == ("springer", "routledge")
 
     def test_no_eligible_publishers_is_an_empty_table(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts(books("Springer", 2), registry, taxonomy)
-        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, DEFAULT)
+        table = ranking_table(HIST, registry, taxonomy, baselines, DEFAULT)
         assert table.entries == ()
         assert table.scope == HIST
 
@@ -89,37 +89,31 @@ class TestTableMembership:
         corpus, baselines = pipeline_artifacts(
             books("Springer", 5, citations=2), registry, taxonomy
         )
-        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, DEFAULT)
-        rows = compute_all_rows(corpus, taxonomy, baselines)
+        table = ranking_table(HIST, registry, taxonomy, baselines, DEFAULT)
+        rows = compute_all_rows(baselines)
         assert len(table.entries) == 1
         assert table.entries[0].row == rows[("springer", HIST)]
 
     def test_type_filter_keeps_only_matching_publishers(self, registry, taxonomy):
         records = books("Cambridge University Press", 3) + books("Springer", 2)
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-        both = ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
+        both = ranking_table(HIST, registry, taxonomy, baselines, OPEN)
         assert both.publisher_ids() == ("cambridge-university-press", "springer")
         commercial = ranking_table(
-            HIST, corpus, registry, taxonomy, baselines, OPEN, type_filter="commercial"
+            HIST, registry, taxonomy, baselines, OPEN, type_filter="commercial"
         )
         assert commercial.publisher_ids() == ("springer",)
         university = ranking_table(
-            HIST, corpus, registry, taxonomy, baselines, OPEN, type_filter="university_press"
+            HIST, registry, taxonomy, baselines, OPEN, type_filter="university_press"
         )
         assert university.publisher_ids() == ("cambridge-university-press",)
-
-    def test_fingerprint_mismatch_is_fatal(self, registry, taxonomy):
-        corpus, _ = pipeline_artifacts(books("Springer", 1), registry, taxonomy)
-        _, other = pipeline_artifacts(books("Springer", 2), registry, taxonomy)
-        with pytest.raises(FingerprintMismatchError):
-            build_all_rankings(corpus, registry, taxonomy, other, DEFAULT)
 
 
 class TestOrdering:
     def test_pbk_descending(self, registry, taxonomy):
         records = books("Springer", 1) + books("Routledge", 3) + books("Elsevier", 2)
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
+        table = ranking_table(HIST, registry, taxonomy, baselines, OPEN)
         assert table.publisher_ids() == ("routledge", "elsevier", "springer")
         assert [e.row.pbk for e in table.entries] == [3, 2, 1]
 
@@ -134,7 +128,7 @@ class TestOrdering:
         registry = load_registry_dir(registry_dir)
         records = books("alpha press", 2) + books("Beta Press", 2)
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
+        table = ranking_table(HIST, registry, taxonomy, baselines, OPEN)
         # Raw byte order would put "Beta Press" before "alpha press".
         assert table.publisher_ids() == ("alpha-press", "beta-press")
 
@@ -143,7 +137,7 @@ class TestOrdering:
         corpus, baselines = pipeline_artifacts(
             random_records(rng, taxonomy, 120), registry, taxonomy
         )
-        for table in build_all_rankings(corpus, registry, taxonomy, baselines, OPEN):
+        for table in build_all_rankings(registry, taxonomy, baselines, OPEN):
             resorted = sorted(
                 table.entries,
                 key=lambda e: (-e.row.pbk, e.publisher.name.casefold(), e.publisher.name),
@@ -155,8 +149,8 @@ class TestOrdering:
         corpus, baselines = pipeline_artifacts(
             random_records(rng, taxonomy, 90), registry, taxonomy
         )
-        first = build_all_rankings(corpus, registry, taxonomy, baselines, DEFAULT)
-        second = build_all_rankings(corpus, registry, taxonomy, baselines, DEFAULT)
+        first = build_all_rankings(registry, taxonomy, baselines, DEFAULT)
+        second = build_all_rankings(registry, taxonomy, baselines, DEFAULT)
         assert first == second
 
 
@@ -169,7 +163,7 @@ class TestAllRankings:
         )
         taxonomy = load_taxonomy(path)
         corpus, baselines = pipeline_artifacts(books("Springer", 5), registry, taxonomy)
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines, DEFAULT)
+        tables = build_all_rankings(registry, taxonomy, baselines, DEFAULT)
         assert [(t.scope.kind, t.scope.name) for t in tables] == [
             ("field", "Humanities & Arts"),
             ("discipline", "History"),
@@ -177,7 +171,7 @@ class TestAllRankings:
 
     def test_sample_taxonomy_yields_42_tables_in_taxonomy_order(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts(books("Springer", 5), registry, taxonomy)
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines, DEFAULT)
+        tables = build_all_rankings(registry, taxonomy, baselines, DEFAULT)
         assert len(tables) == 42
         expected = [("field", f) for f in taxonomy.fields] + [
             ("discipline", d) for d in taxonomy.disciplines
@@ -190,7 +184,7 @@ class TestAllRankings:
             random_records(rng, taxonomy, 200), registry, taxonomy
         )
         policy = ThresholdPolicy(min_books=8, min_chapters=6)
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines, policy)
+        tables = build_all_rankings(registry, taxonomy, baselines, policy)
         for table in tables:
             expected = set()
             for pid in registry.publishers:
@@ -205,7 +199,7 @@ class TestAllRankings:
             random_records(rng, taxonomy, 150), registry, taxonomy
         )
         seen = set()
-        for table in build_all_rankings(corpus, registry, taxonomy, baselines, OPEN):
+        for table in build_all_rankings(registry, taxonomy, baselines, OPEN):
             seen.update(table.publisher_ids())
         assert seen
         assert seen <= set(registry.publishers)
@@ -217,13 +211,13 @@ class TestAllRankings:
         policy = ThresholdPolicy(min_books=4, min_chapters=8)
         before = {
             (t.scope.kind, t.scope.name): set(t.publisher_ids())
-            for t in build_all_rankings(corpus, registry, taxonomy, baselines, policy)
+            for t in build_all_rankings(registry, taxonomy, baselines, policy)
         }
         grown = base + books("Springer", 1, start=9000)
         corpus2, baselines2 = pipeline_artifacts(grown, registry, taxonomy)
         after = {
             (t.scope.kind, t.scope.name): set(t.publisher_ids())
-            for t in build_all_rankings(corpus2, registry, taxonomy, baselines2, policy)
+            for t in build_all_rankings(registry, taxonomy, baselines2, policy)
         }
         for key, members in before.items():
             assert members <= after[key]
@@ -238,7 +232,7 @@ class TestThresholdBasis:
     def test_scope_basis_counts_inside_each_table(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts(self.records(), registry, taxonomy)
         law = ranking_table(
-            Scope("discipline", "Law"), corpus, registry, taxonomy, baselines, DEFAULT
+            Scope("discipline", "Law"), registry, taxonomy, baselines, DEFAULT
         )
         assert law.publisher_ids() == ()
 
@@ -246,12 +240,12 @@ class TestThresholdBasis:
         corpus, baselines = pipeline_artifacts(self.records(), registry, taxonomy)
         policy = ThresholdPolicy(basis="global")
         law = ranking_table(
-            Scope("discipline", "Law"), corpus, registry, taxonomy, baselines, policy
+            Scope("discipline", "Law"), registry, taxonomy, baselines, policy
         )
         assert law.publisher_ids() == ("springer",)
         # The row still reports the scoped counts, not the global ones.
         assert law.entries[0].row.pbk == 1
-        hist = ranking_table(HIST, corpus, registry, taxonomy, baselines, policy)
+        hist = ranking_table(HIST, registry, taxonomy, baselines, policy)
         assert hist.publisher_ids() == ("springer",)
 
 
@@ -261,7 +255,7 @@ class TestProfile:
             "Springer", 1, start=100, categories=["Law"]
         )
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines, OPEN)
+        tables = build_all_rankings(registry, taxonomy, baselines, OPEN)
         profile = build_profile("springer", tables, registry)
         assert profile.publisher.name == "Springer"
         assert [(r.scope.kind, r.scope.name, r.pbk) for r in profile.rows] == [
@@ -270,25 +264,23 @@ class TestProfile:
             ("discipline", "Law", 1),
             ("field", "Social Sciences", 1),
         ]
-        assert profile.meta is not None
-        assert profile.meta.corpus_fingerprint == corpus.fingerprint
 
     def test_variants_come_from_the_registry(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts(books("Elsevier", 1), registry, taxonomy)
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines, OPEN)
+        tables = build_all_rankings(registry, taxonomy, baselines, OPEN)
         profile = build_profile("elsevier", tables, registry)
         assert len(profile.variants) == 15
         assert all(v.canonical == "elsevier" for v in profile.variants)
 
     def test_unranked_publisher_has_no_rows(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts(books("Springer", 5), registry, taxonomy)
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines, DEFAULT)
+        tables = build_all_rankings(registry, taxonomy, baselines, DEFAULT)
         profile = build_profile("routledge", tables, registry)
         assert profile.rows == ()
         assert profile.publisher.publisher_id == "routledge"
 
     def test_unknown_publisher_is_fatal(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts(books("Springer", 1), registry, taxonomy)
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines, OPEN)
+        tables = build_all_rankings(registry, taxonomy, baselines, OPEN)
         with pytest.raises(UnknownPublisherError):
             build_profile("penguin", tables, registry)

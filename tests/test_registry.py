@@ -53,6 +53,11 @@ class TestSampleRegistry:
         assert registry.resolve("AK Peters") == "crc-press"
         assert registry.terminal["ak-peters"] == "crc-press"
 
+    def test_registry_id_resolves_before_name_forms(self, registry):
+        # neither id is the folded form of any name
+        assert registry.resolve("ak-peters") == "crc-press"
+        assert registry.resolve("cambridge-university-press") == "cambridge-university-press"
+
     def test_canonical_name_of_terminal_publisher_is_identity(self, registry):
         assert registry.resolve("Springer") == "springer"
         assert registry.terminal["springer"] == "springer"

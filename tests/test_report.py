@@ -54,7 +54,7 @@ def history_table(registry, taxonomy):
         registry,
         taxonomy,
     )
-    return ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
+    return ranking_table(HIST, registry, taxonomy, baselines, OPEN)
 
 
 class TestSlugs:
@@ -93,7 +93,7 @@ class TestCsvExport:
     def test_empty_table_is_header_only(self, registry, taxonomy, tmp_path):
         corpus, baselines = pipeline_artifacts([record("b1")], registry, taxonomy)
         table = ranking_table(
-            Scope("discipline", "Law"), corpus, registry, taxonomy, baselines, OPEN
+            Scope("discipline", "Law"), registry, taxonomy, baselines, OPEN
         )
         path = export_ranking(table, "csv", tmp_path)
         assert path.read_text(encoding="utf-8") == CSV_HEADER + "\n"
@@ -108,7 +108,7 @@ class TestCsvExport:
         corpus, baselines = pipeline_artifacts(
             [record("b1", publisher="Smith, Jones & Co")], registry, taxonomy
         )
-        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
+        table = ranking_table(HIST, registry, taxonomy, baselines, OPEN)
         text = export_ranking(table, "csv", tmp_path).read_text(encoding="utf-8")
         assert '1,"Smith, Jones & Co",commercial' in text
         parsed = list(csv.reader(io.StringIO(text)))
@@ -131,7 +131,7 @@ class TestCsvExport:
             record(f"b{i}", publisher=" ".join(name.split())) for i, name in enumerate(names)
         ]
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
+        table = ranking_table(HIST, registry, taxonomy, baselines, OPEN)
         with export_ranking(table, "csv", tmp_path).open(newline="", encoding="utf-8") as fh:
             parsed = list(csv.reader(fh))
         assert len(parsed) == 1 + len(names)
@@ -226,7 +226,7 @@ class TestHtmlExport:
         corpus, baselines = pipeline_artifacts(
             [record("b1", publisher="Angle <Bracket> & Sons")], registry, taxonomy
         )
-        table = ranking_table(HIST, corpus, registry, taxonomy, baselines, OPEN)
+        table = ranking_table(HIST, registry, taxonomy, baselines, OPEN)
         text = export_ranking(table, "html", tmp_path).read_text(encoding="utf-8")
         assert "<td>Angle &lt;Bracket&gt; &amp; Sons</td>" in text
         assert "<td>Angle <Bracket>" not in text
@@ -237,7 +237,7 @@ class TestExportAll:
         corpus, baselines = pipeline_artifacts(
             [record("b1"), record("b2", categories=["Law"])], registry, taxonomy
         )
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines, OPEN)
+        tables = build_all_rankings(registry, taxonomy, baselines, OPEN)
         written = export_all_rankings(tables, ("csv", "json", "html"), tmp_path)
         assert len(written) == 42 * 3
         assert len(set(written)) == len(written)
@@ -252,7 +252,7 @@ class TestExportAll:
         corpus, baselines = pipeline_artifacts(
             [record("b1"), record("b2", categories=["Law"])], registry, taxonomy
         )
-        tables = build_all_rankings(corpus, registry, taxonomy, baselines, OPEN)
+        tables = build_all_rankings(registry, taxonomy, baselines, OPEN)
         formatted = []
         monkeypatch.setattr("pubrank.report._indicator_cells",
                             lambda row, *args: formatted.append(row) or _indicator_cells(row, *args))

@@ -109,7 +109,7 @@ class TestLedgerAgainstEngine:
         result = generate_corpus(SynthParams(seed=seed, **SMALL), taxonomy, tmp_path)
         _, tax, corpus = load_bundle(result)
         baselines = compute_baselines(corpus, tax)
-        rows = compute_all_rows(corpus, tax, baselines)
+        rows = compute_all_rows(baselines)
         assert {(pid, s.kind, s.name) for pid, s in rows} == set(result.ledger.scopes)
         for (pid, scope), row in rows.items():
             truth = result.ledger.scope_truth(pid, scope)
@@ -207,7 +207,7 @@ class TestOracle:
         result = generate_corpus(params, taxonomy, tmp_path)
         _, tax, corpus = load_bundle(result)
         baselines = compute_baselines(corpus, tax)
-        rows = compute_all_rows(corpus, tax, baselines)
+        rows = compute_all_rows(baselines)
         assert rows
         for (pid, scope), row in rows.items():
             assert oracle_indicators(pid, scope, corpus, tax) == (
