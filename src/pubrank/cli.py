@@ -119,26 +119,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = run_validate(_config_from(args))
-    print(f"registry: {report.publishers} publishers, {report.variants} variants, "
-          f"{report.acquisitions} acquisitions")
-    print(f"taxonomy: {report.fields} fields, {report.disciplines} disciplines")
-    print(f"corpus: {report.ingested} records ingested, {report.filtered} in scope, "
-          f"{report.resolved} resolved")
-    for diag in report.diagnostics:
-        print(f"  line {diag.line}: {diag.reason} [{diag.severity}]")
-    for folded in sorted(report.unresolved):
-        print(f"  unresolved publisher: {folded!r}")
-    for category in report.unknown_categories:
-        print(f"  unknown category: {category!r}")
+    lines = [
+        f"registry: {report.publishers} publishers, {report.variants} variants, "
+        f"{report.acquisitions} acquisitions",
+        f"taxonomy: {report.fields} fields, {report.disciplines} disciplines",
+        f"corpus: {report.ingested} records ingested, {report.filtered} in scope, "
+        f"{report.resolved} resolved",
+    ]
+    lines += [f"  line {diag.line}: {diag.reason} [{diag.severity}]" for diag in report.diagnostics]
+    lines += [f"  unresolved publisher: {folded!r}" for folded in sorted(report.unresolved)]
+    lines += [f"  unknown category: {category!r}" for category in report.unknown_categories]
     if report.orphan_chapters:
-        print(f"  {report.orphan_chapters} chapters reference books outside the corpus")
+        lines.append(f"  {report.orphan_chapters} chapters reference books outside the corpus")
     errors = sum(1 for d in report.diagnostics if d.severity == "error")
     if errors or report.unresolved:
-        print(f"validation found problems: {errors} malformed lines, "
-              f"{len(report.unresolved)} unresolved publishers")
-        return EXIT_DIRTY
-    print("validation ok")
-    return EXIT_OK
+        lines.append(f"validation found problems: {errors} malformed lines, "
+                     f"{len(report.unresolved)} unresolved publishers")
+        code = EXIT_DIRTY
+    else:
+        lines.append("validation ok")
+        code = EXIT_OK
+    # one write, not a print call per line: a dirty corpus has tens of
+    # thousands of diagnostics
+    sys.stdout.write("\n".join(lines) + "\n")
+    return code
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:

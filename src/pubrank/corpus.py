@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
+import marshal
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count, islice, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -95,7 +100,7 @@ def _normalise_categories(raw: list) -> tuple[str, ...]:
 
 
 def _parse_line(
-    obj: dict, categories_memo: dict, publishers: dict
+    obj: dict, categories_memo: dict, shared: dict
 ) -> tuple[ItemRecord, list[str]]:
     """Build an ItemRecord from one parsed JSON object.
 
@@ -103,11 +108,12 @@ def _parse_line(
     the rejection reason for malformed objects. `categories_memo` maps a
     raw category list, as a tuple, to its normalised tuple; it only ever
     holds lists that passed the check, so records with the same list share
-    one tuple. `publishers` maps each publisher string to its first copy,
-    which every record with that publisher text then holds. Values come
-    from `json.loads`, so exact-type checks (bool is an int subclass and
-    must not pass as one) and identity on the two bools are the same tests
-    as isinstance.
+    one tuple. `shared` maps each publisher string, year and normalised
+    category tuple to its first copy, which every record with that value
+    then holds (a str, an int and a tuple are never equal, so one table
+    serves all three). Values come from `json.loads`, so exact-type checks
+    (bool is an int subclass and must not pass as one) and identity on the
+    two bools are the same tests as isinstance.
     """
     warnings = []
     if not obj.keys() <= _KNOWN_KEYS:
@@ -141,7 +147,8 @@ def _parse_line(
     try:
         categories = categories_memo[key]
     except KeyError:
-        categories = categories_memo[key] = _normalise_categories(raw_categories)
+        categories = _normalise_categories(raw_categories)
+        categories = categories_memo[key] = shared.setdefault(categories, categories)
     except TypeError:  # an unhashable element, which the full check rejects
         categories = _normalise_categories(raw_categories)
     serial = get("serial", False)
@@ -166,8 +173,8 @@ def _parse_line(
     record = ItemRecord(
         item_id,
         sys.intern(doc_type),
-        publishers.setdefault(raw_publisher, raw_publisher),
-        year,
+        shared.setdefault(raw_publisher, raw_publisher),
+        shared.setdefault(year, year),
         categories,
         citations,
         serial,
@@ -216,30 +223,35 @@ def _open_lines(source) -> Iterator[str]:
             raise CorpusError(f"corpus {path} is not UTF-8: {exc}") from exc
 
 
-def ingest_corpus(
-    source, window: tuple[int, int] = DEFAULT_WINDOW
-) -> tuple[list[ItemRecord], list[Diagnostic]]:
-    """Parse a line-delimited corpus into item records plus diagnostics.
+class _Ingest:
+    """The state of one ingest_corpus call's line loop: records and
+    diagnostics so far, the ids seen, the blank lines, and the tables that
+    share category tuples, publisher strings and years between records.
+    The tables are its own, not sys.intern's, so that they go with the
+    call: a long-tail corpus has 17k distinct publisher strings."""
 
-    Every well-formed line yields exactly one record, in input order.
-    Malformed lines become error diagnostics; blank lines are skipped.
-    Duplicate item ids are fatal and report both line numbers.
-    """
-    _check_window(window)
-    records: list[ItemRecord] = []
-    diagnostics: list[Diagnostic] = []
-    seen: dict[str, int] = {}
-    categories_memo: dict[tuple, tuple[str, ...]] = {}
-    # a table of its own, not sys.intern's, so that it goes with the call:
-    # it has an entry per distinct publisher string, 17k on a long-tail corpus
-    publishers: dict[str, str] = {}
-    loads = json.loads
-    scan_once = _scan_once
-    digits_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(_INT_MAX_DIGITS)
-    try:
-        for line_no, line in enumerate(_open_lines(source), start=1):
+    def __init__(self) -> None:
+        self.records: list[ItemRecord] = []
+        self.diagnostics: list[Diagnostic] = []
+        self.seen: set[str] = set()
+        self.blank: list[int] = []
+        self.categories_memo: dict[tuple, tuple[str, ...]] = {}
+        self.shared: dict = {}
+        self.lines = 0  # lines scanned so far
+
+    def scan(self, lines: Iterable[str]) -> None:
+        """Run the line loop over `lines`, which follow the lines scanned so far."""
+        records = self.records
+        diagnostics = self.diagnostics
+        seen = self.seen
+        categories_memo = self.categories_memo
+        shared = self.shared
+        loads = json.loads
+        scan_once = _scan_once
+        line_no = self.lines
+        for line_no, line in enumerate(lines, start=line_no + 1):
             if not line or line.isspace():
+                self.blank.append(line_no)
                 continue
             if len(line) > _MAX_DEPTH and _too_deep(line):
                 diagnostics.append(Diagnostic(line_no, _TOO_DEEP))
@@ -269,20 +281,279 @@ def ingest_corpus(
                 diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
                 continue
             try:
-                record, warnings = _parse_line(obj, categories_memo, publishers)
+                record, warnings = _parse_line(obj, categories_memo, shared)
             except ValueError as exc:
                 diagnostics.append(Diagnostic(line_no, str(exc)))
                 continue
             item_id = record.item_id
             if item_id in seen:
-                raise DuplicateItemError(item_id, seen[item_id], line_no)
-            seen[item_id] = line_no
+                raise DuplicateItemError(item_id, self._first_line(item_id), line_no)
+            seen.add(item_id)
             records.append(record)
             for message in warnings:
                 diagnostics.append(Diagnostic(line_no, message, severity="warning"))
+        self.lines = line_no
+
+    def _first_line(self, item_id: str) -> int:
+        """The line of the first record with this id, for a scan that began
+        at line 1: the records fill, in order, the lines that are neither
+        blank nor rejected."""
+        index = next(i for i, r in enumerate(self.records) if r.item_id == item_id)
+        skipped = set(self.blank)
+        skipped.update(d.line for d in self.diagnostics if d.severity == "error")
+        record_lines = (n for n in count(1) if n not in skipped)
+        return next(islice(record_lines, index, None))
+
+
+# Ingest on two cores. A regular corpus file of at least _SPLIT_MIN_BYTES,
+# on Linux with more than one CPU allowed, is split at the first "\n" after
+# its byte midpoint: a forked worker scans the second range while this
+# process scans the first. Each _CHUNK_LINES lines, the worker writes that
+# chunk's records, as marshalled columns, and diagnostics as one
+# length-prefixed frame to a pipe, and this process drains the pipe.
+#
+# Measured (2 vCPU, CPython 3.11.7; ingest_corpus alone, one fresh process
+# per run, medians of 12 alternating serial/split pairs) on prefixes of the
+# seed-1 benchmark corpus of 4,000 publishers: 10.7 -> 20.3 ms at 0.25 MiB
+# (split faster in 1 of 12), 24.2 -> 32.6 ms at 0.5 MiB (3 of 12), 51.5 ->
+# 41.2 ms at 1 MiB (8 of 12), 107 -> 73 ms at 2 MiB (11 of 12) and 274 ->
+# 175 ms at its full 5.5 MiB (11 of 12); on the 17 MiB corpus of 250
+# publishers, 0.78 -> 0.47 s (10 of 10). The fixed cost (fork, copy-on-write
+# faults, the worker's exit) is about 10 ms: files under 1 MiB stay serial.
+_SPLIT_MIN_BYTES = 1 << 20
+_CHUNK_LINES = 1024
+_FRAME_HEADER = 8  # bytes of the little-endian payload length
+# A 1 MiB pipe (the default limit for unprivileged processes) holds about
+# 17 chunks, so the worker, which does not decode, seldom waits for this
+# process to drain it.
+_PIPE_BYTES = 1 << 20
+
+
+class _ByteRange(io.RawIOBase):
+    """A file's bytes from `start` up to `end`, for a text reader."""
+
+    def __init__(self, path, start: int, end: int) -> None:
+        super().__init__()
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view:
+            read = self._file.readinto(view[: self._left])
+        self._left -= read
+        return read
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _range_lines(path, start: int, end: int) -> io.TextIOWrapper:
+    """The lines of bytes start..end of a file, read as `_open_lines` reads
+    a whole file (UTF-8, universal newlines)."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, end)), encoding="utf-8")
+
+
+def _split_at(source) -> tuple[int, int] | None:
+    """(offset just past the first "\\n" after the midpoint, file size) for a
+    corpus file that ingest splits, else None."""
+    if not isinstance(source, (str, Path)) or not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        info = os.stat(source)
+        if (len(os.sched_getaffinity(0)) < 2 or not stat.S_ISREG(info.st_mode)
+                or info.st_size < _SPLIT_MIN_BYTES):
+            return None
+        with open(source, "rb") as fh:
+            fh.seek(info.st_size // 2)
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                newline = block.find(b"\n")
+                if newline >= 0:
+                    split = fh.tell() - len(block) + newline + 1
+                    return (split, info.st_size) if split < info.st_size else None
+    except OSError:  # the serial path reports it
+        return None
+    return None
+
+
+def _chunks(state: _Ingest, lines: Iterator[str]) -> Iterator[None]:
+    """Scan `lines` into `state` _CHUNK_LINES at a time, yielding after each
+    chunk."""
+    while True:
+        scanned = state.lines
+        state.scan(islice(lines, _CHUNK_LINES))
+        if state.lines == scanned:
+            return
+        yield
+
+
+def _send_chunks(path, start: int, end: int, out_fd: int) -> None:
+    """The worker's side: scan bytes start..end and write one frame per
+    chunk, (record columns, diagnostics as plain tuples), with line numbers
+    counted from the range's first line. Any error, a duplicate id among
+    them, ends the worker with status 1."""
+    state = _Ingest()
+    with open(out_fd, "wb") as out, _range_lines(path, start, end) as lines:
+        for _ in _chunks(state, lines):
+            payload = marshal.dumps((
+                tuple(zip(*state.records)),
+                [(d.line, d.reason, d.severity) for d in state.diagnostics],
+            ))
+            out.write(len(payload).to_bytes(_FRAME_HEADER, "little"))
+            out.write(payload)
+            state.records.clear()
+            state.diagnostics.clear()
+
+
+class _Frames:
+    """This process's side of the worker's pipe: the records of the frames
+    read so far, shared through this call's tables, and their diagnostics."""
+
+    def __init__(self, fd: int, shared: dict) -> None:
+        self.fd = fd
+        self.shared = shared
+        self.buffer = bytearray()
+        self.records: list[ItemRecord] = []
+        self.diagnostics: list[tuple[int, str, str]] = []
+        self.ended = False
+
+    def drain(self, block: bool) -> None:
+        """Decode what the pipe holds, or, if `block`, all up to its end."""
+        os.set_blocking(self.fd, block)
+        while not self.ended:
+            try:
+                data = os.read(self.fd, _PIPE_BYTES)
+            except BlockingIOError:
+                return
+            self.ended = not data
+            self.buffer += data
+            self._decode()
+
+    def _decode(self) -> None:
+        buffer = self.buffer
+        share = self.shared.setdefault
+        start = 0
+        while len(buffer) - start >= _FRAME_HEADER:
+            size = int.from_bytes(buffer[start : start + _FRAME_HEADER], "little")
+            end = start + _FRAME_HEADER + size
+            if len(buffer) < end:
+                break
+            columns, diagnostics = marshal.loads(buffer[end - size : end])
+            start = end
+            self.diagnostics += diagnostics
+            if not columns:
+                continue
+            ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns
+            # tuple.__new__ builds each record in C; ItemRecord(...) would
+            # run the NamedTuple's Python __new__
+            self.records += map(tuple.__new__, repeat(ItemRecord), zip(
+                ids,
+                doc_types,  # interned by the worker, so marshal interns them here
+                map(share, publishers, publishers),
+                map(share, years, years),
+                map(share, categories, categories),
+                citations,
+                serial,
+                parents,
+                edited,
+            ))
+        del buffer[:start]
+
+
+def _ingest_split(path, split: int, size: int) -> tuple[list[ItemRecord], list[Diagnostic]] | None:
+    """Ingest bytes 0..split here and split..size in a forked worker.
+
+    None when the worker fails or an id is in both ranges; an error in this
+    process's range is raised. Either way the caller runs the serial loop,
+    which gives the serial result or error. The two processes are pinned
+    to different CPUs until the worker ends: left to itself, the scheduler
+    was seen to keep both on one CPU for the whole of a 0.3 s ingest.
+    """
+    import fcntl  # POSIX only, as is the split
+    import signal
+
+    cpus = sorted(os.sched_getaffinity(0))
+    read_fd, write_fd = os.pipe()
+    try:
+        with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux's
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the worker leaves only through os._exit
+        status = 1
+        try:
+            os.close(read_fd)
+            os.sched_setaffinity(0, cpus[:-1])
+            _send_chunks(path, split, size, write_fd)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    state = _Ingest()
+    frames = _Frames(read_fd, state.shared)
+    reaped = False
+    try:
+        os.sched_setaffinity(0, cpus[-1:])
+        with _range_lines(path, 0, split) as lines:
+            for _ in _chunks(state, lines):
+                frames.drain(block=False)
+        frames.drain(block=True)
+        _, wait_status = os.waitpid(pid, 0)
+        reaped = True
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.sched_setaffinity(0, cpus)
+    if wait_status != 0 or frames.buffer:
+        return None
+    if not state.seen.isdisjoint(map(attrgetter("item_id"), frames.records)):
+        return None
+    offset = state.lines
+    state.records += frames.records
+    state.diagnostics += [
+        Diagnostic(line + offset, reason, severity) for line, reason, severity in frames.diagnostics
+    ]
+    return state.records, state.diagnostics
+
+
+def ingest_corpus(
+    source, window: tuple[int, int] = DEFAULT_WINDOW
+) -> tuple[list[ItemRecord], list[Diagnostic]]:
+    """Parse a line-delimited corpus into item records plus diagnostics.
+
+    Every well-formed line yields exactly one record, in input order.
+    Malformed lines become error diagnostics; blank lines are skipped.
+    Duplicate item ids are fatal and report both line numbers. A large
+    corpus file is scanned in two ranges at once (see _SPLIT_MIN_BYTES);
+    if that fails in any way, the serial loop runs, so the result or the
+    error is always the serial one.
+    """
+    _check_window(window)
+    digits_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_INT_MAX_DIGITS)
+    try:
+        split = _split_at(source)
+        if split is not None:
+            # whatever goes wrong, the serial loop below gives the serial
+            # result or raises the serial error
+            with contextlib.suppress(Exception):
+                result = _ingest_split(source, *split)
+                if result is not None:
+                    return result
+        state = _Ingest()
+        state.scan(_open_lines(source))
+        return state.records, state.diagnostics
     finally:
         sys.set_int_max_str_digits(digits_limit)
-    return records, diagnostics
 
 
 def filter_corpus(
@@ -337,9 +608,15 @@ class ResolvedCorpus:
         return corpus_fingerprint(self.items, self.publisher_ids)
 
 
-def _record_key(item: ItemRecord, publisher_id: str) -> str:
-    return "\x1f".join(
-        (
+_DIGEST_BATCH = 4096  # key lines hashed per update
+
+
+def corpus_fingerprint(items: Iterable[ItemRecord], publisher_ids: Iterable[str]) -> str:
+    """SHA-256 of the sorted record keys, each followed by "\\n". A key is
+    the id, doc type, publisher id, year, categories (joined by ","),
+    citations, parent book id and edited flag, joined by "\\x1f"."""
+    keys = sorted(
+        "\x1f".join((
             item.item_id,
             item.doc_type,
             publisher_id,
@@ -348,15 +625,12 @@ def _record_key(item: ItemRecord, publisher_id: str) -> str:
             str(item.citations),
             item.parent_book_id or "",
             "" if item.book_is_edited is None else str(item.book_is_edited),
-        )
+        ))
+        for item, publisher_id in zip(items, publisher_ids)
     )
-
-
-def corpus_fingerprint(items: Iterable[ItemRecord], publisher_ids: Iterable[str]) -> str:
     digest = hashlib.sha256()
-    for key in sorted(_record_key(i, p) for i, p in zip(items, publisher_ids)):
-        digest.update(key.encode("utf-8"))
-        digest.update(b"\n")
+    for start in range(0, len(keys), _DIGEST_BATCH):
+        digest.update(("\n".join(keys[start : start + _DIGEST_BATCH]) + "\n").encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -1,11 +1,14 @@
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from pubrank import corpus
 from pubrank.corpus import (
     Diagnostic,
     _parse_line,
@@ -99,6 +102,17 @@ class TestIngest:
             ingest_corpus(lines)
         assert err.value.item_id == "dup"
         assert (err.value.first_line, err.value.second_line) == (1, 3)
+
+    def test_duplicate_first_line_counts_blank_and_rejected_lines(self):
+        lines = ["", "{broken", json.dumps(record("dup")), "  ", json.dumps(record("other")),
+                 '"not an object"', json.dumps(record("dup"))]
+        with pytest.raises(DuplicateItemError) as err:
+            ingest_corpus(lines)
+        assert (err.value.first_line, err.value.second_line) == (3, 7)
+
+    def test_records_share_years(self):
+        (first, second), _ = ingest_corpus(jsonl([record("a", year=2011), record("b", year=2011)]))
+        assert first.pub_year == 2011 and first.pub_year is second.pub_year
 
     @pytest.mark.parametrize(
         "mutation,fragment",
@@ -278,6 +292,21 @@ class TestIngestFuzz:
             assert ingest_outcome(path) == reference_ingest(file_lines)
 
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_split_scan_equals_json_loads_reference(self, data):
+        """The same property for a file whose ingest is split in two ranges,
+        whatever the size: the halves' records and diagnostics, joined,
+        are the serial ones, message for message."""
+        lines = [data.draw(jsonl_text_line(i)) for i in range(data.draw(st.integers(0, 8)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text("".join(lines), encoding="utf-8", newline="")
+            with path.open(encoding="utf-8") as fh:
+                file_lines = list(fh)
+            with mock.patch.object(corpus, "_SPLIT_MIN_BYTES", 0):
+                assert ingest_outcome(path) == reference_ingest(file_lines)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_arbitrary_bytes_return_or_raise_pubrank_error(self, data):
@@ -334,6 +363,98 @@ class TestIngestFuzz:
             categories = by_id[f"r{i}"].categories
             assert categories == tuple(sorted({c.strip() for c in raw}))
             assert shared.setdefault(tuple(raw), categories) is categories
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Split every corpus file, whatever its size, and record what each
+    split returned (None when it fell back to the serial loop)."""
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("ingest splits only on Linux with two CPUs allowed")
+    monkeypatch.setattr(corpus, "_SPLIT_MIN_BYTES", 0)
+    calls = []
+    split = corpus._ingest_split
+
+    def recorded(*args):
+        calls.append(split(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(corpus, "_ingest_split", recorded)
+    return calls
+
+
+def serial_ingest(path):
+    with mock.patch.object(corpus, "_SPLIT_MIN_BYTES", 1 << 62):
+        return ingest_corpus(path)
+
+
+def write_lines(path: Path, lines) -> Path:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+class TestSplitIngest:
+    """Ingest of a file in two ranges, the second in a forked worker."""
+
+    def test_halves_join_to_the_serial_result(self, tmp_path, split_calls):
+        lines = []
+        for i in range(40):
+            rec = record(f"r{i:02d}", year=2009 + i % 5, citations=i, isbn="x" if i % 7 == 0 else None)
+            lines.append("" if i % 9 == 0 else "{broken" if i % 11 == 0 else json.dumps(rec))
+        path = write_lines(tmp_path / "corpus.jsonl", lines)
+        records, diagnostics = ingest_corpus(path)
+        assert split_calls and split_calls[0] is not None
+        assert (records, diagnostics) == serial_ingest(path) == ingest_corpus(lines)
+        assert max(d.line for d in diagnostics) > 20  # the worker's lines, shifted
+
+    def test_duplicate_across_the_split_reports_serial_lines(self, tmp_path, split_calls):
+        lines = [json.dumps(record(f"r{i:02d}")) for i in range(20)]
+        lines[15] = json.dumps(record("r01"))
+        path = write_lines(tmp_path / "corpus.jsonl", lines)
+        with pytest.raises(DuplicateItemError) as err:
+            ingest_corpus(path)
+        assert split_calls == [None]
+        assert (err.value.item_id, err.value.first_line, err.value.second_line) == ("r01", 2, 16)
+
+    def test_invalid_utf8_in_the_second_half_raises_the_serial_error(self, tmp_path, split_calls):
+        lines = [json.dumps(record(f"r{i:02d}")).encode("utf-8") for i in range(20)]
+        lines[16] = lines[16].replace(b"Springer", b"Spr\xffnger")
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        with pytest.raises(CorpusError) as serial:
+            serial_ingest(path)
+        with pytest.raises(CorpusError) as split:
+            ingest_corpus(path)
+        assert split_calls == [None]
+        assert "not UTF-8" in str(split.value) and str(split.value) == str(serial.value)
+
+    def test_failed_worker_gives_the_serial_result(self, tmp_path, split_calls, monkeypatch):
+        monkeypatch.setattr(corpus, "_send_chunks", lambda *args: os._exit(1))
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
+        result = ingest_corpus(path)
+        assert split_calls == [None]
+        assert result == serial_ingest(path)
+        assert len(result[0]) == 20
+
+    def test_values_are_shared_across_the_halves(self, tmp_path, split_calls):
+        recs = [record(f"r{i:02d}", publisher="Oxford University Press", year=2011,
+                       categories=["Law", "History"]) for i in range(20)]
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl(recs))
+        records, _ = ingest_corpus(path)
+        assert split_calls[0] is not None
+        first, last = records[0], records[-1]
+        assert first.raw_publisher is last.raw_publisher
+        assert first.categories == ("History", "Law") and first.categories is last.categories
+        assert first.pub_year is last.pub_year
+        assert first.doc_type is last.doc_type
+
+    def test_list_source_never_forks(self, split_calls, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        records, _ = ingest_corpus(jsonl([record(f"r{i}") for i in range(20)]))
+        assert len(records) == 20 and split_calls == []
 
 
 class TestFilter:
