@@ -21,12 +21,15 @@ EXIT_DIRTY = 1  # validate found problems in otherwise loadable inputs
 EXIT_FATAL = 2
 
 
-def _parse_window(text: str) -> tuple[int, int]:
-    try:
-        start, _, end = text.partition(":")
-        return int(start), int(end)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"window must be YYYY:YYYY, got {text!r}")
+def _int_pair(form: str):
+    """An argparse type for "int:int" values that names `form` in its error."""
+    def parse(text: str) -> tuple[int, int]:
+        try:
+            start, _, end = text.partition(":")
+            return int(start), int(end)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{form}, got {text!r}")
+    return parse
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
@@ -51,7 +54,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser, need_out: bool) -> None
         "--taxonomy", type=Path, default=None,
         help="category,discipline,field CSV (default: bundled sample)",
     )
-    parser.add_argument("--window", type=_parse_window, default=(2009, 2013), metavar="YYYY:YYYY")
+    parser.add_argument("--window", type=_int_pair("window must be YYYY:YYYY"), default=(2009, 2013),
+                        metavar="YYYY:YYYY")
     parser.add_argument("--min-books", type=int, default=5)
     parser.add_argument("--min-chapters", type=int, default=50)
     parser.add_argument("--threshold-basis", choices=("scope", "global"), default="scope")
@@ -108,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", type=Path, required=True, help="output directory")
     p_synth.add_argument("--seed", type=int, default=1)
     p_synth.add_argument("--publishers", type=int, default=10)
-    p_synth.add_argument("--items", type=_parse_window, default=(30, 70), metavar="LO:HI",
+    p_synth.add_argument("--items", type=_int_pair("items must be LO:HI"), default=(30, 70), metavar="LO:HI",
                          help="items per publisher, inclusive range")
     p_synth.add_argument("--chapter-fraction", type=float, default=0.5)
     p_synth.add_argument("--edited-fraction", type=float, default=0.5)
@@ -213,8 +217,10 @@ _COMMANDS = {
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
     # A command keeps one record per input line alive to its end and leaves
     # under two thousand objects in reference cycles, so cyclic collection
     # would only walk the live records again and again.

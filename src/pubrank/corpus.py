@@ -15,6 +15,7 @@ import json
 import marshal
 import os
 import re
+import select
 import stat
 import sys
 from dataclasses import dataclass
@@ -77,9 +78,6 @@ class Diagnostic:
     line: int
     reason: str
     severity: str = "error"  # "error" rejects the line, "warning" keeps it
-
-    def __str__(self) -> str:
-        return f"line {self.line}: {self.severity}: {self.reason}"
 
 
 def _check_window(window: tuple[int, int]) -> tuple[int, int]:
@@ -310,7 +308,9 @@ class _Ingest:
 # its byte midpoint: a forked worker scans the second range while this
 # process scans the first. Each _CHUNK_LINES lines, the worker writes that
 # chunk's records, as marshalled columns, and diagnostics as one
-# length-prefixed frame to a pipe, and this process drains the pipe.
+# length-prefixed frame to a pipe. After each chunk of its own, this process
+# reads the worker's whole frames for as long as the pipe has data, and at
+# the end it reads them up to the pipe's end.
 #
 # Measured (2 vCPU, CPython 3.11.7; ingest_corpus alone, one fresh process
 # per run, medians of 12 alternating serial/split pairs) on prefixes of the
@@ -325,7 +325,7 @@ _CHUNK_LINES = 1024
 _FRAME_HEADER = 8  # bytes of the little-endian payload length
 # A 1 MiB pipe (the default limit for unprivileged processes) holds about
 # 17 chunks, so the worker, which does not decode, seldom waits for this
-# process to drain it.
+# process to read them.
 _PIPE_BYTES = 1 << 20
 
 
@@ -391,13 +391,13 @@ def _chunks(state: _Ingest, lines: Iterator[str]) -> Iterator[None]:
         yield
 
 
-def _send_chunks(path, start: int, end: int, out_fd: int) -> None:
+def _send_chunks(path, start: int, end: int, out) -> None:
     """The worker's side: scan bytes start..end and write one frame per
     chunk, (record columns, diagnostics as plain tuples), with line numbers
-    counted from the range's first line. Any error, a duplicate id among
-    them, ends the worker with status 1."""
+    counted from the range's first line, to the file object `out`. Any
+    error, a duplicate id among them, ends the worker with status 1."""
     state = _Ingest()
-    with open(out_fd, "wb") as out, _range_lines(path, start, end) as lines:
+    with _range_lines(path, start, end) as lines:
         for _ in _chunks(state, lines):
             payload = marshal.dumps((
                 tuple(zip(*state.records)),
@@ -409,66 +409,48 @@ def _send_chunks(path, start: int, end: int, out_fd: int) -> None:
             state.diagnostics.clear()
 
 
-class _Frames:
-    """This process's side of the worker's pipe: the records of the frames
-    read so far, shared through this call's tables, and their diagnostics."""
-
-    def __init__(self, fd: int, shared: dict) -> None:
-        self.fd = fd
-        self.shared = shared
-        self.buffer = bytearray()
-        self.records: list[ItemRecord] = []
-        self.diagnostics: list[tuple[int, str, str]] = []
-        self.ended = False
-
-    def drain(self, block: bool) -> None:
-        """Decode what the pipe holds, or, if `block`, all up to its end."""
-        os.set_blocking(self.fd, block)
-        while not self.ended:
-            try:
-                data = os.read(self.fd, _PIPE_BYTES)
-            except BlockingIOError:
-                return
-            self.ended = not data
-            self.buffer += data
-            self._decode()
-
-    def _decode(self) -> None:
-        buffer = self.buffer
-        share = self.shared.setdefault
-        start = 0
-        while len(buffer) - start >= _FRAME_HEADER:
-            size = int.from_bytes(buffer[start : start + _FRAME_HEADER], "little")
-            end = start + _FRAME_HEADER + size
-            if len(buffer) < end:
-                break
-            columns, diagnostics = marshal.loads(buffer[end - size : end])
-            start = end
-            self.diagnostics += diagnostics
-            if not columns:
-                continue
-            ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns
-            # tuple.__new__ builds each record in C; ItemRecord(...) would
-            # run the NamedTuple's Python __new__
-            self.records += map(tuple.__new__, repeat(ItemRecord), zip(
-                ids,
-                doc_types,  # interned by the worker, so marshal interns them here
-                map(share, publishers, publishers),
-                map(share, years, years),
-                map(share, categories, categories),
-                citations,
-                serial,
-                parents,
-                edited,
-            ))
-        del buffer[:start]
+def _read_frames(
+    frames: io.BufferedReader, shared: dict, records: list, diagnostics: list, to_end: bool
+) -> None:
+    """Read the worker's whole frames from the pipe into `records`, whose
+    values go through the `shared` table, and `diagnostics`: for as long as
+    the pipe has data or, if `to_end`, up to its end. A frame that has
+    begun is read to its end, as the worker is writing it. A short header
+    or payload raises EOFError."""
+    share = shared.setdefault
+    while to_end or select.select((frames,), (), (), 0)[0]:
+        header = frames.read(_FRAME_HEADER)
+        if not header:
+            return
+        size = int.from_bytes(header, "little")
+        payload = frames.read(size)
+        if len(header) < _FRAME_HEADER or len(payload) < size:
+            raise EOFError("truncated frame from the ingest worker")
+        columns, frame_diagnostics = marshal.loads(payload)
+        diagnostics += frame_diagnostics
+        if not columns:
+            continue
+        ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns
+        # tuple.__new__ builds each record in C; ItemRecord(...) would
+        # run the NamedTuple's Python __new__
+        records += map(tuple.__new__, repeat(ItemRecord), zip(
+            ids,
+            doc_types,  # interned by the worker, so marshal interns them here
+            map(share, publishers, publishers),
+            map(share, years, years),
+            map(share, categories, categories),
+            citations,
+            serial,
+            parents,
+            edited,
+        ))
 
 
-def _ingest_split(path, split: int, size: int) -> tuple[list[ItemRecord], list[Diagnostic]] | None:
+def _ingest_split(path, split: int, size: int) -> tuple[list[ItemRecord], list[Diagnostic]]:
     """Ingest bytes 0..split here and split..size in a forked worker.
 
-    None when the worker fails or an id is in both ranges; an error in this
-    process's range is raised. Either way the caller runs the serial loop,
+    Raises when either range fails, when the worker's status is not 0 and
+    when an id is in both ranges; the caller then runs the serial loop,
     which gives the serial result or error. The two processes are pinned
     to different CPUs until the worker ends: left to itself, the scheduler
     was seen to keep both on one CPU for the whole of a 0.3 s ingest.
@@ -478,49 +460,44 @@ def _ingest_split(path, split: int, size: int) -> tuple[list[ItemRecord], list[D
 
     cpus = sorted(os.sched_getaffinity(0))
     read_fd, write_fd = os.pipe()
-    try:
+    with open(read_fd, "rb") as frames, open(write_fd, "wb") as out:
         with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux's
             fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the worker leaves only through os._exit
-        status = 1
+        if pid == 0:  # the worker leaves only through os._exit
+            status = 1
+            try:
+                frames.close()
+                os.sched_setaffinity(0, cpus[:-1])
+                _send_chunks(path, split, size, out)
+                out.close()  # flushes what os._exit would drop
+                status = 0
+            finally:
+                os._exit(status)
+        state = _Ingest()
+        records: list[ItemRecord] = []
+        diagnostics: list[tuple[int, str, str]] = []
         try:
-            os.close(read_fd)
-            os.sched_setaffinity(0, cpus[:-1])
-            _send_chunks(path, split, size, write_fd)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    state = _Ingest()
-    frames = _Frames(read_fd, state.shared)
-    reaped = False
-    try:
-        os.sched_setaffinity(0, cpus[-1:])
-        with _range_lines(path, 0, split) as lines:
-            for _ in _chunks(state, lines):
-                frames.drain(block=False)
-        frames.drain(block=True)
-        _, wait_status = os.waitpid(pid, 0)
-        reaped = True
-    finally:
-        os.close(read_fd)
-        if not reaped:
+            out.close()
+            os.sched_setaffinity(0, cpus[-1:])
+            with _range_lines(path, 0, split) as lines:
+                for _ in _chunks(state, lines):
+                    _read_frames(frames, state.shared, records, diagnostics, to_end=False)
+            _read_frames(frames, state.shared, records, diagnostics, to_end=True)
+        except BaseException:
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.sched_setaffinity(0, cpus)
-    if wait_status != 0 or frames.buffer:
-        return None
-    if not state.seen.isdisjoint(map(attrgetter("item_id"), frames.records)):
-        return None
+            raise
+        finally:
+            os.sched_setaffinity(0, cpus)
+            _, wait_status = os.waitpid(pid, 0)
+    if wait_status != 0:
+        raise RuntimeError(f"ingest worker ended with wait status {wait_status}")
+    if not state.seen.isdisjoint(map(attrgetter("item_id"), records)):
+        raise ValueError("an item id is in both ranges")
     offset = state.lines
-    state.records += frames.records
+    state.records += records
     state.diagnostics += [
-        Diagnostic(line + offset, reason, severity) for line, reason, severity in frames.diagnostics
+        Diagnostic(line + offset, reason, severity) for line, reason, severity in diagnostics
     ]
     return state.records, state.diagnostics
 
@@ -535,7 +512,8 @@ def ingest_corpus(
     Duplicate item ids are fatal and report both line numbers. A large
     corpus file is scanned in two ranges at once (see _SPLIT_MIN_BYTES);
     if that fails in any way, the serial loop runs, so the result or the
-    error is always the serial one.
+    error is always the serial one. `window` is only checked, as the
+    benchmark's output checks still pass it; filter_corpus applies it.
     """
     _check_window(window)
     digits_limit = sys.get_int_max_str_digits()
@@ -546,9 +524,7 @@ def ingest_corpus(
             # whatever goes wrong, the serial loop below gives the serial
             # result or raises the serial error
             with contextlib.suppress(Exception):
-                result = _ingest_split(source, *split)
-                if result is not None:
-                    return result
+                return _ingest_split(source, *split)
         state = _Ingest()
         state.scan(_open_lines(source))
         return state.records, state.diagnostics

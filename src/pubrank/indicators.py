@@ -36,9 +36,6 @@ class Scope:
     kind: str  # "field" | "discipline"
     name: str
 
-    def __str__(self) -> str:
-        return f"{self.kind}:{self.name}"
-
 
 @dataclass(frozen=True)
 class BaselineCell:

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import (
-    DEFAULT_EXCLUDED_PUBLISHERS,
     DEFAULT_WINDOW,
     CorpusStats,
     Diagnostic,
@@ -56,7 +55,6 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv",)
     strict: bool = False
     type_filter: str | None = None
-    excluded_publishers: tuple[str, ...] = DEFAULT_EXCLUDED_PUBLISHERS
 
     def __post_init__(self):
         if self.window[0] > self.window[1]:
@@ -352,8 +350,8 @@ def _prepare_inputs(config: RunConfig) -> PreparedInputs:
     corpus. Raises PubrankError subclasses on fatal problems."""
     registry = load_registry_dir(config.registry_dir)
     taxonomy = load_taxonomy(config.taxonomy)
-    records, diagnostics = ingest_corpus(config.corpus, config.window)
-    filtered = filter_corpus(records, registry, config.window, config.excluded_publishers)
+    records, diagnostics = ingest_corpus(config.corpus)
+    filtered = filter_corpus(records, registry, config.window)
     corpus, unresolved = resolve_corpus(filtered, registry, strict=config.strict)
     return PreparedInputs(
         registry, taxonomy, corpus, diagnostics, unresolved, len(records), len(filtered)

@@ -68,28 +68,34 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_unknown_flag(self, clean_corpus):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["validate", "--corpus", str(clean_corpus), "--frobnicate"])
-        assert exc.value.code == 2
+        assert run_cli(["validate", "--corpus", str(clean_corpus), "--frobnicate"]) == EXIT_FATAL
 
     def test_corpus_flag_is_required(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["validate"])
-        assert exc.value.code == 2
+        assert run_cli(["validate"]) == EXIT_FATAL
 
     @pytest.mark.parametrize("window", ["2009", "abc:def", "2009-2013"])
-    def test_malformed_window(self, clean_corpus, window):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["validate", "--corpus", str(clean_corpus), "--window", window])
-        assert exc.value.code == 2
+    def test_malformed_window(self, clean_corpus, window, capsys):
+        assert run_cli(["validate", "--corpus", str(clean_corpus), "--window", window]) == EXIT_FATAL
+        assert f"argument --window: window must be YYYY:YYYY, got {window!r}" in capsys.readouterr().err
 
     def test_malformed_format(self, clean_corpus, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(
-                ["rank", "--corpus", str(clean_corpus), "--out", str(tmp_path / "o"),
-                 "--format", "xlsx"]
-            )
-        assert exc.value.code == 2
+        code = run_cli(
+            ["rank", "--corpus", str(clean_corpus), "--out", str(tmp_path / "o"), "--format", "xlsx"]
+        )
+        assert code == EXIT_FATAL
+
+    def test_malformed_items_names_its_own_form(self, tmp_path, capsys):
+        assert run_cli(["synth", "--out", str(tmp_path / "o"), "--items", "abc"]) == EXIT_FATAL
+        assert "argument --items: items must be LO:HI, got 'abc'" in capsys.readouterr().err
+
+    def test_option_like_profile_name_is_a_usage_error(self, clean_corpus, tmp_path, capsys):
+        code = run_cli(["profile", "-x", "--corpus", str(clean_corpus), "--out", str(tmp_path / "o")])
+        assert code == EXIT_FATAL
+        assert "usage: pubrank profile" in capsys.readouterr().err
+
+    def test_help_returns_zero(self, capsys):
+        assert run_cli(["validate", "--help"]) == EXIT_OK
+        assert "usage: pubrank validate" in capsys.readouterr().out
 
 
 class TestValidate:

@@ -368,7 +368,7 @@ class TestIngestFuzz:
 @pytest.fixture
 def split_calls(monkeypatch):
     """Split every corpus file, whatever its size, and record what each
-    split returned (None when it fell back to the serial loop)."""
+    split returned (None when it raised and the serial loop ran)."""
     if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("ingest splits only on Linux with two CPUs allowed")
     monkeypatch.setattr(corpus, "_SPLIT_MIN_BYTES", 0)
@@ -376,7 +376,8 @@ def split_calls(monkeypatch):
     split = corpus._ingest_split
 
     def recorded(*args):
-        calls.append(split(*args))
+        calls.append(None)
+        calls[-1] = split(*args)
         return calls[-1]
 
     monkeypatch.setattr(corpus, "_ingest_split", recorded)
@@ -436,6 +437,29 @@ class TestSplitIngest:
         assert result == serial_ingest(path)
         assert len(result[0]) == 20
 
+    @pytest.mark.parametrize("frame", [b"\x05\x00\x00", (100).to_bytes(8, "little") + b"abc"],
+                             ids=["short header", "short payload"])
+    def test_truncated_frame_gives_the_serial_result(self, tmp_path, split_calls, monkeypatch, frame):
+        monkeypatch.setattr(corpus, "_send_chunks", lambda path, start, end, out: out.write(frame))
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
+        result = ingest_corpus(path)
+        assert split_calls == [None]
+        assert result == serial_ingest(path)
+        assert len(result[0]) == 20
+
+    def test_error_in_this_half_reaps_the_worker_and_restores_affinity(self, tmp_path, split_calls):
+        lines = [json.dumps(record(f"r{i:02d}")) for i in range(20)]
+        lines[3] = json.dumps(record("r01"))
+        path = write_lines(tmp_path / "corpus.jsonl", lines)
+        cpus = os.sched_getaffinity(0)
+        with pytest.raises(DuplicateItemError) as err:
+            ingest_corpus(path)
+        assert split_calls == [None]
+        assert (err.value.item_id, err.value.first_line, err.value.second_line) == ("r01", 2, 4)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == cpus
+
     def test_values_are_shared_across_the_halves(self, tmp_path, split_calls):
         recs = [record(f"r{i:02d}", publisher="Oxford University Press", year=2011,
                        categories=["Law", "History"]) for i in range(20)]
@@ -458,6 +482,10 @@ class TestSplitIngest:
 
 
 class TestFilter:
+    def test_empty_window_fatal(self, registry):
+        with pytest.raises(CorpusError):
+            filter_corpus([], registry, window=(2013, 2009))
+
     def test_serial_flag_removed(self, registry):
         records, _ = ingest_corpus(jsonl([record("a", serial=True), record("b")]))
         kept = filter_corpus(records, registry)

@@ -61,7 +61,7 @@ def write_jsonl(path: Path, records) -> Path:
 def ingest_and_resolve(records, registry, window=(2009, 2013), strict=True):
     """dict records -> (ResolvedCorpus, diagnostics). Fails the test on
     unexpected diagnostics unless the caller inspects them."""
-    items, diagnostics = ingest_corpus(jsonl(records), window)
+    items, diagnostics = ingest_corpus(jsonl(records))
     filtered = filter_corpus(items, registry, window)
     corpus, unresolved = resolve_corpus(filtered, registry, strict=strict)
     return corpus, diagnostics, unresolved
@@ -87,7 +87,7 @@ def load_synth_bundle(result):
     """
     registry = load_registry_dir(result.registry_dir)
     taxonomy = load_taxonomy(result.taxonomy_path)
-    records, diagnostics = ingest_corpus(result.corpus_path, DEFAULT_WINDOW)
+    records, diagnostics = ingest_corpus(result.corpus_path)
     assert [d for d in diagnostics if d.severity == "error"] == []
     filtered = filter_corpus(records, registry, DEFAULT_WINDOW, DEFAULT_EXCLUDED_PUBLISHERS)
     corpus, unresolved = resolve_corpus(filtered, registry, strict=True)
