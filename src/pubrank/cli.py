@@ -151,7 +151,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     result, written = run_rank(_config_from(args))
-    print(f"{result.filtered} items in window, {len(result.corpus)} resolved, "
+    print(f"{result.filtered} items in window, {result.resolved} resolved, "
           f"{len(result.tables)} tables, {len(written)} files -> {args.out}")
     return EXIT_OK
 

@@ -21,9 +21,9 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count, islice, repeat
-from operator import attrgetter
+from operator import attrgetter, lt
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusError, DuplicateItemError, UnresolvedPublisherError
 from .registry import PublisherRegistry
@@ -73,6 +73,9 @@ class ItemRecord(NamedTuple):
         return self.doc_type == DOC_CHAPTER
 
 
+_item_id = attrgetter("item_id")
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     line: int
@@ -109,7 +112,9 @@ def _parse_line(
     one tuple. `shared` maps each publisher string, year and normalised
     category tuple to its first copy, which every record with that value
     then holds (a str, an int and a tuple are never equal, so one table
-    serves all three). Values come from `json.loads`, so exact-type checks
+    serves all three). The line loop adds each book's id to it, so a
+    chapter after its book holds the book's id string as its parent id.
+    Values come from `json.loads`, so exact-type checks
     (bool is an int subclass and must not pass as one) and identity on the
     two bools are the same tests as isinstance.
     """
@@ -176,7 +181,7 @@ def _parse_line(
         categories,
         citations,
         serial,
-        parent_book_id,
+        shared.get(parent_book_id, parent_book_id),
         edited,
     )
     return record, warnings
@@ -224,7 +229,8 @@ def _open_lines(source) -> Iterator[str]:
 class _Ingest:
     """The state of one ingest_corpus call's line loop: records and
     diagnostics so far, the ids seen, the blank lines, and the tables that
-    share category tuples, publisher strings and years between records.
+    share category tuples, publisher strings, years and book ids between
+    records.
     The tables are its own, not sys.intern's, so that they go with the
     call: a long-tail corpus has 17k distinct publisher strings."""
 
@@ -287,6 +293,8 @@ class _Ingest:
             if item_id in seen:
                 raise DuplicateItemError(item_id, self._first_line(item_id), line_no)
             seen.add(item_id)
+            if record.doc_type == DOC_BOOK:
+                shared[item_id] = item_id
             records.append(record)
             for message in warnings:
                 diagnostics.append(Diagnostic(line_no, message, severity="warning"))
@@ -492,7 +500,7 @@ def _ingest_split(path, split: int, size: int) -> tuple[list[ItemRecord], list[D
             _, wait_status = os.waitpid(pid, 0)
     if wait_status != 0:
         raise RuntimeError(f"ingest worker ended with wait status {wait_status}")
-    if not state.seen.isdisjoint(map(attrgetter("item_id"), records)):
+    if not state.seen.isdisjoint(map(_item_id, records)):
         raise ValueError("an item id is in both ranges")
     offset = state.lines
     state.records += records
@@ -565,8 +573,10 @@ def filter_corpus(
 @dataclass(frozen=True)
 class ResolvedCorpus:
     """Filtered items with their terminal publisher ids and a content
-    fingerprint. The fingerprint is order-insensitive so record order
-    never leaks into downstream artifacts."""
+    fingerprint. `resolve_corpus` gives the items in item-id order, so
+    record order never leaks into downstream artifacts and the fingerprint
+    is hashed as its keys are built; it is order-insensitive whatever the
+    order of the items."""
 
     items: tuple[ItemRecord, ...]
     publisher_ids: tuple[str, ...]
@@ -584,14 +594,27 @@ class ResolvedCorpus:
         return corpus_fingerprint(self.items, self.publisher_ids)
 
 
-_DIGEST_BATCH = 4096  # key lines hashed per update
+_DIGEST_BATCH = 1024  # key lines hashed per update
+_KEY_CONTROL = re.compile(r"[\x00-\x1f]").search
 
 
-def corpus_fingerprint(items: Iterable[ItemRecord], publisher_ids: Iterable[str]) -> str:
+def _keys_in_order(items: Sequence[ItemRecord]) -> bool:
+    """Whether the items' fingerprint keys come out sorted: the ids rise
+    strictly and none holds a character at or below "\\x1f". A key is its
+    id followed by "\\x1f", so two such keys compare as their ids do, even
+    when one id is a prefix of the other."""
+    return all(map(lt, map(_item_id, items), map(_item_id, islice(items, 1, None)))) and not any(
+        map(_KEY_CONTROL, map(_item_id, items))
+    )
+
+
+def corpus_fingerprint(items: Sequence[ItemRecord], publisher_ids: Iterable[str]) -> str:
     """SHA-256 of the sorted record keys, each followed by "\\n". A key is
     the id, doc type, publisher id, year, categories (joined by ","),
-    citations, parent book id and edited flag, joined by "\\x1f"."""
-    keys = sorted(
+    citations, parent book id and edited flag, joined by "\\x1f". Keys
+    that come out sorted (see _keys_in_order) are hashed a batch at a time
+    as they are built; any others are built into one list and sorted."""
+    keys: Iterator[str] = (
         "\x1f".join((
             item.item_id,
             item.doc_type,
@@ -604,25 +627,31 @@ def corpus_fingerprint(items: Iterable[ItemRecord], publisher_ids: Iterable[str]
         ))
         for item, publisher_id in zip(items, publisher_ids)
     )
+    if not _keys_in_order(items):
+        keys = iter(sorted(keys))
     digest = hashlib.sha256()
-    for start in range(0, len(keys), _DIGEST_BATCH):
-        digest.update(("\n".join(keys[start : start + _DIGEST_BATCH]) + "\n").encode("utf-8"))
+    while batch := "\n".join(islice(keys, _DIGEST_BATCH)):  # a key is never empty
+        digest.update(batch.encode("utf-8"))
+        digest.update(b"\n")
     return digest.hexdigest()
 
 
 def resolve_corpus(
     items: list[ItemRecord], registry: PublisherRegistry, strict: bool = True
 ) -> tuple[ResolvedCorpus, set[str]]:
-    """Attach terminal publisher ids to every item.
+    """Attach terminal publisher ids to every item, and put the items in
+    item-id order.
 
-    In strict mode an unresolved raw string is fatal. In lenient mode the
-    offending items are dropped and the exact set of unresolved folded
-    strings is returned alongside the corpus.
+    In strict mode an unresolved raw string is fatal, and the error names
+    the first one in input order. In lenient mode the offending items are
+    dropped and the exact set of unresolved folded strings is returned
+    alongside the corpus.
     """
     resolved, unresolved = _resolve_names(items, registry)
     if unresolved and strict:
         raise UnresolvedPublisherError(unresolved[0])
     kept_items = [item for item in items if item.raw_publisher in resolved]
+    kept_items.sort(key=_item_id)
     publisher_ids = tuple(resolved[item.raw_publisher] for item in kept_items)
     return ResolvedCorpus(items=tuple(kept_items), publisher_ids=publisher_ids), set(unresolved)
 

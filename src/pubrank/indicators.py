@@ -90,7 +90,7 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
     doc_type, year) triple, built from every item of every publisher;
     eligibility never trims baselines. An item in k disciplines contributes
     whole to all k cells."""
-    fingerprint = corpus.fingerprint  # first: its sorted keys go before the walk grows
+    fingerprint = corpus.fingerprint  # first: out of id order, its sorted keys go before the walk grows
     plans = taxonomy.plans
     # a chapter may come before its book
     edited = {i.item_id for i in corpus.items if i.book_is_edited and i.doc_type == DOC_BOOK}

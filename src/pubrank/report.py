@@ -326,16 +326,16 @@ def export_profile(profile: PublisherProfile, fmt: str, destination: str | Path)
 
 @dataclass
 class PreparedInputs:
-    """Loaded registry and taxonomy, and the corpus after ingest, filter
-    and resolution, with what each step reported."""
+    """Loaded registry and taxonomy, and what ingest, filter and resolution
+    reported; `_prepare_inputs` hands on the corpus beside it."""
 
     registry: PublisherRegistry
     taxonomy: TaxonomyMap
-    corpus: ResolvedCorpus
     diagnostics: list[Diagnostic]
     unresolved: set[str]
     ingested: int
     filtered: int
+    resolved: int
 
 
 @dataclass
@@ -345,7 +345,7 @@ class PipelineResult(PreparedInputs):
     tables: list[RankingTable]
 
 
-def _prepare_inputs(config: RunConfig) -> PreparedInputs:
+def _prepare_inputs(config: RunConfig) -> tuple[PreparedInputs, ResolvedCorpus]:
     """Load registry and taxonomy, then ingest, filter and resolve the
     corpus. Raises PubrankError subclasses on fatal problems."""
     registry = load_registry_dir(config.registry_dir)
@@ -353,18 +353,21 @@ def _prepare_inputs(config: RunConfig) -> PreparedInputs:
     records, diagnostics = ingest_corpus(config.corpus)
     filtered = filter_corpus(records, registry, config.window)
     corpus, unresolved = resolve_corpus(filtered, registry, strict=config.strict)
-    return PreparedInputs(
-        registry, taxonomy, corpus, diagnostics, unresolved, len(records), len(filtered)
+    inputs = PreparedInputs(
+        registry, taxonomy, diagnostics, unresolved, len(records), len(filtered), len(corpus)
     )
+    return inputs, corpus
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Prepare the inputs, compute baselines, and build all ranking tables."""
-    inputs = _prepare_inputs(config)
+    inputs, corpus = _prepare_inputs(config)
+    baselines = compute_baselines(corpus, inputs.taxonomy)
+    del corpus  # its last reference: the rows and tables reuse its memory
     tables = build_all_rankings(
         inputs.registry,
         inputs.taxonomy,
-        compute_baselines(inputs.corpus, inputs.taxonomy),
+        baselines,
         config.policy(),
         window=config.window,
         type_filter=config.type_filter,
@@ -394,8 +397,8 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
 
 
 def run_stats(config: RunConfig) -> CorpusStats:
-    inputs = _prepare_inputs(config)
-    return corpus_stats(inputs.corpus, inputs.registry, inputs.taxonomy)
+    inputs, corpus = _prepare_inputs(config)
+    return corpus_stats(corpus, inputs.registry, inputs.taxonomy)
 
 
 @dataclass
@@ -418,8 +421,8 @@ def run_validate(config: RunConfig) -> ValidationReport:
     """Load and cross-check every input, collecting per-line diagnostics
     and resolution gaps instead of failing on them (load errors and, in
     strict mode, unresolved publishers stay fatal)."""
-    inputs = _prepare_inputs(config)
-    registry, taxonomy, corpus = inputs.registry, inputs.taxonomy, inputs.corpus
+    inputs, corpus = _prepare_inputs(config)
+    registry, taxonomy = inputs.registry, inputs.taxonomy
     plans = taxonomy.plans
     unknown: set[str] = set()
     for item in corpus.items:
@@ -433,7 +436,7 @@ def run_validate(config: RunConfig) -> ValidationReport:
         ingested=inputs.ingested,
         diagnostics=inputs.diagnostics,
         filtered=inputs.filtered,
-        resolved=len(corpus),
+        resolved=inputs.resolved,
         unresolved=inputs.unresolved,
         unknown_categories=tuple(sorted(unknown)),
         orphan_chapters=len(unknown_parent_chapters(corpus.items)),

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pubrank import corpus
 from pubrank.corpus import (
     Diagnostic,
+    ItemRecord,
+    ResolvedCorpus,
     _parse_line,
     corpus_fingerprint,
     corpus_stats,
@@ -173,6 +177,18 @@ class TestIngest:
         assert twin == first and twin is not first
         assert hash(twin) == hash(first)
         assert first.raw_publisher is second.raw_publisher
+
+    def test_chapter_after_its_book_holds_the_book_id_string(self):
+        (book, chapter), _ = ingest_corpus(
+            jsonl([record("b1"), record("c1", doc_type="chapter", parent_book_id="b1")])
+        )
+        assert chapter.parent_book_id is book.item_id
+
+    def test_chapter_before_its_book_keeps_its_values(self):
+        lines = jsonl([record("c1", doc_type="chapter", parent_book_id="b1"), record("b1")])
+        (chapter, book), _ = ingest_corpus(lines)
+        assert chapter.parent_book_id == book.item_id == "b1"
+        assert (chapter, book) == tuple(reference_ingest(lines)[0])
 
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(CorpusError):
@@ -472,6 +488,16 @@ class TestSplitIngest:
         assert first.pub_year is last.pub_year
         assert first.doc_type is last.doc_type
 
+    def test_chapters_share_their_book_id_within_a_half(self, tmp_path, split_calls):
+        recs = [record(f"r{i:02d}") for i in range(20)]
+        for book, chapter in ((0, 3), (12, 17)):
+            recs[chapter] = record(f"r{chapter:02d}", doc_type="chapter", parent_book_id=f"r{book:02d}")
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl(recs))
+        records, _ = ingest_corpus(path)
+        assert split_calls[0] is not None
+        assert records[3].parent_book_id is records[0].item_id
+        assert records[17].parent_book_id is records[12].item_id  # the worker's half
+
     def test_list_source_never_forks(self, split_calls, monkeypatch):
         def no_fork():
             raise AssertionError("forked")
@@ -562,6 +588,23 @@ class TestResolve:
             resolve_corpus(records, registry, strict=True)
         assert err.value.folded == "mystery house"
 
+    def test_strict_names_the_first_unresolved_string_in_input_order(self, registry):
+        records, _ = ingest_corpus(
+            jsonl([record("z", publisher="Mystery House"), record("a", publisher="Other Press")])
+        )
+        with pytest.raises(UnresolvedPublisherError) as err:
+            resolve_corpus(records, registry, strict=True)
+        assert err.value.folded == "mystery house"
+
+    def test_items_come_in_id_order(self, registry):
+        records, _ = ingest_corpus(
+            jsonl([record("c", publisher="Pergamon"), record("a", publisher="Nowhere Books"),
+                   record("b", publisher="Willan Publ"), record("a2", publisher="AK Peters")])
+        )
+        corpus, _ = resolve_corpus(records, registry, strict=False)
+        assert [i.item_id for i in corpus.items] == ["a2", "b", "c"]
+        assert corpus.publisher_ids == ("crc-press", "taylor-francis", "elsevier")
+
     def test_lenient_reports_exact_folded_set(self, registry):
         records, _ = ingest_corpus(
             jsonl(
@@ -609,6 +652,96 @@ class TestResolve:
         records, _ = ingest_corpus(jsonl([record("r1"), record("r2")]))
         corpus, _ = resolve_corpus(records, registry)
         assert corpus.fingerprint == corpus_fingerprint(corpus.items, corpus.publisher_ids)
+
+
+_DIGEST_BATCH = 4096  # the reference's own batch, which does not change the digest
+
+
+def reference_fingerprint(items, publisher_ids) -> str:
+    """The fingerprint by its definition: every record key built into one
+    list, sorted and hashed."""
+    keys = sorted(
+        "\x1f".join((
+            item.item_id,
+            item.doc_type,
+            publisher_id,
+            str(item.pub_year),
+            ",".join(item.categories),
+            str(item.citations),
+            item.parent_book_id or "",
+            "" if item.book_is_edited is None else str(item.book_is_edited),
+        ))
+        for item, publisher_id in zip(items, publisher_ids)
+    )
+    digest = hashlib.sha256()
+    for start in range(0, len(keys), _DIGEST_BATCH):
+        digest.update(("\n".join(keys[start : start + _DIGEST_BATCH]) + "\n").encode("utf-8"))
+    return digest.hexdigest()
+
+
+def fingerprint_item(item_id, edited=None, parent=None, citations=0):
+    doc_type = "book" if parent is None else "chapter"
+    return ItemRecord(item_id, doc_type, "Springer", 2010, ("History", "Law"), citations,
+                      parent_book_id=parent, book_is_edited=edited)
+
+
+def fingerprints(items):
+    pids = tuple(f"p{i % 3}" for i in range(len(items)))
+    return corpus_fingerprint(items, pids), reference_fingerprint(items, pids)
+
+
+class TestFingerprint:
+    """The streamed fingerprint against the sorted-key reference."""
+
+    @pytest.mark.parametrize("ids", [
+        ["a", "a\x1f", "a\x1fb", "b"],  # in order, with the key separator
+        ["a", "a\x01b"],  # a prefix, then the prefix and a control character
+        ["\x01", "a", "a\x01", "b\n"],
+        ["", "a"],
+        ["a", "b", "b"],  # equal ids sort by the rest of the key
+    ])
+    def test_control_characters_and_prefixes(self, ids):
+        items = tuple(fingerprint_item(i, edited=n % 2 == 0, citations=n) for n, i in enumerate(ids))
+        new, reference = fingerprints(items)
+        assert new == reference
+
+    def test_items_out_of_id_order(self):
+        items = tuple(fingerprint_item(f"i{n:03d}", citations=n) for n in range(50))[::-1]
+        corpus = ResolvedCorpus(items, tuple(f"p{n % 3}" for n in range(50)))
+        assert corpus.fingerprint == reference_fingerprint(corpus.items, corpus.publisher_ids)
+        assert corpus.fingerprint == ResolvedCorpus(items[::-1], corpus.publisher_ids[::-1]).fingerprint
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(st.text(st.sampled_from("ab\x00\x01\x1f\x20,\n\u00e9\U0001f600"), max_size=4),
+                     max_size=12),
+        order=st.sampled_from(["sorted", "as drawn"]),
+    )
+    def test_equals_the_reference_on_any_ids(self, ids, order):
+        if order == "sorted":
+            ids = sorted(set(ids))
+        items = tuple(
+            fingerprint_item(i, parent=None if n % 3 else "a", edited=(None, True, False)[n % 3],
+                             citations=n)
+            for n, i in enumerate(ids)
+        )
+        new, reference = fingerprints(items)
+        assert new == reference
+
+    def test_streams_without_a_key_list(self):
+        items = tuple(
+            fingerprint_item(f"itm-{n:06d}", edited=n % 2 == 1, citations=n % 7) for n in range(20_000)
+        )
+        peaks = []
+        for fingerprint in (corpus_fingerprint, reference_fingerprint):
+            tracemalloc.start()
+            try:
+                fingerprint(items, ("publisher",) * len(items))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        streamed, sorted_keys = peaks
+        assert streamed < sorted_keys / 3, peaks
 
 
 def test_orphan_chapters(registry):

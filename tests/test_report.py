@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import io
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pubrank import corpus as corpus_module
+from pubrank import corpus as corpus_module, report as report_module
 from pubrank.errors import ConfigError, ExportError, UnresolvedPublisherError
-from pubrank.indicators import IndicatorRow, Scope
+from pubrank.indicators import IndicatorRow, Scope, compute_baselines
 from pubrank.ranking import (
     RankingEntry,
     RankingTable,
@@ -347,13 +348,28 @@ class TestRunPipeline:
         result = run_pipeline(run_inputs)
         assert result.ingested == 5
         assert result.filtered == 4  # Annual Reviews dropped
-        assert len(result.corpus) == 4
+        assert result.resolved == 4
         assert result.diagnostics == []
         assert result.unresolved == set()
         assert len(result.tables) == 42
         assert {"springer", "elsevier"} <= {
             pid for t in result.tables for pid in t.publisher_ids()
         }
+
+    def test_corpus_is_released_before_the_tables(self, run_inputs, monkeypatch):
+        corpora = []
+
+        def baselines(corpus, taxonomy):
+            corpora.append(weakref.ref(corpus))
+            return compute_baselines(corpus, taxonomy)
+
+        def rankings(*args, **kwargs):
+            assert corpora[0]() is None
+            return build_all_rankings(*args, **kwargs)
+
+        monkeypatch.setattr(report_module, "compute_baselines", baselines)
+        monkeypatch.setattr(report_module, "build_all_rankings", rankings)
+        assert len(run_pipeline(run_inputs).tables) == 42
 
     def test_rank_requires_out(self, run_inputs):
         config = RunConfig(
