@@ -41,12 +41,11 @@ if str(ROOT / "src") not in sys.path:
 
 from pubrank import (  # noqa: E402
     RunConfig,
-    SynthParams,
-    generate_corpus,
     run_pipeline,
     sample_taxonomy_path,
 )
 from pubrank.taxonomy import load_taxonomy  # noqa: E402
+from pubrank.testkit import SynthParams, generate_corpus  # noqa: E402
 
 ITEMS_PER_PUBLISHER = 400
 

@@ -20,12 +20,11 @@ if str(ROOT / "src") not in sys.path:
 from pubrank import (  # noqa: E402
     RunConfig,
     Scope,
-    SynthParams,
-    generate_corpus,
     run_rank,
     sample_taxonomy_path,
 )
 from pubrank.taxonomy import load_taxonomy  # noqa: E402
+from pubrank.testkit import SynthParams, generate_corpus  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -62,7 +62,7 @@ class PublisherRegistry:
     variants: dict[str, str]  # folded raw -> publisher_id
     variant_rows: tuple[NameVariant, ...]
     acquisitions: tuple[AcquisitionEvent, ...]
-    terminal: dict[str, str] = field(default_factory=dict)  # publisher_id -> terminal owner
+    terminal: dict[str, str]  # publisher_id -> terminal owner
     # what lookup found, per raw string, so each distinct raw string is
     # folded and matched once for the life of the registry: the terminal
     # id of a matched string, the folded form of an unmatched one
@@ -126,9 +126,7 @@ def load_registry(
     """
     publishers: dict[str, CanonicalPublisher] = {}
     for row in read_csv(publishers_source, ["id", "name", "type", "website"], RegistryError):
-        pid = row["id"].strip()
-        name = row["name"].strip()
-        ptype = row["type"].strip()
+        pid, name, ptype, website = map(str.strip, row)
         if not pid:
             raise RegistryError("publisher row with empty id")
         if pid in publishers:
@@ -139,8 +137,7 @@ def load_registry(
             raise RegistryError(
                 f"publisher {pid!r} has unknown type {ptype!r}, expected one of {PUBLISHER_TYPES}"
             )
-        website = row["website"].strip() or None
-        publishers[pid] = CanonicalPublisher(pid, name, ptype, website)
+        publishers[pid] = CanonicalPublisher(pid, name, ptype, website or None)
     if not publishers:
         raise RegistryError("registry has no publishers")
 
@@ -155,10 +152,10 @@ def load_registry(
         variants[folded] = pub.publisher_id
 
     variant_rows: list[NameVariant] = []
+    folded_rows: list[str] = []
     variant_header = ["raw", "canonical_id", "city", "address"]
     for row in read_csv(variants_source, variant_header, RegistryError):
-        raw = row["raw"].strip()
-        canonical = row["canonical_id"].strip()
+        raw, canonical, city, address = map(str.strip, row)
         if not raw:
             raise RegistryError("variant row with empty raw string")
         if canonical not in publishers:
@@ -170,10 +167,8 @@ def load_registry(
                 f"variant {raw!r} folds to {folded!r} which already maps to {existing!r}"
             )
         variants[folded] = canonical
-        variant_rows.append(
-            NameVariant(raw, canonical, row["city"].strip() or None, row["address"].strip() or None)
-        )
-    folded_rows = [fold_name(v.raw) for v in variant_rows]
+        folded_rows.append(folded)
+        variant_rows.append(NameVariant(raw, canonical, city or None, address or None))
     if len(set(folded_rows)) != len(folded_rows):
         dupes = sorted({f for f in folded_rows if folded_rows.count(f) > 1})
         raise RegistryError(f"duplicate folded variants: {dupes}")
@@ -181,8 +176,7 @@ def load_registry(
     acquisitions: list[AcquisitionEvent] = []
     acquirer_of: dict[str, str] = {}
     for row in read_csv(acquisitions_source, ["acquired_id", "acquirer_id", "year"], RegistryError):
-        acquired = row["acquired_id"].strip()
-        acquirer = row["acquirer_id"].strip()
+        acquired, acquirer, year_text = map(str.strip, row)
         for pid in (acquired, acquirer):
             if pid not in publishers:
                 raise RegistryError(f"acquisition references unknown publisher {pid!r}")
@@ -190,7 +184,6 @@ def load_registry(
             raise RegistryError(f"publisher {acquired!r} cannot acquire itself")
         if acquired in acquirer_of:
             raise RegistryError(f"publisher {acquired!r} has two acquirers")
-        year_text = row["year"].strip()
         try:
             year = int(year_text) if year_text else None
         except ValueError:

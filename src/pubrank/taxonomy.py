@@ -105,16 +105,14 @@ def load_taxonomy(source: str | Path) -> TaxonomyMap:
     reload is independent of row order.
     """
     path = Path(source)
-    rows = read_csv(path, ["category", "discipline", "field"], TaxonomyError)
+    header = ["category", "discipline", "field"]
 
     discipline_of: dict[str, str] = {}
     field_of: dict[str, str] = {}
-    for row in rows:
-        category = row["category"].strip()
-        discipline = row["discipline"].strip()
-        fieldname = row["field"].strip()
+    for row in read_csv(path, header, TaxonomyError):
+        category, discipline, fieldname = map(str.strip, row)
         if not category or not discipline or not fieldname:
-            raise TaxonomyError(f"{path}: row with empty cell: {row}")
+            raise TaxonomyError(f"{path}: row with empty cell: {dict(zip(header, row))}")
         if category in discipline_of:
             raise TaxonomyError(f"category {category!r} mapped twice")
         discipline_of[category] = discipline

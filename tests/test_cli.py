@@ -337,6 +337,27 @@ class TestSynth:
         assert len(list(tables.iterdir())) == 42
 
 
+def test_cli_import_leaves_the_test_kit_unloaded():
+    # only `synth` needs the generator and the oracle; it imports them itself
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pubrank.cli; print('pubrank.testkit' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_demo_script_runs(tmp_path):
+    script = SRC.parent / "scripts" / "run_demo.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "counts match" in proc.stdout
+
+
 def test_outputs_match_pinned_digest(tmp_path, capsys):
     bundle = generate_corpus(
         SynthParams(seed=3, publisher_count=8, items_per_publisher=(25, 45)),
