@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import PubrankError
+from .registry import PUBLISHER_TYPES
 from .report import FORMATS, RunConfig, run_profile, run_rank, run_stats, run_validate
 from .samples import sample_registry_dir, sample_taxonomy_path
 
@@ -54,17 +55,17 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser, need_out: bool) -> None
         "--taxonomy", type=Path, default=None,
         help="category,discipline,field CSV (default: bundled sample)",
     )
-    parser.add_argument("--window", type=_int_pair("window must be YYYY:YYYY"), default=(2009, 2013),
-                        metavar="YYYY:YYYY")
-    parser.add_argument("--min-books", type=int, default=5)
-    parser.add_argument("--min-chapters", type=int, default=50)
-    parser.add_argument("--threshold-basis", choices=("scope", "global"), default="scope")
+    parser.add_argument("--window", type=_int_pair("window must be YYYY:YYYY"),
+                        default=RunConfig.window, metavar="YYYY:YYYY")
+    parser.add_argument("--min-books", type=int, default=RunConfig.min_books)
+    parser.add_argument("--min-chapters", type=int, default=RunConfig.min_chapters)
+    parser.add_argument("--threshold-basis", choices=("scope", "global"), default=RunConfig.basis)
     parser.add_argument(
-        "--format", type=_parse_formats, default=("csv",), metavar="csv,json,html",
+        "--format", type=_parse_formats, default=RunConfig.formats, metavar="csv,json,html",
         help="comma-separated output formats",
     )
     parser.add_argument(
-        "--type", choices=("commercial", "university_press", "all"), default="all",
+        "--type", choices=(*PUBLISHER_TYPES, "all"), default="all",
         help="restrict rankings to one publisher type",
     )
     parser.add_argument("--strict", action="store_true", help="unresolved publisher names are fatal")
@@ -124,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = run_validate(_config_from(args))
     lines = [
-        f"registry: {report.publishers} publishers, {report.variants} variants, "
-        f"{report.acquisitions} acquisitions",
-        f"taxonomy: {report.fields} fields, {report.disciplines} disciplines",
+        f"registry: {len(report.registry.publishers)} publishers, "
+        f"{len(report.registry.variant_rows)} variants, {len(report.registry.acquisitions)} acquisitions",
+        f"taxonomy: {report.taxonomy.field_count} fields, {report.taxonomy.discipline_count} disciplines",
         f"corpus: {report.ingested} records ingested, {report.filtered} in scope, "
         f"{report.resolved} resolved",
     ]

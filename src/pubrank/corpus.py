@@ -696,10 +696,6 @@ class FieldStats:
         return self.commercial_publishers + self.university_publishers
 
     @property
-    def items(self) -> int:
-        return self.books + self.chapters
-
-    @property
     def citations(self) -> int:
         return self.book_citations + self.chapter_citations
 

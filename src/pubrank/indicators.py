@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .corpus import DOC_BOOK, DOC_CHAPTER, ResolvedCorpus
 from .taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, ScopeEntry, TaxonomyMap
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(NamedTuple):
     kind: str  # "field" | "discipline"
     name: str
 
@@ -95,14 +95,14 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
     # a chapter may come before its book
     edited = {i.item_id for i in corpus.items if i.book_is_edited and i.doc_type == DOC_BOOK}
 
-    # Ids interned once per run: (kind, name) -> scope id and
+    # Ids interned once per run: Scope -> scope id and
     # (discipline, doc_type, year, k) -> cell id. An item's parts, one
     # (scope id, cell ids) pair per scope it falls in, depend only on its
     # (categories, doc_type, year) shape; each part is shared by every shape
     # with the same (scope entry, doc_type, year), and the entry carries the
     # item's disciplines in the scope, on which a field scope's cells depend.
     # A shape's items and citations are counts[n] and counts[n + 1], n memoised.
-    scope_ids: dict[tuple[str, str], int] = {}
+    scope_ids: dict[Scope, int] = {}
     cell_ids: dict[tuple[str, str, int, int], int] = {}
     part_of: dict[tuple[ScopeEntry, str, int], tuple[int, tuple[int, ...]]] = {}
     parts_of: dict[tuple[tuple[str, ...], str, int], tuple[tuple, int]] = {}
@@ -123,7 +123,7 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
                 part = part_of.get(part_key)
                 if part is None:
                     kind, name, members, k = entry
-                    sid = scope_ids.setdefault((kind, name), len(scope_ids))
+                    sid = scope_ids.setdefault(Scope(kind, name), len(scope_ids))
                     ids = tuple(
                         cell_ids.setdefault((d, dt, year, k), len(cell_ids)) for d in members
                     )
@@ -165,8 +165,7 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
                 cell[0] += counts[n]
                 cell[1] += counts[n + 1]
     cells = {key: BaselineCell(*key, n, s) for key, (n, s) in cell_counts.items()}
-    scopes = [Scope(kind, name) for kind, name in scope_ids]
-    return BaselineTable(cells, fingerprint, accs, totals, scopes, list(cell_ids))
+    return BaselineTable(cells, fingerprint, accs, totals, list(scope_ids), list(cell_ids))
 
 
 def compute_all_rows(baselines: BaselineTable) -> dict[tuple[str, Scope], IndicatorRow]:

@@ -118,17 +118,17 @@ def build_all_rankings(
     meta = RunMeta(baselines.fingerprint, window, policy, type_filter=type_filter)
     del baselines  # its accumulators go before the tables grow, unless the caller keeps it
 
-    # rows bucketed by (kind, name) in one pass, keeping their order
-    by_scope: dict[tuple[str, str], list[IndicatorRow]] = {}
+    # rows bucketed by scope in one pass, keeping their order
+    by_scope: dict[Scope, list[IndicatorRow]] = {}
     for row in rows.values():
-        by_scope.setdefault((row.scope.kind, row.scope.name), []).append(row)
+        by_scope.setdefault(row.scope, []).append(row)
 
-    keys = [(SCOPE_FIELD, f) for f in taxonomy.fields] + [
-        (SCOPE_DISCIPLINE, d) for d in taxonomy.disciplines
+    scopes = [Scope(SCOPE_FIELD, f) for f in taxonomy.fields] + [
+        Scope(SCOPE_DISCIPLINE, d) for d in taxonomy.disciplines
     ]
     return [
-        _table_for_scope(Scope(*key), by_scope.get(key, []), registry, totals, meta)
-        for key in keys
+        _table_for_scope(scope, by_scope.get(scope, []), registry, totals, meta)
+        for scope in scopes
     ]
 
 
@@ -145,12 +145,8 @@ def build_profile(
     """Registry data, name variants, and the publisher's row from every
     table it appears in, sorted by PBK descending."""
     publisher = registry.publisher(publisher_id)  # raises UnknownPublisherError
-    rows = []
-    for table in rankings:
-        for entry in table.entries:
-            if entry.publisher.publisher_id == publisher_id:
-                rows.append(entry.row)
-    rows.sort(key=lambda r: (-r.pbk, r.scope.kind, r.scope.name))
+    rows = [e.row for t in rankings for e in t.entries if e.publisher.publisher_id == publisher_id]
+    rows.sort(key=lambda r: (-r.pbk, r.scope))
     return PublisherProfile(
         publisher=publisher,
         variants=registry.variants_of(publisher_id),

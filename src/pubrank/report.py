@@ -32,14 +32,16 @@ from .corpus import (
 from .errors import ConfigError, ExportError
 from .indicators import IndicatorRow, compute_baselines
 from .ranking import PublisherProfile, RankingTable, ThresholdPolicy, build_all_rankings, build_profile
-from .registry import PublisherRegistry, load_registry_dir
+from .registry import PUBLISHER_TYPES, PublisherRegistry, load_registry_dir
 from .taxonomy import TaxonomyMap, load_taxonomy
 
 FORMATS = ("csv", "json", "html")
 
 INDICATORS = ("pbk", "pch", "cit", "fncs", "ai", "ed")
 
-CSV_HEADER = ",".join(("rank", "publisher", "type", *INDICATORS))
+RANKING_COLUMNS = ("rank", "publisher", "type", *INDICATORS)
+
+CSV_HEADER = ",".join(RANKING_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,9 @@ class RunConfig:
     taxonomy: Path
     out: Path | None = None
     window: tuple[int, int] = DEFAULT_WINDOW
-    min_books: int = 5
-    min_chapters: int = 50
-    basis: str = "scope"
+    min_books: int = ThresholdPolicy.min_books
+    min_chapters: int = ThresholdPolicy.min_chapters
+    basis: str = ThresholdPolicy.basis
     formats: tuple[str, ...] = ("csv",)
     strict: bool = False
     type_filter: str | None = None
@@ -67,6 +69,8 @@ class RunConfig:
         for name in ("corpus", "registry_dir", "taxonomy"):
             if not str(getattr(self, name)):
                 raise ConfigError(f"{name} path must be non-empty")
+        if self.type_filter is not None and self.type_filter not in PUBLISHER_TYPES:
+            raise ConfigError(f"unknown type {self.type_filter!r}, expected one of {PUBLISHER_TYPES}")
         self.policy()  # thresholds and basis, checked before any input is read
 
     def policy(self) -> ThresholdPolicy:
@@ -99,16 +103,24 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _indicator_cells(row: IndicatorRow, percent: str = "") -> tuple[str, ...]:
-    """pbk, pch, cit, fncs, ai and ed as rendered in CSV and HTML."""
+def _indicator_cells(row: IndicatorRow) -> tuple[str, ...]:
+    """pbk, pch, cit, fncs, ai and ed as CSV renders them."""
     return (
         str(row.pbk),
         str(row.pch),
         str(row.cit),
         f"{row.fncs:.2f}",
         f"{row.ai:.2f}",
-        f"{row.ed:.0f}{percent}",
+        f"{row.ed:.0f}",
     )
+
+
+def _csv_text(columns: Iterable[str], rows: Iterable[tuple[str, ...]]) -> str:
+    """A CSV document of display rows: a label (rank or scope kind), a
+    free-text name, plain cells, then the indicator cells."""
+    lines = [",".join(columns)]
+    lines += [",".join((label, _csv_cell(name), *cells)) for label, name, *cells in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _indicator_json(row: IndicatorRow) -> dict:
@@ -126,28 +138,26 @@ _HTML_PAGE = """<!DOCTYPE html>
 """
 
 
-def _html_row(cells, tag: str = "td") -> str:
-    """One table row of already-escaped cells."""
-    return "<tr>" + "".join(f"<{tag}>{c}</{tag}>" for c in cells) + "</tr>"
+def _html_table(columns: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
+    """An HTML table of already-escaped cells."""
+    head = "<tr><th>" + "</th><th>".join(columns) + "</th></tr>"
+    body = "\n".join("<tr><td>" + "</td><td>".join(cells) + "</td></tr>" for cells in rows)
+    return f'<table border="1">\n{head}\n{body}\n</table>\n'
 
 
-def _html_table(columns: Iterable[str], rows: Iterable[str]) -> str:
-    head = _html_row(columns, "th")
-    return f'<table border="1">\n{head}\n' + "\n".join(rows) + "\n</table>\n"
+def _html_cells(rows: Iterable[tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
+    """Display rows as HTML cells: the name escaped, a "%" after ED."""
+    for label, name, *cells, ed in rows:
+        yield (label, html.escape(name), *cells, ed + "%")
 
 
 def _table_cells(table: RankingTable) -> list[tuple[str, ...]]:
-    """Per entry: rank, then the indicator cells, as CSV renders them and
-    HTML renders them with a "%" after ED."""
-    return [(str(rank), *_indicator_cells(e.row)) for rank, e in enumerate(table.entries, start=1)]
-
-
-def _csv_rows(table: RankingTable, cells: list[tuple[str, ...]]) -> list[str]:
-    lines = [CSV_HEADER]
-    for entry, (rank, *indicators) in zip(table.entries, cells):
-        pub = entry.publisher
-        lines.append(",".join((rank, _csv_cell(pub.name), pub.publisher_type, *indicators)))
-    return lines
+    """The table's display rows: rank, publisher, type and the indicator
+    cells, as CSV and HTML both read them."""
+    return [
+        (str(rank), e.publisher.name, e.publisher.publisher_type, *_indicator_cells(e.row))
+        for rank, e in enumerate(table.entries, start=1)
+    ]
 
 
 def _json_header(table: RankingTable) -> dict:
@@ -219,13 +229,6 @@ def _ranking_json(table: RankingTable) -> str:
     return f"{head[:-3]}\n{rows}\n  ]\n}}\n"
 
 
-def _html_rows(table: RankingTable, cells: list[tuple[str, ...]]) -> Iterator[str]:
-    for entry, (rank, *indicators, ed) in zip(table.entries, cells):
-        pub = entry.publisher
-        name = html.escape(pub.name)
-        yield _html_row((rank, name, pub.publisher_type, *indicators, ed + "%"))
-
-
 def export_ranking(
     table: RankingTable,
     fmt: str,
@@ -244,10 +247,10 @@ def export_ranking(
         if cells is None:
             cells = _table_cells(table)
         if fmt == "csv":
-            text = "\n".join(_csv_rows(table, cells)) + "\n"
+            text = _csv_text(RANKING_COLUMNS, cells)
         else:
             title = f"{table.scope.kind.capitalize()}: {table.scope.name}"
-            body = _html_table(CSV_HEADER.split(","), _html_rows(table, cells))
+            body = _html_table(RANKING_COLUMNS, _html_cells(cells))
             text = _HTML_PAGE.format(title=html.escape(title), body=body)
     _atomic_write(path, text)
     return path
@@ -298,28 +301,23 @@ def export_profile(profile: PublisherProfile, fmt: str, destination: str | Path)
     path = Path(destination) / f"publisher_{scope_slug(pub.name)}.{fmt}"
     if fmt == "json":
         text = json.dumps(_profile_json(profile), indent=2) + "\n"
-    elif fmt == "csv":
-        lines = [",".join(("scope_kind", "scope", *INDICATORS))]
-        for r in profile.rows:
-            lines.append(",".join((r.scope.kind, _csv_cell(r.scope.name), *_indicator_cells(r))))
-        text = "\n".join(lines) + "\n"
     else:
-        website = f" | website: {html.escape(pub.website)}" if pub.website else ""
-        variant_rows = (
-            _html_row(html.escape(c or "") for c in (v.raw, v.city, v.address))
-            for v in profile.variants
-        )
-        indicator_rows = (
-            _html_row((r.scope.kind, html.escape(r.scope.name), *_indicator_cells(r, "%")))
-            for r in profile.rows
-        )
-        body = (
-            f"<p>type: {pub.publisher_type}{website}</p>\n<h2>Name variants</h2>\n"
-            + _html_table(("raw", "city", "address"), variant_rows)
-            + "<h2>Indicators by scope</h2>\n"
-            + _html_table(("kind", "scope", *INDICATORS), indicator_rows)
-        )
-        text = _HTML_PAGE.format(title=html.escape(pub.name), body=body)
+        rows = [(r.scope.kind, r.scope.name, *_indicator_cells(r)) for r in profile.rows]
+        if fmt == "csv":
+            text = _csv_text(("scope_kind", "scope", *INDICATORS), rows)
+        else:
+            website = f" | website: {html.escape(pub.website)}" if pub.website else ""
+            variant_rows = (
+                [html.escape(c or "") for c in (v.raw, v.city, v.address)]
+                for v in profile.variants
+            )
+            body = (
+                f"<p>type: {pub.publisher_type}{website}</p>\n<h2>Name variants</h2>\n"
+                + _html_table(("raw", "city", "address"), variant_rows)
+                + "<h2>Indicators by scope</h2>\n"
+                + _html_table(("kind", "scope", *INDICATORS), _html_cells(rows))
+            )
+            text = _HTML_PAGE.format(title=html.escape(pub.name), body=body)
     _atomic_write(path, text)
     return path
 
@@ -402,17 +400,9 @@ def run_stats(config: RunConfig) -> CorpusStats:
 
 
 @dataclass
-class ValidationReport:
-    publishers: int
-    variants: int
-    acquisitions: int
-    fields: int
-    disciplines: int
-    ingested: int
-    diagnostics: list
-    filtered: int
-    resolved: int
-    unresolved: set[str]
+class ValidationReport(PreparedInputs):
+    """The prepared inputs, and the gaps validate finds in the corpus."""
+
     unknown_categories: tuple[str, ...]
     orphan_chapters: int
 
@@ -422,22 +412,10 @@ def run_validate(config: RunConfig) -> ValidationReport:
     and resolution gaps instead of failing on them (load errors and, in
     strict mode, unresolved publishers stay fatal)."""
     inputs, corpus = _prepare_inputs(config)
-    registry, taxonomy = inputs.registry, inputs.taxonomy
-    plans = taxonomy.plans
-    unknown: set[str] = set()
-    for item in corpus.items:
-        unknown.update(plans[item.categories].unknown)
+    plans = inputs.taxonomy.plans
+    unknown = {c for item in corpus.items for c in plans[item.categories].unknown}
     return ValidationReport(
-        publishers=len(registry.publishers),
-        variants=len(registry.variant_rows),
-        acquisitions=len(registry.acquisitions),
-        fields=taxonomy.field_count,
-        disciplines=taxonomy.discipline_count,
-        ingested=inputs.ingested,
-        diagnostics=inputs.diagnostics,
-        filtered=inputs.filtered,
-        resolved=inputs.resolved,
-        unresolved=inputs.unresolved,
+        **vars(inputs),
         unknown_categories=tuple(sorted(unknown)),
         orphan_chapters=len(unknown_parent_chapters(corpus.items)),
     )

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pubrank.cli
-from pubrank.cli import EXIT_DIRTY, EXIT_FATAL, EXIT_OK, build_parser, run_cli
+from pubrank.cli import EXIT_DIRTY, EXIT_FATAL, EXIT_OK, _config_from, build_parser, run_cli
+from pubrank.report import RunConfig
 from pubrank.samples import sample_registry_dir, sample_taxonomy_path
 from pubrank.taxonomy import load_taxonomy
 from pubrank.testkit import SynthParams, generate_corpus
@@ -96,6 +97,17 @@ class TestParser:
     def test_help_returns_zero(self, capsys):
         assert run_cli(["validate", "--help"]) == EXIT_OK
         assert "usage: pubrank validate" in capsys.readouterr().out
+
+    def test_minimal_rank_argv_takes_the_run_config_defaults(self, tmp_path):
+        args = build_parser().parse_args(
+            ["rank", "--corpus", "corpus.jsonl", "--out", str(tmp_path)]
+        )
+        assert _config_from(args) == RunConfig(
+            corpus=Path("corpus.jsonl"),
+            registry_dir=sample_registry_dir(),
+            taxonomy=sample_taxonomy_path(),
+            out=tmp_path,
+        )
 
 
 class TestValidate:

@@ -11,6 +11,7 @@ from pubrank import corpus as corpus_module, report as report_module
 from pubrank.errors import ConfigError, ExportError, UnresolvedPublisherError
 from pubrank.indicators import IndicatorRow, Scope, compute_baselines
 from pubrank.ranking import (
+    PublisherProfile,
     RankingEntry,
     RankingTable,
     RunMeta,
@@ -36,7 +37,7 @@ from pubrank.report import (
     table_filename,
 )
 from pubrank.samples import sample_registry_dir, sample_taxonomy_path
-from pubrank.registry import CanonicalPublisher, load_registry_dir
+from pubrank.registry import CanonicalPublisher, NameVariant, load_registry_dir
 from util import jsonl, pipeline_artifacts, ranking_table, record, write_jsonl, write_registry
 
 HIST = Scope("discipline", "History")
@@ -233,6 +234,107 @@ class TestHtmlExport:
         assert "<td>Angle <Bracket>" not in text
 
 
+_HTML_HEAD = (
+    '<!DOCTYPE html>\n<html lang="en">\n'
+    '<head><meta charset="utf-8"><title>{0}</title></head>\n<body>\n<h1>{0}</h1>\n'
+)
+_HTML_FOOT = "</body>\n</html>\n"
+_RANKING_TH = (
+    "<tr><th>rank</th><th>publisher</th><th>type</th><th>pbk</th><th>pch</th>"
+    "<th>cit</th><th>fncs</th><th>ai</th><th>ed</th></tr>\n"
+)
+
+
+def _json_head(kind, name):
+    return (
+        f'{{\n  "scope": {{\n    "kind": "{kind}",\n    "name": "{name}"\n  }},\n'
+        f'  "corpus_fingerprint": "{"f" * 64}",\n'
+        '  "window": [\n    2009,\n    2013\n  ],\n'
+        '  "policy": {\n    "min_books": 1,\n    "min_chapters": 1,\n    "basis": "scope"\n  },\n'
+        '  "sort_key": "pbk",\n  "type_filter": null,\n'
+    )
+
+
+class TestWriterBytes:
+    """The exact bytes every writer gives for small hand-built inputs."""
+
+    META = RunMeta("f" * 64, (2009, 2013), OPEN)
+
+    def written(self, obj, fmt, tmp_path):
+        export = export_profile if isinstance(obj, PublisherProfile) else export_ranking
+        return export(obj, fmt, tmp_path).read_text(encoding="utf-8")
+
+    def test_empty_ranking_table(self, tmp_path):
+        table = RankingTable(Scope("discipline", "Law"), (), self.META)
+        assert self.written(table, "csv", tmp_path) == CSV_HEADER + "\n"
+        # the empty row block leaves a blank line before </table>
+        assert self.written(table, "html", tmp_path) == (
+            _HTML_HEAD.format("Discipline: Law")
+            + '<table border="1">\n' + _RANKING_TH + "\n</table>\n" + _HTML_FOOT
+        )
+        assert self.written(table, "json", tmp_path) == (
+            _json_head("discipline", "Law") + '  "rows": []\n}\n'
+        )
+
+    def test_ranking_row_with_special_characters(self, tmp_path):
+        scope = Scope("field", "Humanities & Arts")
+        publisher = CanonicalPublisher("odd", 'Smith, "Jones" <&> Co', "commercial")
+        row = IndicatorRow("odd", scope, 3, 7, 12, 1.23456, 0.5, 42.857142857142854)
+        table = RankingTable(scope, (RankingEntry(publisher, row),), self.META)
+        assert self.written(table, "csv", tmp_path) == (
+            CSV_HEADER + '\n1,"Smith, ""Jones"" <&> Co",commercial,3,7,12,1.23,0.50,43\n'
+        )
+        assert self.written(table, "html", tmp_path) == (
+            _HTML_HEAD.format("Field: Humanities &amp; Arts")
+            + '<table border="1">\n' + _RANKING_TH
+            + "<tr><td>1</td><td>Smith, &quot;Jones&quot; &lt;&amp;&gt; Co</td>"
+            "<td>commercial</td><td>3</td><td>7</td><td>12</td><td>1.23</td><td>0.50</td>"
+            "<td>43%</td></tr>\n</table>\n" + _HTML_FOOT
+        )
+        assert self.written(table, "json", tmp_path) == (
+            _json_head("field", "Humanities & Arts")
+            + '  "rows": [\n    {\n      "rank": 1,\n      "publisher_id": "odd",\n'
+            '      "publisher": "Smith, \\"Jones\\" <&> Co",\n      "type": "commercial",\n'
+            '      "pbk": 3,\n      "pch": 7,\n      "cit": 12,\n      "fncs": 1.23456,\n'
+            '      "ai": 0.5,\n      "ed": 42.857142857142854\n    }\n  ]\n}\n'
+        )
+
+    def test_profile(self, tmp_path):
+        publisher = CanonicalPublisher(
+            "brook", "Brook & Sons", "university_press", "https://brook.example/?a=1&b=2"
+        )
+        variants = (
+            NameVariant("Brook <Press>", "brook", None, "1 High St, Oxford"),
+            NameVariant("Brook & Sons Ltd", "brook", "London", None),
+        )
+        rows = (
+            IndicatorRow("brook", Scope("discipline", 'Law, "Civil"'), 2, 10, 5, 0.75, 1.5, 30.0),
+            IndicatorRow("brook", Scope("field", "Social Sciences"), 2, 10, 5, 0.8, 1.125, 100.0),
+        )
+        profile = PublisherProfile(publisher, variants, rows)
+        assert self.written(profile, "csv", tmp_path) == (
+            "scope_kind,scope,pbk,pch,cit,fncs,ai,ed\n"
+            'discipline,"Law, ""Civil""",2,10,5,0.75,1.50,30\n'
+            "field,Social Sciences,2,10,5,0.80,1.12,100\n"
+        )
+        assert self.written(profile, "html", tmp_path) == (
+            _HTML_HEAD.format("Brook &amp; Sons")
+            + "<p>type: university_press | website: https://brook.example/?a=1&amp;b=2</p>\n"
+            "<h2>Name variants</h2>\n"
+            '<table border="1">\n<tr><th>raw</th><th>city</th><th>address</th></tr>\n'
+            "<tr><td>Brook &lt;Press&gt;</td><td></td><td>1 High St, Oxford</td></tr>\n"
+            "<tr><td>Brook &amp; Sons Ltd</td><td>London</td><td></td></tr>\n</table>\n"
+            "<h2>Indicators by scope</h2>\n"
+            '<table border="1">\n<tr><th>kind</th><th>scope</th><th>pbk</th><th>pch</th>'
+            "<th>cit</th><th>fncs</th><th>ai</th><th>ed</th></tr>\n"
+            "<tr><td>discipline</td><td>Law, &quot;Civil&quot;</td><td>2</td><td>10</td>"
+            "<td>5</td><td>0.75</td><td>1.50</td><td>30%</td></tr>\n"
+            "<tr><td>field</td><td>Social Sciences</td><td>2</td><td>10</td>"
+            "<td>5</td><td>0.80</td><td>1.12</td><td>100%</td></tr>\n</table>\n"
+            + _HTML_FOOT
+        )
+
+
 class TestExportAll:
     def test_every_scope_in_every_format(self, registry, taxonomy, tmp_path):
         corpus, baselines = pipeline_artifacts(
@@ -317,6 +419,11 @@ class TestRunConfig:
     def test_bad_basis_surfaces_via_policy(self):
         with pytest.raises(ConfigError):
             self.base(basis="weekly").policy()
+
+    def test_unknown_type_filter_rejected(self):
+        assert self.base(type_filter="university_press").type_filter == "university_press"
+        with pytest.raises(ConfigError, match="comercial"):
+            self.base(type_filter="comercial")
 
 
 @pytest.fixture
@@ -501,11 +608,11 @@ class TestLazyFingerprint:
 class TestRunValidate:
     def test_clean_inputs(self, run_inputs):
         report = run_validate(run_inputs)
-        assert report.publishers == 16
-        assert report.variants == 40
-        assert report.acquisitions == 2
-        assert report.fields == 4
-        assert report.disciplines == 38
+        assert len(report.registry.publishers) == 16
+        assert len(report.registry.variant_rows) == 40
+        assert len(report.registry.acquisitions) == 2
+        assert report.taxonomy.field_count == 4
+        assert report.taxonomy.discipline_count == 38
         assert report.ingested == 5
         assert report.filtered == 4
         assert report.resolved == 4
