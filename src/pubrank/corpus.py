@@ -1,9 +1,10 @@
-"""Corpus ingestion, filtering, resolution, and summary statistics.
+"""Corpus ingestion, filtering and resolution.
 
 The input format is UTF-8 line-delimited JSON, one item per line. Ingest
 is tolerant: a malformed line becomes a diagnostic and the run continues;
-only unreadable sources and duplicate item ids are fatal. Filtering and
-stats are pure functions over the ingested records.
+only unreadable sources and duplicate item ids are fatal. Filtering is a
+pure function over the ingested records. The summary statistics are
+folded from the indicators' one walk (`indicators.corpus_stats`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusError, DuplicateItemError, UnresolvedPublisherError
 from .registry import PublisherRegistry
-from .taxonomy import SCOPE_FIELD, TaxonomyMap
 
 DOC_BOOK = "book"
 DOC_CHAPTER = "chapter"
@@ -679,88 +679,3 @@ def unknown_parent_chapters(items: Iterable[ItemRecord]) -> list[str]:
     analysis but count as not-edited."""
     books = {i.item_id for i in items if i.is_book}
     return [i.item_id for i in items if i.is_chapter and i.parent_book_id not in books]
-
-
-@dataclass
-class FieldStats:
-    disciplines: int = 0
-    commercial_publishers: int = 0
-    university_publishers: int = 0
-    books: int = 0
-    chapters: int = 0
-    book_citations: int = 0
-    chapter_citations: int = 0
-
-    @property
-    def publishers(self) -> int:
-        return self.commercial_publishers + self.university_publishers
-
-    @property
-    def citations(self) -> int:
-        return self.book_citations + self.chapter_citations
-
-    @property
-    def book_citation_avg(self) -> float | None:
-        return self.book_citations / self.books if self.books else None
-
-    @property
-    def chapter_citation_avg(self) -> float | None:
-        return self.chapter_citations / self.chapters if self.chapters else None
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    per_field: dict[str, FieldStats]
-    total: FieldStats
-    unknown_categories: tuple[str, ...]
-
-
-def corpus_stats(
-    corpus: ResolvedCorpus, registry: PublisherRegistry, taxonomy: TaxonomyMap
-) -> CorpusStats:
-    """Per-field and global aggregates over a filtered, resolved corpus.
-
-    Items are whole-counted: one item in n fields contributes fully to all
-    n of them, so per-field numbers only sum to the totals on corpora
-    where every item has a single field.
-    """
-    per_field = {f: FieldStats(disciplines=len(taxonomy.disciplines_by_field[f])) for f in taxonomy.fields}
-    total = FieldStats(disciplines=taxonomy.discipline_count)
-    pubs_by_field: dict[str, set[str]] = {f: set() for f in taxonomy.fields}
-    pubs_total: set[str] = set()
-    unknown: set[str] = set()
-
-    plans = taxonomy.plans
-    for item, pid in corpus.pairs():
-        plan = plans[item.categories]
-        unknown.update(plan.unknown)
-        for kind, fieldname, _, _ in plan.scopes:
-            if kind == SCOPE_FIELD:
-                pubs_by_field[fieldname].add(pid)
-                _tally(per_field[fieldname], item)
-        pubs_total.add(pid)
-        _tally(total, item)
-
-    for fieldname, bucket in pubs_by_field.items():
-        stats = per_field[fieldname]
-        for pid in bucket:
-            _count_publisher(stats, registry, pid)
-    for pid in pubs_total:
-        _count_publisher(total, registry, pid)
-    return CorpusStats(per_field=per_field, total=total, unknown_categories=tuple(sorted(unknown)))
-
-
-def _tally(stats: FieldStats, item: ItemRecord) -> None:
-    if item.is_book:
-        stats.books += 1
-        stats.book_citations += item.citations
-    else:
-        stats.chapters += 1
-        stats.chapter_citations += item.citations
-
-
-def _count_publisher(stats: FieldStats, registry: PublisherRegistry, pid: str) -> None:
-    if registry.publishers[pid].publisher_type == "university_press":
-        stats.university_publishers += 1
-    else:
-        stats.commercial_publishers += 1

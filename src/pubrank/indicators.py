@@ -13,13 +13,15 @@ scaling. Each (discipline, doc_type, year, k) cell gets an int id once
 per run and its mean is reduced once; a row's accumulator keeps a flat
 list of its items' cell ids, and its expected citations are then one
 exact sum of those means over a common denominator. Rows are slotted.
-One walk over the items, `compute_baselines`, builds the baseline cells
-and the rows' accumulators; `compute_all_rows` finalises the rows.
+One walk over the items, `compute_baselines`, builds the baseline cells,
+the rows' accumulators and the per-field coverage sums; `compute_all_rows`
+finalises the rows, and `corpus_stats` folds the coverage for `stats`.
 
 Scoped computations run over the items that map to at least one known
 discipline; items whose categories are all unknown are excluded from
-baselines, counts, and the AI denominators alike. Every item reads its
-scopes from the taxonomy's `ScopePlan` for its category tuple.
+baselines, counts, and the AI denominators alike, and count only in the
+coverage. Every item reads its scopes from the taxonomy's `ScopePlan`
+for its category tuple.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .corpus import DOC_BOOK, DOC_CHAPTER, ResolvedCorpus
+from .registry import PublisherRegistry
 from .taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, ScopeEntry, TaxonomyMap
 
 
@@ -48,15 +51,17 @@ class BaselineCell:
 
 @dataclass(frozen=True)
 class BaselineTable:
-    """The baseline cells, the accumulators `compute_all_rows` reads and the
-    fingerprint of the corpus walked, as `compute_baselines` left them."""
+    """The baseline cells, the accumulators, the coverage sums and the
+    fingerprint of the corpus (None if not hashed), as the walk left them."""
 
     cells: dict[tuple[str, str, int], BaselineCell]
-    fingerprint: str
-    accs: dict[str, dict[int, _Acc]]  # publisher id -> scope id -> accumulator
+    fingerprint: str | None
+    accs: dict[str, dict[int, _Acc]]  # publisher id -> scope id -> accumulator; every publisher
     totals: dict[str, list[int]]  # publisher id -> [books, chapters] over scoped items
     scopes: list[Scope]  # by scope id
     cell_keys: list[tuple[str, str, int, int]]  # (discipline, doc_type, year, k) by cell id
+    coverage: dict[tuple[str | None, str], list[int]]  # (field or None for all, doc_type) -> [items, cit]
+    unknown: tuple[str, ...]  # the categories the taxonomy does not map, sorted
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +95,10 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
     doc_type, year) triple, built from every item of every publisher;
     eligibility never trims baselines. An item in k disciplines contributes
     whole to all k cells."""
-    fingerprint = corpus.fingerprint  # first: out of id order, its sorted keys go before the walk grows
+    return _walk(corpus, taxonomy, corpus.fingerprint)  # hashed first, before the walk's memory grows
+
+
+def _walk(corpus: ResolvedCorpus, taxonomy: TaxonomyMap, fingerprint: str | None) -> BaselineTable:
     plans = taxonomy.plans
     # a chapter may come before its book
     edited = {i.item_id for i in corpus.items if i.book_is_edited and i.doc_type == DOC_BOOK}
@@ -132,17 +140,17 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
             memo = parts_of[shape] = (tuple(shape_parts), len(counts))
             counts += (0, 0)
         parts, n = memo
-        if not parts:
-            continue
         cit = item.citations
         counts[n] += 1
         counts[n + 1] += cit
-        is_book = dt == DOC_BOOK
-        from_edited = dt == DOC_CHAPTER and item.parent_book_id in edited
         own = accs.get(pid)
         if own is None:
             own = accs[pid] = {}
             totals[pid] = [0, 0]
+        if not parts:  # all categories unknown: counted in the coverage only
+            continue
+        is_book = dt == DOC_BOOK
+        from_edited = dt == DOC_CHAPTER and item.parent_book_id in edited
         totals[pid][0 if is_book else 1] += 1
         for sid, ids in parts:
             acc = own.get(sid)
@@ -157,15 +165,25 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
             acc.cit += cit
             acc.cells.extend(ids)
 
+    # one pass over the shapes: [items, citations] by baseline cell and by coverage key
     cell_counts: dict[tuple[str, str, int], list[int]] = {}
+    coverage: dict[tuple[str | None, str], list[int]] = {}
+    unknown: set[str] = set()
     for (categories, dt, year), (_, n) in parts_of.items():
-        for kind, d, _, _ in plans[categories].scopes:
+        unknown.update(plans[categories].unknown)
+        sums = [coverage.setdefault((None, dt), [0, 0])]
+        for kind, name, _, _ in plans[categories].scopes:
             if kind == SCOPE_DISCIPLINE:
-                cell = cell_counts.setdefault((d, dt, year), [0, 0])
-                cell[0] += counts[n]
-                cell[1] += counts[n + 1]
+                sums.append(cell_counts.setdefault((name, dt, year), [0, 0]))
+            else:
+                sums.append(coverage.setdefault((name, dt), [0, 0]))
+        for pair in sums:
+            pair[0] += counts[n]
+            pair[1] += counts[n + 1]
     cells = {key: BaselineCell(*key, n, s) for key, (n, s) in cell_counts.items()}
-    return BaselineTable(cells, fingerprint, accs, totals, list(scope_ids), list(cell_ids))
+    return BaselineTable(
+        cells, fingerprint, accs, totals, list(scope_ids), list(cell_ids), coverage, tuple(sorted(unknown))
+    )
 
 
 def compute_all_rows(baselines: BaselineTable) -> dict[tuple[str, Scope], IndicatorRow]:
@@ -222,3 +240,62 @@ def compute_all_rows(baselines: BaselineTable) -> dict[tuple[str, Scope], Indica
             scope = scopes[sid]
             rows[(pid, scope)] = IndicatorRow(pid, scope, acc.pbk, acc.pch, acc.cit, fncs, ai, ed)
     return rows
+
+
+@dataclass
+class FieldStats:
+    disciplines: int = 0
+    commercial_publishers: int = 0
+    university_publishers: int = 0
+    books: int = 0
+    book_citations: int = 0
+    chapters: int = 0
+    chapter_citations: int = 0
+
+    @property
+    def publishers(self) -> int:
+        return self.commercial_publishers + self.university_publishers
+
+    @property
+    def citations(self) -> int:
+        return self.book_citations + self.chapter_citations
+
+    @property
+    def book_citation_avg(self) -> float | None:
+        return self.book_citations / self.books if self.books else None
+
+    @property
+    def chapter_citation_avg(self) -> float | None:
+        return self.chapter_citations / self.chapters if self.chapters else None
+
+
+@dataclass(frozen=True)
+class CorpusStats:
+    per_field: dict[str, FieldStats]
+    total: FieldStats
+    unknown_categories: tuple[str, ...]
+
+
+def corpus_stats(
+    corpus: ResolvedCorpus, registry: PublisherRegistry, taxonomy: TaxonomyMap
+) -> CorpusStats:
+    """Per-field and global aggregates over a filtered, resolved corpus,
+    folded from the one walk's table; the corpus is not hashed. Items are
+    whole-counted: one item in n fields counts fully in all n, so per-field
+    numbers sum to the totals only when every item has one field. A
+    publisher counts in a field when it holds an accumulator there.
+    """
+    table = _walk(corpus, taxonomy, None)
+    field_ids = {name: sid for sid, (kind, name) in enumerate(table.scopes) if kind == SCOPE_FIELD}
+
+    def fold(fieldname: str | None, disciplines: int) -> FieldStats:
+        sid = field_ids.get(fieldname)
+        pids = [pid for pid, own in table.accs.items() if fieldname is None or sid in own]
+        types = [registry.publishers[pid].publisher_type for pid in pids]
+        books = table.coverage.get((fieldname, DOC_BOOK), (0, 0))  # [items, citations]
+        chapters = table.coverage.get((fieldname, DOC_CHAPTER), (0, 0))
+        university = types.count("university_press")
+        return FieldStats(disciplines, len(types) - university, university, *books, *chapters)
+
+    per_field = {f: fold(f, len(taxonomy.disciplines_by_field[f])) for f in taxonomy.fields}
+    return CorpusStats(per_field, fold(None, taxonomy.discipline_count), table.unknown)

@@ -20,17 +20,15 @@ from typing import Iterable, Iterator
 
 from .corpus import (
     DEFAULT_WINDOW,
-    CorpusStats,
     Diagnostic,
     ResolvedCorpus,
-    corpus_stats,
     filter_corpus,
     ingest_corpus,
     resolve_corpus,
     unknown_parent_chapters,
 )
 from .errors import ConfigError, ExportError
-from .indicators import IndicatorRow, compute_baselines
+from .indicators import CorpusStats, IndicatorRow, compute_baselines, corpus_stats
 from .ranking import PublisherProfile, RankingTable, ThresholdPolicy, build_all_rankings, build_profile
 from .registry import PUBLISHER_TYPES, PublisherRegistry, load_registry_dir
 from .taxonomy import TaxonomyMap, load_taxonomy
@@ -66,6 +64,8 @@ class RunConfig:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+            if self.formats.count(fmt) > 1:  # would write each of its files twice
+                raise ConfigError(f"format {fmt!r} given twice")
         for name in ("corpus", "registry_dir", "taxonomy"):
             if not str(getattr(self, name)):
                 raise ConfigError(f"{name} path must be non-empty")

@@ -244,6 +244,14 @@ class TestRank:
         assert suffixes == {".csv", ".json", ".html"}
         assert len(list(out.iterdir())) == 42 * 3
 
+    def test_repeated_format_is_fatal_before_any_input_is_read(self, tmp_path, capsys):
+        out = tmp_path / "tables"
+        code = run_cli(["rank", "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(out),
+                        "--format", "csv,csv,json"])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err == "error: format 'csv' given twice\n"
+        assert not out.exists()
+
     def test_type_filter(self, clean_corpus, tmp_path):
         def history_rows(type_flag):
             out = tmp_path / f"t-{type_flag}"
@@ -299,6 +307,37 @@ class TestStats:
         assert "TOTAL: 2 publishers, 3 books, 1 chapters" in out
         assert "Humanities & Arts:" in out
         assert "avg cites/book" in out
+
+    def test_unscoped_items_count_in_the_total_only(self, tmp_path, capsys):
+        # a Cambridge University Press book whose only category is unknown
+        # counts in the total and in no field; an Elsevier book with one
+        # unknown and one known category counts in its field
+        corpus = write_jsonl(
+            tmp_path / "edge.jsonl",
+            [
+                record("b1", publisher="Springer", citations=4),
+                record("c1", doc_type="chapter", publisher="Springer", parent_book_id="b1",
+                       categories=["History", "Law"], citations=2),
+                record("u1", publisher="Cambridge University Press", categories=["Phrenology"],
+                       citations=3),
+                record("e1", publisher="Elsevier", categories=["Phrenology", "History"],
+                       citations=2),
+            ],
+        )
+        assert run_cli(["stats", "--corpus", str(corpus)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "Engineering & Technology: 4 disciplines, 0 publishers (0 commercial / 0 university), "
+            "0 books, 0 chapters, 0 citations, avg cites/book -, avg cites/chapter -\n"
+            "Humanities & Arts: 11 disciplines, 2 publishers (2 commercial / 0 university), "
+            "2 books, 1 chapters, 8 citations, avg cites/book 3.00, avg cites/chapter 2.00\n"
+            "Science: 11 disciplines, 0 publishers (0 commercial / 0 university), "
+            "0 books, 0 chapters, 0 citations, avg cites/book -, avg cites/chapter -\n"
+            "Social Sciences: 12 disciplines, 1 publishers (1 commercial / 0 university), "
+            "0 books, 1 chapters, 2 citations, avg cites/book -, avg cites/chapter 2.00\n"
+            "TOTAL: 3 publishers, 3 books, 1 chapters, 11 citations, "
+            "avg cites/book 3.00, avg cites/chapter 2.00\n"
+            "unknown categories: Phrenology\n"
+        )
 
 
 class TestSynth:

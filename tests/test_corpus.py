@@ -17,7 +17,6 @@ from pubrank.corpus import (
     ResolvedCorpus,
     _parse_line,
     corpus_fingerprint,
-    corpus_stats,
     filter_corpus,
     ingest_corpus,
     resolve_corpus,
@@ -29,6 +28,7 @@ from pubrank.errors import (
     PubrankError,
     UnresolvedPublisherError,
 )
+from pubrank.indicators import corpus_stats
 from util import ingest_and_resolve, jsonl, record
 
 

@@ -416,6 +416,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="xlsx"):
             self.base(formats=("csv", "xlsx"))
 
+    def test_repeated_format_rejected(self):
+        with pytest.raises(ConfigError, match="'csv' given twice"):
+            self.base(formats=("csv", "json", "csv"))
+
     def test_bad_basis_surfaces_via_policy(self):
         with pytest.raises(ConfigError):
             self.base(basis="weekly").policy()

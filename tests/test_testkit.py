@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from pubrank.corpus import corpus_stats
 from pubrank.errors import ConfigError
-from pubrank.indicators import Scope, compute_all_rows, compute_baselines
+from pubrank.indicators import Scope, compute_all_rows, compute_baselines, corpus_stats
 from pubrank.testkit import SynthParams, generate_corpus, load_ledger, oracle_indicators
 from pubrank.registry import fold_name
 from util import load_synth_bundle as load_bundle
@@ -140,6 +139,19 @@ class TestLedgerAgainstEngine:
             assert fs.book_citations == truth.book_citations
             assert fs.chapter_citations == truth.chapter_citations
             assert fs.publishers == len(truth.publishers)
+
+    @pytest.mark.parametrize("seed", [3, 12, 40])
+    def test_publisher_counts_match_corpus_stats(self, taxonomy, tmp_path, seed):
+        result = generate_corpus(SynthParams(seed=seed, **SMALL), taxonomy, tmp_path)
+        registry, tax, corpus = load_bundle(result)
+        stats = corpus_stats(corpus, registry, tax)
+        ledger = result.ledger
+        assert stats.total.publishers == len(ledger.all_publishers)
+        for fieldname, truth in ledger.field_stats.items():
+            types = [registry.publishers[pid].publisher_type for pid in truth.publishers]
+            fs = stats.per_field[fieldname]
+            assert fs.university_publishers == types.count("university_press")
+            assert fs.commercial_publishers == len(types) - types.count("university_press")
 
     def test_configured_citation_means_are_recovered(self, taxonomy, tmp_path):
         # ~5000 items: sample averages should sit near the configured means
