@@ -21,6 +21,10 @@ Prints one JSON object, e.g.:
 
 ru_maxrss covers the whole process (generation included), so the memory
 figure is an upper bound on what the pipeline itself needs.
+
+Both runs parse the corpus cold: ingest's cache (see README) points at an
+empty directory of its own for each run, inside the temporary directory,
+so neither run reads the other's entry and nothing is left behind.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         taxonomy = load_taxonomy(sample_taxonomy_path())
         result = generate_corpus(params, taxonomy, tmp)
         cli = _run_cli_rank(launcher, result, Path(tmp))
+        os.environ["XDG_CACHE_HOME"] = str(Path(tmp, "cache"))
         config = RunConfig(corpus=result.corpus_path, registry_dir=result.registry_dir,
                            taxonomy=result.taxonomy_path, strict=True)
 
@@ -96,7 +101,8 @@ def _run_cli_rank(launcher: subprocess.Popen, result, tmp: Path) -> dict:
             "--taxonomy", str(result.taxonomy_path), "--out", str(tmp / "tables"),
             "--format", "csv,json,html"]
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    request = {"argv": argv, "env": dict(os.environ, PYTHONPATH=pythonpath), "cwd": str(ROOT),
+    env = dict(os.environ, PYTHONPATH=pythonpath, XDG_CACHE_HOME=str(tmp / "cli-cache"))
+    request = {"argv": argv, "env": env, "cwd": str(ROOT),
                "stdout": str(tmp / "cli.out"), "stderr": str(tmp / "cli.err")}
     launcher.stdin.write(json.dumps(request) + "\n")
     launcher.stdin.flush()

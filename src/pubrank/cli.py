@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import PubrankError
 from .registry import PUBLISHER_TYPES
-from .report import FORMATS, RunConfig, run_profile, run_rank, run_stats, run_validate
+from .report import RunConfig, run_profile, run_rank, run_stats, run_validate
 from .samples import sample_registry_dir, sample_taxonomy_path
 
 EXIT_OK = 0
@@ -34,13 +34,8 @@ def _int_pair(form: str):
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
-    formats = tuple(part.strip() for part in text.split(",") if part.strip())
-    for fmt in formats:
-        if fmt not in FORMATS:
-            raise argparse.ArgumentTypeError(f"unknown format {fmt!r}")
-    if not formats:
-        raise argparse.ArgumentTypeError("at least one format required")
-    return formats
+    """The comma-separated formats, stripped; RunConfig checks them."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser, need_out: bool) -> None:

@@ -19,8 +19,9 @@ import re
 import select
 import stat
 import sys
+import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, count, islice, repeat
 from operator import attrgetter, lt
 from pathlib import Path
@@ -399,6 +400,16 @@ def _chunks(state: _Ingest, lines: Iterator[str]) -> Iterator[None]:
         yield
 
 
+def _frame(records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic]) -> bytes:
+    """One length-prefixed frame: the records as marshalled columns and the
+    diagnostics as plain (line, reason, severity) tuples."""
+    payload = marshal.dumps((
+        tuple(zip(*records)),
+        [(d.line, d.reason, d.severity) for d in diagnostics],
+    ))
+    return len(payload).to_bytes(_FRAME_HEADER, "little") + payload
+
+
 def _send_chunks(path, start: int, end: int, out) -> None:
     """The worker's side: scan bytes start..end and write one frame per
     chunk, (record columns, diagnostics as plain tuples), with line numbers
@@ -407,12 +418,7 @@ def _send_chunks(path, start: int, end: int, out) -> None:
     state = _Ingest()
     with _range_lines(path, start, end) as lines:
         for _ in _chunks(state, lines):
-            payload = marshal.dumps((
-                tuple(zip(*state.records)),
-                [(d.line, d.reason, d.severity) for d in state.diagnostics],
-            ))
-            out.write(len(payload).to_bytes(_FRAME_HEADER, "little"))
-            out.write(payload)
+            out.write(_frame(state.records, state.diagnostics))
             state.records.clear()
             state.diagnostics.clear()
 
@@ -420,11 +426,13 @@ def _send_chunks(path, start: int, end: int, out) -> None:
 def _read_frames(
     frames: io.BufferedReader, shared: dict, records: list, diagnostics: list, to_end: bool
 ) -> None:
-    """Read the worker's whole frames from the pipe into `records`, whose
-    values go through the `shared` table, and `diagnostics`: for as long as
-    the pipe has data or, if `to_end`, up to its end. A frame that has
-    begun is read to its end, as the worker is writing it. A short header
-    or payload raises EOFError."""
+    """Read whole frames, from the worker's pipe or a cache entry, into
+    `records`, whose values go through the `shared` table, and
+    `diagnostics`: for as long as the pipe has data or, if `to_end`, up to
+    the end. A frame that has begun is read to its end, as the worker is
+    writing it. A short header or payload raises EOFError. Each book's id
+    joins the table before the frame's parent ids are looked up in it, so a
+    chapter holds its book's id string whichever frame the book is in."""
     share = shared.setdefault
     while to_end or select.select((frames,), (), (), 0)[0]:
         header = frames.read(_FRAME_HEADER)
@@ -433,23 +441,25 @@ def _read_frames(
         size = int.from_bytes(header, "little")
         payload = frames.read(size)
         if len(header) < _FRAME_HEADER or len(payload) < size:
-            raise EOFError("truncated frame from the ingest worker")
+            raise EOFError("truncated frame")
         columns, frame_diagnostics = marshal.loads(payload)
         diagnostics += frame_diagnostics
         if not columns:
             continue
         ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns
+        books = [item_id for item_id, doc_type in zip(ids, doc_types) if doc_type == DOC_BOOK]
+        shared.update(zip(books, books))
         # tuple.__new__ builds each record in C; ItemRecord(...) would
         # run the NamedTuple's Python __new__
         records += map(tuple.__new__, repeat(ItemRecord), zip(
             ids,
-            doc_types,  # interned by the worker, so marshal interns them here
+            doc_types,  # interned when written, so marshal interns them here
             map(share, publishers, publishers),
             map(share, years, years),
             map(share, categories, categories),
             citations,
             serial,
-            parents,
+            map(shared.get, parents, parents),
             edited,
         ))
 
@@ -510,6 +520,140 @@ def _ingest_split(path, split: int, size: int) -> tuple[list[ItemRecord], list[D
     return state.records, state.diagnostics
 
 
+# A cache of ingest's own result. A regular corpus file of at least
+# _SPLIT_MIN_BYTES is looked up by the SHA-256 of _code_tag() and its bytes
+# under $XDG_CACHE_HOME/pubrank (~/.cache/pubrank by default). An entry is
+# the SHA-256 of its body, then the body: the frames the ingest worker
+# writes, _CHUNK_LINES records and diagnostics each, with absolute line
+# numbers. The body is checked before any frame is decoded, and an entry
+# that is missing or fails the check is parsed again. Reads and writes
+# stream a frame at a time, so neither holds the body in memory.
+_CACHE_ENTRIES = 8  # the most recently used entries kept
+_DIGEST_BYTES = 32
+_BLOCK_BYTES = 1 << 16
+_file_version = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+
+
+@cache
+def _code_tag() -> bytes:
+    """SHA-256 of this module's source and the Python version: the parse's
+    messages and the marshal format are both fixed by these."""
+    digest = hashlib.sha256(Path(__file__).read_bytes())
+    digest.update(sys.version.encode())
+    return digest.digest()
+
+
+def _hash_rest(fh, digest) -> bytes:
+    """The digest of `digest` updated with the rest of the file `fh`."""
+    block = bytearray(_BLOCK_BYTES)
+    with memoryview(block) as view:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.digest()
+
+
+def _touch(entry: Path) -> None:
+    """Make the entry the most recently used. The clock's own nanoseconds,
+    not the file system's coarser tick, order entries written in quick
+    succession."""
+    now = time.time_ns()
+    os.utime(entry, ns=(now, now))
+
+
+def _cache_key(source) -> tuple[Path, tuple] | None:
+    """(cache entry path, the file's version before it was hashed) for a
+    corpus file that ingest caches, else None."""
+    if not isinstance(source, (str, Path)):
+        return None
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):  # no home directory
+            return None
+    try:
+        info = os.stat(source)
+        if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_MIN_BYTES:
+            return None
+        with open(source, "rb", buffering=0) as fh:
+            key = _hash_rest(fh, hashlib.sha256(_code_tag()))
+    except OSError:  # the parse reports it
+        return None
+    return Path(base, "pubrank", key.hex()), _file_version(info)
+
+
+def _cache_read(entry: Path) -> tuple[list[ItemRecord], list[Diagnostic]] | None:
+    """The records and diagnostics of a cache entry that passes its digest,
+    else None. A hit makes the entry the most recently used."""
+    records: list[ItemRecord] = []
+    diagnostics: list[tuple[int, str, str]] = []
+    # Whatever fails here, a missing or unreadable entry or one whose
+    # frames do not decode, the parse gives the result instead.
+    try:
+        with open(entry, "rb") as fh:
+            digest = fh.read(_DIGEST_BYTES)
+            if _hash_rest(fh, hashlib.sha256()) != digest:
+                return None
+            fh.seek(_DIGEST_BYTES)
+            _read_frames(fh, {}, records, diagnostics, to_end=True)
+    except Exception:
+        return None
+    with contextlib.suppress(OSError):  # a read-only cache still serves hits
+        _touch(entry)
+    return records, [Diagnostic(*diagnostic) for diagnostic in diagnostics]
+
+
+def _cache_write(entry: Path, records: list[ItemRecord], diagnostics: list[Diagnostic]) -> None:
+    """Write a cache entry through a temporary file in the same directory,
+    then drop all but the _CACHE_ENTRIES most recently used files there.
+    An OSError (an unwritable directory, a full disk, a file where the
+    directory should be) leaves no entry and no temporary file."""
+    directory = entry.parent
+    temporary = directory / f".{entry.name}.{os.getpid()}"
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with open(temporary, "wb") as out:
+            out.write(bytes(_DIGEST_BYTES))  # the body's digest, once it is known
+            body = hashlib.sha256()
+            for start in range(0, max(len(records), len(diagnostics)), _CHUNK_LINES):
+                frame = _frame(records[start:start + _CHUNK_LINES],
+                               diagnostics[start:start + _CHUNK_LINES])
+                body.update(frame)
+                out.write(frame)
+            out.seek(0)
+            out.write(body.digest())
+        os.replace(temporary, entry)
+        _touch(entry)
+        with os.scandir(directory) as files:
+            by_use = sorted(((f.stat().st_mtime_ns, f.path) for f in files if f.is_file()),
+                            reverse=True)
+        for _, path in by_use[_CACHE_ENTRIES:]:
+            os.unlink(path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+
+
+def _parse(source) -> tuple[list[ItemRecord], list[Diagnostic]]:
+    """Scan a large corpus file in two ranges at once, else serially."""
+    split = _split_at(source)
+    if split is not None:
+        # whatever goes wrong, the serial loop below gives the serial
+        # result or raises the serial error
+        with contextlib.suppress(Exception):
+            return _ingest_split(source, *split)
+    state = _Ingest()
+    state.scan(_open_lines(source))
+    return state.records, state.diagnostics
+
+
+def _unchanged(path, version: tuple) -> bool:
+    """Whether the file at `path` still has this version."""
+    try:
+        return _file_version(os.stat(path)) == version
+    except OSError:
+        return False
+
+
 def ingest_corpus(
     source, window: tuple[int, int] = DEFAULT_WINDOW
 ) -> tuple[list[ItemRecord], list[Diagnostic]]:
@@ -520,24 +664,26 @@ def ingest_corpus(
     Duplicate item ids are fatal and report both line numbers. A large
     corpus file is scanned in two ranges at once (see _SPLIT_MIN_BYTES);
     if that fails in any way, the serial loop runs, so the result or the
-    error is always the serial one. `window` is only checked, as the
-    benchmark's output checks still pass it; filter_corpus applies it.
+    error is always the serial one. A large corpus file's result is
+    cached by its bytes (see _CACHE_ENTRIES): a hit gives a result equal
+    to the parse's, with the same values shared. Only a parse that returns
+    over a file left unchanged while it ran writes an entry. `window` is
+    only checked, as the benchmark's output checks still pass it;
+    filter_corpus applies it.
     """
     _check_window(window)
+    key = _cache_key(source)
+    if key is not None and (cached := _cache_read(key[0])) is not None:
+        return cached
     digits_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(_INT_MAX_DIGITS)
     try:
-        split = _split_at(source)
-        if split is not None:
-            # whatever goes wrong, the serial loop below gives the serial
-            # result or raises the serial error
-            with contextlib.suppress(Exception):
-                return _ingest_split(source, *split)
-        state = _Ingest()
-        state.scan(_open_lines(source))
-        return state.records, state.diagnostics
+        result = _parse(source)
     finally:
         sys.set_int_max_str_digits(digits_limit)
+    if key is not None and _unchanged(source, key[1]):
+        _cache_write(key[0], *result)
+    return result
 
 
 def filter_corpus(

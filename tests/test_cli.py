@@ -252,6 +252,19 @@ class TestRank:
         assert capsys.readouterr().err == "error: format 'csv' given twice\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("formats,message", [
+        ("xlsx", "unknown format 'xlsx', expected one of ('csv', 'json', 'html')"),
+        (",", "at least one output format required"),
+        ("csv,csv", "format 'csv' given twice"),
+    ])
+    def test_format_rule_has_one_message_each(self, tmp_path, capsys, formats, message):
+        out = tmp_path / "tables"
+        code = run_cli(["rank", "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(out),
+                        "--format", formats])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_type_filter(self, clean_corpus, tmp_path):
         def history_rows(type_flag):
             out = tmp_path / f"t-{type_flag}"

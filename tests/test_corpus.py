@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import os
 import random
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pubrank import corpus
+from pubrank.cli import run_cli
 from pubrank.corpus import (
     Diagnostic,
     ItemRecord,
@@ -505,6 +508,208 @@ class TestSplitIngest:
         monkeypatch.setattr(os, "fork", no_fork)
         records, _ = ingest_corpus(jsonl([record(f"r{i}") for i in range(20)]))
         assert len(records) == 20 and split_calls == []
+
+
+def every_diagnostic_kind() -> bytes:
+    """A corpus with every kind of diagnostic, blank lines, CRLF line ends,
+    values shared between records, and chapters after and before their
+    books, across more than one frame of a cache entry."""
+    faults = [
+        {"doc_type": ""}, {"id": ""}, {"publisher": " "}, {"year": "2010"}, {"year": True},
+        {"citations": -1}, {"citations": 1.5}, {"categories": []}, {"categories": ["ok", 3]},
+        {"serial": "yes"}, {"parent_book_id": 7}, {"edited": "no"},
+        {"doc_type": "chapter"}, {"parent_book_id": "b0"},
+    ]
+    lines = ["{broken", "[1, 2]", "[" * 300 + "]" * 300,
+             json.dumps(record("huge")).replace('"citations": 0', '"citations": 1' + "0" * 5000)]
+    lines += [json.dumps({**record(f"f{i}"), **fault}) for i, fault in enumerate(faults)]
+    lines += ["", "   ", json.dumps(record("k", isbn="x")),
+              json.dumps(record("e", doc_type="chapter", parent_book_id="b1", edited=True)),
+              json.dumps(record("early", doc_type="chapter", parent_book_id="b1"))]
+    for i in range(12):
+        lines.append(json.dumps(record(f"b{i}", publisher=["Springer", "Brill"][i % 2],
+                                       year=2009 + i % 3, categories=["Law", "History"])))
+        lines.append(json.dumps(record(f"c{i}", doc_type="chapter", parent_book_id=f"b{i // 2}")))
+    text = "".join(line + ("\r\n" if i % 3 else "\n") for i, line in enumerate(lines))
+    return text.encode("utf-8")
+
+
+def assert_values_shared(records):
+    """The values a parse shares between records are shared."""
+    by_id = {r.item_id: r for r in records}
+    for doc_type in ("book", "chapter"):
+        assert all(r.doc_type is sys.intern(doc_type) for r in records if r.doc_type == doc_type)
+    springer = [r for r in records if r.raw_publisher == "Springer"]
+    assert len(springer) > 2 and all(r.raw_publisher is springer[0].raw_publisher for r in springer)
+    books = [by_id[f"b{i}"] for i in range(12)]
+    assert all(b.pub_year is books[0].pub_year for b in books[::3])
+    assert all(b.categories is books[0].categories for b in books)
+    for i in range(12):
+        assert by_id[f"c{i}"].parent_book_id is by_id[f"b{i // 2}"].item_id
+
+
+@pytest.fixture
+def cached(monkeypatch, ingest_cache):
+    """Cache every corpus file, whatever its size; returns the cache directory."""
+    monkeypatch.setattr(corpus, "_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(corpus, "_CHUNK_LINES", 8)  # entries of several frames
+    return ingest_cache
+
+
+def entries(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir()) if directory.is_dir() else []
+
+
+def no_parse(monkeypatch):
+    """Make any parse or fork fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("parsed or forked")
+
+    monkeypatch.setattr(corpus, "_parse_line", fail)
+    monkeypatch.setattr(os, "fork", fail)
+
+
+class TestIngestCache:
+    """The cache of ingest's result for corpus files of at least _SPLIT_MIN_BYTES."""
+
+    def test_a_hit_equals_a_miss_and_shares_values(self, tmp_path, cached):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(every_diagnostic_kind())
+        miss = ingest_corpus(path)
+        assert len(entries(cached)) == 1
+        hit = ingest_corpus(path)
+        assert hit == miss == serial_ingest(path)
+        records, diagnostics = hit
+        assert {d.severity for d in diagnostics} == {"error", "warning"}
+        assert len(diagnostics) == 20 and max(d.line for d in diagnostics) == 22
+        assert_values_shared(records)
+        assert_values_shared(miss[0])
+
+    def test_a_hit_neither_forks_nor_parses(self, tmp_path, cached, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(every_diagnostic_kind())
+        miss = ingest_corpus(path)
+        no_parse(monkeypatch)
+        assert ingest_corpus(path) == miss
+        assert ingest_corpus(path) == miss
+
+    def test_small_files_and_lists_are_not_cached(self, tmp_path, ingest_cache):
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
+        assert path.stat().st_size < corpus._SPLIT_MIN_BYTES
+        ingest_corpus(path)
+        ingest_corpus(jsonl([record(f"r{i}") for i in range(20)]))
+        assert not ingest_cache.exists()
+
+    @pytest.mark.parametrize("damage", ["flipped byte", "truncated", "foreign file", "file as directory"])
+    def test_a_damaged_cache_gives_the_parse_result(self, tmp_path, cached, damage, capsys):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(every_diagnostic_kind())
+        argv = ["validate", "--corpus", str(path)]
+
+        def damage_cache():
+            if damage == "file as directory":
+                cached.parent.mkdir(parents=True, exist_ok=True)
+                cached.write_bytes(b"not a directory")
+                return
+            (entry,) = cached.iterdir()
+            body = entry.read_bytes()
+            if damage == "flipped byte":  # in a book's id, which still decodes
+                at = body.rindex(b"b11")
+                entry.write_bytes(body[:at] + bytes([body[at] ^ 1]) + body[at + 1:])
+            elif damage == "truncated":
+                entry.write_bytes(body[: len(body) // 2])
+            else:
+                entry.write_bytes(b"not a cache entry\n" * 100)
+
+        if damage == "file as directory":
+            damage_cache()
+        assert run_cli(argv) == 1
+        first = capsys.readouterr()
+        assert first.err == "" and "line 1: invalid JSON" in first.out
+        damage_cache()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == first
+        damage_cache()
+        assert ingest_corpus(path) == serial_ingest(path)
+
+    def test_a_changed_corpus_byte_misses(self, tmp_path, cached):
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
+        before, _ = ingest_corpus(path)
+        path.write_bytes(path.read_bytes().replace(b'"citations": 0', b'"citations": 1', 1))
+        after, _ = ingest_corpus(path)
+        assert (before[0].citations, after[0].citations) == (0, 1)
+        assert after[1:] == before[1:] and len(entries(cached)) == 2
+
+    def test_a_changed_code_tag_misses(self, tmp_path, cached, monkeypatch):
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
+        result = ingest_corpus(path)
+        monkeypatch.setattr(corpus, "_code_tag", lambda: b"other code")
+        parsed = []
+        parse_line = corpus._parse_line
+        monkeypatch.setattr(corpus, "_parse_line", lambda *args: parsed.append(1) or parse_line(*args))
+        monkeypatch.setattr(corpus, "_split_at", lambda source: None)
+        assert ingest_corpus(path) == result
+        assert len(parsed) == 20 and len(entries(cached)) == 2
+
+    def test_a_file_changed_during_the_parse_writes_nothing(self, tmp_path, cached, monkeypatch):
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
+        parse = corpus._parse
+
+        def rewritten(source):
+            result = parse(source)
+            path.write_bytes(path.read_bytes().replace(b"r1", b"x1"))
+            return result
+
+        monkeypatch.setattr(corpus, "_parse", rewritten)
+        ingest_corpus(path)
+        assert entries(cached) == []
+
+    def test_a_failing_run_writes_nothing(self, tmp_path, cached):
+        duplicate = write_lines(tmp_path / "duplicate.jsonl", jsonl([record("a"), record("a")]))
+        with pytest.raises(DuplicateItemError):
+            ingest_corpus(duplicate)
+        latin1 = tmp_path / "latin1.jsonl"
+        latin1.write_bytes(json.dumps(record("a", publisher="Université"),
+                                      ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(CorpusError, match="not UTF-8"):
+            ingest_corpus(latin1)
+        assert entries(cached) == []
+
+    def test_the_most_recently_used_entries_are_kept(self, tmp_path, cached):
+        def corpus_file(n):
+            return write_lines(tmp_path / f"c{n}.jsonl", jsonl([record(f"r{n}")]))
+
+        ingest_corpus(corpus_file(0))
+        (first,) = entries(cached)
+        for n in range(1, corpus._CACHE_ENTRIES):
+            ingest_corpus(corpus_file(n))
+        second = set(entries(cached)) - {first}
+        ingest_corpus(corpus_file(0))  # a hit makes it the most recently used
+        ingest_corpus(corpus_file(corpus._CACHE_ENTRIES))
+        kept = entries(cached)
+        assert len(kept) == corpus._CACHE_ENTRIES and first in kept
+        assert len(second - set(kept)) == 1  # the entry of c1.jsonl, the least recently used
+
+    def test_a_full_disk_leaves_no_entry_and_no_temporary_file(self, tmp_path, cached, monkeypatch):
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
+
+        def full_disk(*args):
+            assert entries(cached), "the temporary file is open"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(corpus, "_frame", full_disk)
+        monkeypatch.setattr(corpus, "_split_at", lambda source: None)
+        assert ingest_corpus(path) == serial_ingest(path)
+        assert entries(cached) == []
+
+    def test_chapters_share_their_book_id_across_frames(self, tmp_path, split_calls, monkeypatch):
+        monkeypatch.setattr(corpus, "_CHUNK_LINES", 2)
+        recs = [record(f"r{i:02d}") for i in range(20)]
+        recs[17] = record("r17", doc_type="chapter", parent_book_id="r12")
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl(recs))
+        records, _ = ingest_corpus(path)
+        assert split_calls[0] is not None
+        assert records[17].parent_book_id is records[12].item_id  # the worker's half, two frames on
 
 
 class TestFilter:
