@@ -314,21 +314,24 @@ class _Ingest:
 
 # Ingest on two cores. A regular corpus file of at least _SPLIT_MIN_BYTES,
 # on Linux with more than one CPU allowed, is split at the first "\n" after
-# its byte midpoint: a forked worker scans the second range while this
-# process scans the first. Each _CHUNK_LINES lines, the worker writes that
-# chunk's records, as marshalled columns, and diagnostics as one
-# length-prefixed frame to a pipe. After each chunk of its own, this process
-# reads the worker's whole frames for as long as the pipe has data, and at
-# the end it reads them up to the pipe's end.
+# its byte midpoint: a forked worker scans the first range while this
+# process scans the second. Each _CHUNK_LINES lines, the worker writes that
+# chunk's records, as marshalled columns, its diagnostics and the number of
+# lines it has scanned as one length-prefixed frame to a pipe. After each
+# chunk of its own, this process reads the worker's whole frames for as
+# long as the pipe has data, and at the end it reads them up to the pipe's
+# end. The worker's range starts the file, so its frames, line numbers and
+# all, are also the start of the file's cache entry.
 #
-# Measured (2 vCPU, CPython 3.11.7; ingest_corpus alone, one fresh process
-# per run, medians of 12 alternating serial/split pairs) on prefixes of the
-# seed-1 benchmark corpus of 4,000 publishers: 10.7 -> 20.3 ms at 0.25 MiB
-# (split faster in 1 of 12), 24.2 -> 32.6 ms at 0.5 MiB (3 of 12), 51.5 ->
-# 41.2 ms at 1 MiB (8 of 12), 107 -> 73 ms at 2 MiB (11 of 12) and 274 ->
-# 175 ms at its full 5.5 MiB (11 of 12); on the 17 MiB corpus of 250
-# publishers, 0.78 -> 0.47 s (10 of 10). The fixed cost (fork, copy-on-write
-# faults, the worker's exit) is about 10 ms: files under 1 MiB stay serial.
+# Measured with the worker on the second range (2 vCPU, CPython 3.11.7;
+# ingest_corpus alone, one fresh process per run, medians of 12 alternating
+# serial/split pairs) on prefixes of the seed-1 benchmark corpus of 4,000
+# publishers: 10.7 -> 20.3 ms at 0.25 MiB (split faster in 1 of 12), 24.2 ->
+# 32.6 ms at 0.5 MiB (3 of 12), 51.5 -> 41.2 ms at 1 MiB (8 of 12), 107 ->
+# 73 ms at 2 MiB (11 of 12) and 274 -> 175 ms at its full 5.5 MiB (11 of
+# 12); on the 17 MiB corpus of 250 publishers, 0.78 -> 0.47 s (10 of 10).
+# The fixed cost (fork, copy-on-write faults, the worker's exit) is about
+# 10 ms: files under 1 MiB stay serial.
 _SPLIT_MIN_BYTES = 1 << 20
 _CHUNK_LINES = 1024
 _FRAME_HEADER = 8  # bytes of the little-endian payload length
@@ -400,39 +403,44 @@ def _chunks(state: _Ingest, lines: Iterator[str]) -> Iterator[None]:
         yield
 
 
-def _frame(records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic]) -> bytes:
-    """One length-prefixed frame: the records as marshalled columns and the
-    diagnostics as plain (line, reason, severity) tuples."""
+def _frame(records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic], lines: int) -> bytes:
+    """One length-prefixed frame: the records as marshalled columns, the
+    diagnostics as plain (line, reason, severity) tuples, and the number of
+    lines scanned when it was written."""
     payload = marshal.dumps((
         tuple(zip(*records)),
         [(d.line, d.reason, d.severity) for d in diagnostics],
+        lines,
     ))
     return len(payload).to_bytes(_FRAME_HEADER, "little") + payload
 
 
 def _send_chunks(path, start: int, end: int, out) -> None:
     """The worker's side: scan bytes start..end and write one frame per
-    chunk, (record columns, diagnostics as plain tuples), with line numbers
-    counted from the range's first line, to the file object `out`. Any
-    error, a duplicate id among them, ends the worker with status 1."""
+    chunk, with line numbers counted from the range's first line, to the
+    file object `out`. Any error, a duplicate id among them, ends the worker
+    with status 1."""
     state = _Ingest()
     with _range_lines(path, start, end) as lines:
         for _ in _chunks(state, lines):
-            out.write(_frame(state.records, state.diagnostics))
+            out.write(_frame(state.records, state.diagnostics, state.lines))
             state.records.clear()
             state.diagnostics.clear()
 
 
 def _read_frames(
-    frames: io.BufferedReader, shared: dict, records: list, diagnostics: list, to_end: bool
+    frames: io.BufferedReader, shared: dict, into: _Ingest, to_end: bool,
+    entry: _Entry | None = None,
 ) -> None:
     """Read whole frames, from the worker's pipe or a cache entry, into
-    `records`, whose values go through the `shared` table, and
-    `diagnostics`: for as long as the pipe has data or, if `to_end`, up to
-    the end. A frame that has begun is read to its end, as the worker is
-    writing it. A short header or payload raises EOFError. Each book's id
-    joins the table before the frame's parent ids are looked up in it, so a
-    chapter holds its book's id string whichever frame the book is in."""
+    `into`: its records, whose values go through the `shared` table, its
+    diagnostics, and, as its line count, the last frame's. Read for as long
+    as the pipe has data or, if `to_end`, up to the end, and pass each frame
+    on to `entry` as it stands. A frame that has begun is read to its end,
+    as the worker is writing it. A short header or payload raises EOFError.
+    Each book's id joins the table before the frame's parent ids are looked
+    up in it, so a chapter holds its book's id string whichever frame the
+    book is in."""
     share = shared.setdefault
     while to_end or select.select((frames,), (), (), 0)[0]:
         header = frames.read(_FRAME_HEADER)
@@ -442,8 +450,10 @@ def _read_frames(
         payload = frames.read(size)
         if len(header) < _FRAME_HEADER or len(payload) < size:
             raise EOFError("truncated frame")
-        columns, frame_diagnostics = marshal.loads(payload)
-        diagnostics += frame_diagnostics
+        if entry is not None:
+            entry.write(header, payload)
+        columns, frame_diagnostics, into.lines = marshal.loads(payload)
+        into.diagnostics += [Diagnostic(*diagnostic) for diagnostic in frame_diagnostics]
         if not columns:
             continue
         ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns
@@ -451,7 +461,7 @@ def _read_frames(
         shared.update(zip(books, books))
         # tuple.__new__ builds each record in C; ItemRecord(...) would
         # run the NamedTuple's Python __new__
-        records += map(tuple.__new__, repeat(ItemRecord), zip(
+        into.records += map(tuple.__new__, repeat(ItemRecord), zip(
             ids,
             doc_types,  # interned when written, so marshal interns them here
             map(share, publishers, publishers),
@@ -464,8 +474,12 @@ def _read_frames(
         ))
 
 
-def _ingest_split(path, split: int, size: int) -> tuple[list[ItemRecord], list[Diagnostic]]:
-    """Ingest bytes 0..split here and split..size in a forked worker.
+def _ingest_split(
+    path, split: int, size: int, entry: _Entry | None
+) -> tuple[list[ItemRecord], list[Diagnostic]]:
+    """Ingest bytes 0..split in a forked worker and split..size here, and
+    write the result's frames to `entry`: the worker's as they arrive, then
+    this range's.
 
     Raises when either range fails, when the worker's status is not 0 and
     when an id is in both ranges; the caller then runs the serial loop,
@@ -487,21 +501,20 @@ def _ingest_split(path, split: int, size: int) -> tuple[list[ItemRecord], list[D
             try:
                 frames.close()
                 os.sched_setaffinity(0, cpus[:-1])
-                _send_chunks(path, split, size, out)
+                _send_chunks(path, 0, split, out)
                 out.close()  # flushes what os._exit would drop
                 status = 0
             finally:
                 os._exit(status)
-        state = _Ingest()
-        records: list[ItemRecord] = []
-        diagnostics: list[tuple[int, str, str]] = []
+        first = _Ingest()  # the worker's range, from its frames
+        state = _Ingest()  # this process's range, lines counted from its start
         try:
             out.close()
             os.sched_setaffinity(0, cpus[-1:])
-            with _range_lines(path, 0, split) as lines:
+            with _range_lines(path, split, size) as lines:
                 for _ in _chunks(state, lines):
-                    _read_frames(frames, state.shared, records, diagnostics, to_end=False)
-            _read_frames(frames, state.shared, records, diagnostics, to_end=True)
+                    _read_frames(frames, state.shared, first, False, entry)
+            _read_frames(frames, state.shared, first, True, entry)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
@@ -510,24 +523,29 @@ def _ingest_split(path, split: int, size: int) -> tuple[list[ItemRecord], list[D
             _, wait_status = os.waitpid(pid, 0)
     if wait_status != 0:
         raise RuntimeError(f"ingest worker ended with wait status {wait_status}")
-    if not state.seen.isdisjoint(map(_item_id, records)):
+    if not state.seen.isdisjoint(map(_item_id, first.records)):
         raise ValueError("an item id is in both ranges")
-    offset = state.lines
-    state.records += records
-    state.diagnostics += [
-        Diagnostic(line + offset, reason, severity) for line, reason, severity in diagnostics
-    ]
-    return state.records, state.diagnostics
+    offset = first.lines
+    diagnostics = [Diagnostic(d.line + offset, d.reason, d.severity) for d in state.diagnostics]
+    if entry is not None:
+        entry.write_result(state.records, diagnostics, offset + state.lines)
+    first.records += state.records
+    first.diagnostics += diagnostics
+    return first.records, first.diagnostics
 
 
 # A cache of ingest's own result. A regular corpus file of at least
 # _SPLIT_MIN_BYTES is looked up by the SHA-256 of _code_tag() and its bytes
-# under $XDG_CACHE_HOME/pubrank (~/.cache/pubrank by default). An entry is
-# the SHA-256 of its body, then the body: the frames the ingest worker
-# writes, _CHUNK_LINES records and diagnostics each, with absolute line
-# numbers. The body is checked before any frame is decoded, and an entry
-# that is missing or fails the check is parsed again. Reads and writes
-# stream a frame at a time, so neither holds the body in memory.
+# under $XDG_CACHE_HOME/pubrank (~/.cache/pubrank by default), a directory
+# that must belong to this user and be closed to everyone else: an entry is
+# trusted once its digest checks, and marshal is not safe against crafted
+# data. An entry is the SHA-256 of its body, then the body: frames as the
+# ingest worker writes them, _CHUNK_LINES records and diagnostics each, with
+# absolute line numbers. The body is checked before any frame is decoded,
+# and an entry that is missing or fails the check is parsed again. Reads and
+# writes stream a frame at a time, so neither holds the body in memory; a
+# split parse passes the worker's frames on as they arrive, so only this
+# process's range is marshalled for the entry.
 _CACHE_ENTRIES = 8  # the most recently used entries kept
 _DIGEST_BYTES = 32
 _BLOCK_BYTES = 1 << 16
@@ -560,32 +578,49 @@ def _touch(entry: Path) -> None:
     os.utime(entry, ns=(now, now))
 
 
-def _cache_key(source) -> tuple[Path, tuple] | None:
-    """(cache entry path, the file's version before it was hashed) for a
-    corpus file that ingest caches, else None."""
-    if not isinstance(source, (str, Path)):
-        return None
+def _cache_dir() -> Path | None:
+    """The cache directory, made if it is missing, when it is a directory
+    of this user's that no one else may read or write; else None."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative: the default
         base = os.path.join(os.path.expanduser("~"), ".cache")
         if not os.path.isabs(base):  # no home directory
             return None
+    directory = Path(base, "pubrank")
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = os.stat(directory)
+    except OSError:  # a file where the directory should be, among others
+        return None
+    if (not stat.S_ISDIR(info.st_mode) or not hasattr(os, "getuid")
+            or info.st_uid != os.getuid() or info.st_mode & 0o077):
+        return None
+    return directory
+
+
+def _cache_key(source) -> tuple[Path, tuple] | None:
+    """(cache entry path, the file's version before it was hashed) for a
+    corpus file that ingest caches, else None."""
+    if not isinstance(source, (str, Path)):
+        return None
     try:
         info = os.stat(source)
         if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_MIN_BYTES:
+            return None
+        directory = _cache_dir()
+        if directory is None:
             return None
         with open(source, "rb", buffering=0) as fh:
             key = _hash_rest(fh, hashlib.sha256(_code_tag()))
     except OSError:  # the parse reports it
         return None
-    return Path(base, "pubrank", key.hex()), _file_version(info)
+    return directory / key.hex(), _file_version(info)
 
 
 def _cache_read(entry: Path) -> tuple[list[ItemRecord], list[Diagnostic]] | None:
     """The records and diagnostics of a cache entry that passes its digest,
     else None. A hit makes the entry the most recently used."""
-    records: list[ItemRecord] = []
-    diagnostics: list[tuple[int, str, str]] = []
+    result = _Ingest()
     # Whatever fails here, a missing or unreadable entry or one whose
     # frames do not decode, the parse gives the result instead.
     try:
@@ -594,55 +629,94 @@ def _cache_read(entry: Path) -> tuple[list[ItemRecord], list[Diagnostic]] | None
             if _hash_rest(fh, hashlib.sha256()) != digest:
                 return None
             fh.seek(_DIGEST_BYTES)
-            _read_frames(fh, {}, records, diagnostics, to_end=True)
+            _read_frames(fh, result.shared, result, to_end=True)
     except Exception:
         return None
     with contextlib.suppress(OSError):  # a read-only cache still serves hits
         _touch(entry)
-    return records, [Diagnostic(*diagnostic) for diagnostic in diagnostics]
+    return result.records, result.diagnostics
 
 
-def _cache_write(entry: Path, records: list[ItemRecord], diagnostics: list[Diagnostic]) -> None:
-    """Write a cache entry through a temporary file in the same directory,
-    then drop all but the _CACHE_ENTRIES most recently used files there.
-    An OSError (an unwritable directory, a full disk, a file where the
-    directory should be) leaves no entry and no temporary file."""
-    directory = entry.parent
-    temporary = directory / f".{entry.name}.{os.getpid()}"
-    try:
-        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-        with open(temporary, "wb") as out:
-            out.write(bytes(_DIGEST_BYTES))  # the body's digest, once it is known
-            body = hashlib.sha256()
-            for start in range(0, max(len(records), len(diagnostics)), _CHUNK_LINES):
-                frame = _frame(records[start:start + _CHUNK_LINES],
-                               diagnostics[start:start + _CHUNK_LINES])
-                body.update(frame)
-                out.write(frame)
-            out.seek(0)
-            out.write(body.digest())
-        os.replace(temporary, entry)
-        _touch(entry)
-        with os.scandir(directory) as files:
-            by_use = sorted(((f.stat().st_mtime_ns, f.path) for f in files if f.is_file()),
-                            reverse=True)
-        for _, path in by_use[_CACHE_ENTRIES:]:
-            os.unlink(path)
-    except OSError:
+class _Entry:
+    """A cache entry being written: its body's frames go to a temporary
+    file in the cache directory and through the body's digest. commit()
+    puts the entry in place and drops all but the _CACHE_ENTRIES most
+    recently used files there. An OSError (an unwritable directory, a full
+    disk) or discard() ends the writing and removes the temporary file;
+    commit() then puts nothing in place."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.temporary = path.with_name(f".{path.name}.{os.getpid()}")
+        self.body = hashlib.sha256()
+        self.file = None
         with contextlib.suppress(OSError):
-            os.unlink(temporary)
+            self.file = open(self.temporary, "wb")
+            self.file.write(bytes(_DIGEST_BYTES))  # the body's digest, once it is known
+
+    def write(self, *parts: bytes) -> None:
+        if self.file is None:
+            return
+        try:
+            for part in parts:
+                self.file.write(part)
+                self.body.update(part)
+        except OSError:
+            self.discard()
+
+    def write_result(
+        self, records: list[ItemRecord], diagnostics: list[Diagnostic], lines: int
+    ) -> None:
+        """Frames of records and diagnostics, _CHUNK_LINES of each at a time."""
+        for start in range(0, max(len(records), len(diagnostics)), _CHUNK_LINES):
+            if self.file is None:  # never opened, or failed: no frame is needed
+                return
+            self.write(_frame(records[start:start + _CHUNK_LINES],
+                              diagnostics[start:start + _CHUNK_LINES], lines))
+
+    def commit(self) -> None:
+        if self.file is None:
+            return
+        try:
+            self.file.seek(0)
+            self.file.write(self.body.digest())
+            self.file.close()
+            os.replace(self.temporary, self.path)
+            _touch(self.path)
+            with os.scandir(self.path.parent) as files:
+                by_use = sorted(((f.stat().st_mtime_ns, f.path) for f in files if f.is_file()),
+                                reverse=True)
+            for _, path in by_use[_CACHE_ENTRIES:]:
+                os.unlink(path)
+        except OSError:
+            self.discard()
+        self.file = None
+
+    def discard(self) -> None:
+        if self.file is None:
+            return
+        with contextlib.suppress(OSError):  # a full disk fails the close's flush too
+            self.file.close()
+        with contextlib.suppress(OSError):
+            os.unlink(self.temporary)
+        self.file = None
 
 
-def _parse(source) -> tuple[list[ItemRecord], list[Diagnostic]]:
-    """Scan a large corpus file in two ranges at once, else serially."""
+def _parse(source, entry: _Entry | None) -> tuple[list[ItemRecord], list[Diagnostic]]:
+    """Scan a large corpus file in two ranges at once, else serially, and
+    write the result's frames to `entry`."""
     split = _split_at(source)
     if split is not None:
         # whatever goes wrong, the serial loop below gives the serial
         # result or raises the serial error
         with contextlib.suppress(Exception):
-            return _ingest_split(source, *split)
+            return _ingest_split(source, *split, entry)
+        if entry is not None:  # it may hold some of the worker's frames
+            entry.discard()
     state = _Ingest()
     state.scan(_open_lines(source))
+    if entry is not None:
+        entry.write_result(state.records, state.diagnostics, state.lines)
     return state.records, state.diagnostics
 
 
@@ -675,14 +749,17 @@ def ingest_corpus(
     key = _cache_key(source)
     if key is not None and (cached := _cache_read(key[0])) is not None:
         return cached
+    entry = None if key is None else _Entry(key[0])
     digits_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(_INT_MAX_DIGITS)
     try:
-        result = _parse(source)
+        result = _parse(source, entry)
+        if entry is not None and _unchanged(source, key[1]):
+            entry.commit()
     finally:
         sys.set_int_max_str_digits(digits_limit)
-    if key is not None and _unchanged(source, key[1]):
-        _cache_write(key[0], *result)
+        if entry is not None:
+            entry.discard()  # after a commit, there is nothing left to discard
     return result
 
 

@@ -1,4 +1,3 @@
-import errno
 import hashlib
 import json
 import os
@@ -323,8 +322,31 @@ class TestIngestFuzz:
             path.write_text("".join(lines), encoding="utf-8", newline="")
             with path.open(encoding="utf-8") as fh:
                 file_lines = list(fh)
-            with mock.patch.object(corpus, "_SPLIT_MIN_BYTES", 0):
+            # split every file and cache none, so that every example runs the split
+            with mock.patch.object(corpus, "_SPLIT_MIN_BYTES", 0), \
+                    mock.patch.object(corpus, "_cache_key", lambda source: None):
                 assert ingest_outcome(path) == reference_ingest(file_lines)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_cache_hit_equals_json_loads_reference(self, data):
+        """The same property for a file cached by a split parse, in entries
+        of several frames: the worker's frames as they came, then this
+        process's range, shifted. The miss and the hit both give the serial
+        records and diagnostics, message for message."""
+        lines = [data.draw(jsonl_text_line(i)) for i in range(data.draw(st.integers(0, 8)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text("".join(lines), encoding="utf-8", newline="")
+            with path.open(encoding="utf-8") as fh:
+                reference = reference_ingest(list(fh))
+            with mock.patch.object(corpus, "_SPLIT_MIN_BYTES", 0), \
+                    mock.patch.object(corpus, "_CHUNK_LINES", 2), \
+                    mock.patch.dict(os.environ, {"XDG_CACHE_HOME": tmp}):  # this example's own cache
+                assert ingest_outcome(path) == reference
+                written = entries(Path(tmp, "pubrank"))
+                assert ingest_outcome(path) == reference
+            assert len(written) == (reference[0] != "DuplicateItemError")
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -414,7 +436,7 @@ def write_lines(path: Path, lines) -> Path:
 
 
 class TestSplitIngest:
-    """Ingest of a file in two ranges, the second in a forked worker."""
+    """Ingest of a file in two ranges, the first in a forked worker."""
 
     def test_halves_join_to_the_serial_result(self, tmp_path, split_calls):
         lines = []
@@ -425,7 +447,7 @@ class TestSplitIngest:
         records, diagnostics = ingest_corpus(path)
         assert split_calls and split_calls[0] is not None
         assert (records, diagnostics) == serial_ingest(path) == ingest_corpus(lines)
-        assert max(d.line for d in diagnostics) > 20  # the worker's lines, shifted
+        assert max(d.line for d in diagnostics) > 20  # this process's lines, shifted
 
     def test_duplicate_across_the_split_reports_serial_lines(self, tmp_path, split_calls):
         lines = [json.dumps(record(f"r{i:02d}")) for i in range(20)]
@@ -468,13 +490,13 @@ class TestSplitIngest:
 
     def test_error_in_this_half_reaps_the_worker_and_restores_affinity(self, tmp_path, split_calls):
         lines = [json.dumps(record(f"r{i:02d}")) for i in range(20)]
-        lines[3] = json.dumps(record("r01"))
+        lines[13] = json.dumps(record("r11"))
         path = write_lines(tmp_path / "corpus.jsonl", lines)
         cpus = os.sched_getaffinity(0)
         with pytest.raises(DuplicateItemError) as err:
             ingest_corpus(path)
         assert split_calls == [None]
-        assert (err.value.item_id, err.value.first_line, err.value.second_line) == ("r01", 2, 4)
+        assert (err.value.item_id, err.value.first_line, err.value.second_line) == ("r11", 12, 14)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert os.sched_getaffinity(0) == cpus
@@ -498,8 +520,8 @@ class TestSplitIngest:
         path = write_lines(tmp_path / "corpus.jsonl", jsonl(recs))
         records, _ = ingest_corpus(path)
         assert split_calls[0] is not None
-        assert records[3].parent_book_id is records[0].item_id
-        assert records[17].parent_book_id is records[12].item_id  # the worker's half
+        assert records[3].parent_book_id is records[0].item_id  # the worker's half
+        assert records[17].parent_book_id is records[12].item_id
 
     def test_list_source_never_forks(self, split_calls, monkeypatch):
         def no_fork():
@@ -655,8 +677,8 @@ class TestIngestCache:
         path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
         parse = corpus._parse
 
-        def rewritten(source):
-            result = parse(source)
+        def rewritten(*args):
+            result = parse(*args)
             path.write_bytes(path.read_bytes().replace(b"r1", b"x1"))
             return result
 
@@ -675,6 +697,19 @@ class TestIngestCache:
             ingest_corpus(latin1)
         assert entries(cached) == []
 
+    def test_a_failed_split_writes_nothing(self, tmp_path, split_calls, ingest_cache, monkeypatch):
+        send = corpus._send_chunks
+
+        def send_then_fail(path, start, end, out):
+            send(path, start, end, out)  # whole frames, which this process passes on
+            out.flush()
+            os._exit(1)
+
+        monkeypatch.setattr(corpus, "_send_chunks", send_then_fail)
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
+        assert ingest_corpus(path) == serial_ingest(path)
+        assert split_calls == [None] and entries(ingest_cache) == []
+
     def test_the_most_recently_used_entries_are_kept(self, tmp_path, cached):
         def corpus_file(n):
             return write_lines(tmp_path / f"c{n}.jsonl", jsonl([record(f"r{n}")]))
@@ -690,26 +725,36 @@ class TestIngestCache:
         assert len(kept) == corpus._CACHE_ENTRIES and first in kept
         assert len(second - set(kept)) == 1  # the entry of c1.jsonl, the least recently used
 
-    def test_a_full_disk_leaves_no_entry_and_no_temporary_file(self, tmp_path, cached, monkeypatch):
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_a_full_disk_leaves_no_entry_and_no_temporary_file(self, tmp_path, cached):
         path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
-
-        def full_disk(*args):
-            assert entries(cached), "the temporary file is open"
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(corpus, "_frame", full_disk)
-        monkeypatch.setattr(corpus, "_split_at", lambda source: None)
+        entry, _ = corpus._cache_key(path)
+        # the temporary file's name, as a link to a device that is always full
+        (cached / f".{entry.name}.{os.getpid()}").symlink_to("/dev/full")
         assert ingest_corpus(path) == serial_ingest(path)
         assert entries(cached) == []
+
+    @pytest.mark.parametrize("mode", [0o770, 0o705], ids=["group-writable", "other-readable"])
+    def test_a_directory_others_may_use_is_not_trusted(self, tmp_path, cached, mode):
+        ours = write_lines(tmp_path / "ours.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
+        planted = write_lines(tmp_path / "planted.jsonl", jsonl([record("planted")]))
+        ingest_corpus(planted)
+        (entry,) = cached.iterdir()
+        entry.rename(corpus._cache_key(ours)[0])  # a valid entry, under our file's key
+        cached.chmod(mode)
+        assert ingest_corpus(ours) == serial_ingest(ours)
+        assert len(entries(cached)) == 1  # and nothing written there
+        cached.chmod(0o700)
+        assert [r.item_id for r in ingest_corpus(ours)[0]] == ["planted"]
 
     def test_chapters_share_their_book_id_across_frames(self, tmp_path, split_calls, monkeypatch):
         monkeypatch.setattr(corpus, "_CHUNK_LINES", 2)
         recs = [record(f"r{i:02d}") for i in range(20)]
-        recs[17] = record("r17", doc_type="chapter", parent_book_id="r12")
+        recs[7] = record("r07", doc_type="chapter", parent_book_id="r02")
         path = write_lines(tmp_path / "corpus.jsonl", jsonl(recs))
         records, _ = ingest_corpus(path)
         assert split_calls[0] is not None
-        assert records[17].parent_book_id is records[12].item_id  # the worker's half, two frames on
+        assert records[7].parent_book_id is records[2].item_id  # the worker's half, two frames on
 
 
 class TestFilter:
