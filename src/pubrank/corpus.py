@@ -101,20 +101,19 @@ def _normalise_categories(raw: list) -> tuple[str, ...]:
     return tuple(sorted({sys.intern(c.strip()) for c in raw}))
 
 
-def _parse_line(
-    obj: dict, categories_memo: dict, shared: dict
-) -> tuple[ItemRecord, list[str]]:
+def _parse_line(obj: dict, shared: dict) -> tuple[ItemRecord, list[str]]:
     """Build an ItemRecord from one parsed JSON object.
 
     Returns the record plus any non-fatal warnings. Raises ValueError with
-    the rejection reason for malformed objects. `categories_memo` maps a
-    raw category list, as a tuple, to its normalised tuple; it only ever
-    holds lists that passed the check, so records with the same list share
-    one tuple. `shared` maps each publisher string, year and normalised
-    category tuple to its first copy, which every record with that value
-    then holds (a str, an int and a tuple are never equal, so one table
-    serves all three). The line loop adds each book's id to it, so a
-    chapter after its book holds the book's id string as its parent id.
+    the rejection reason for malformed objects. `shared` maps each
+    publisher string, year and normalised category tuple to its first copy,
+    which every record with that value then holds, and each raw category
+    list that passed the check, as a tuple, to its normalised tuple, so
+    records with the same list share one tuple (a str, an int and a tuple
+    are never equal, and a raw tuple equal to a normalised one is already
+    normalised, so one table serves them all). The line loop adds each
+    book's id to it, so a chapter after its book holds the book's id string
+    as its parent id.
     Values come from `json.loads`, so exact-type checks
     (bool is an int subclass and must not pass as one) and identity on the
     two bools are the same tests as isinstance.
@@ -149,10 +148,10 @@ def _parse_line(
         raise ValueError(_CATEGORIES_ERROR)
     key = tuple(raw_categories)
     try:
-        categories = categories_memo[key]
+        categories = shared[key]
     except KeyError:
         categories = _normalise_categories(raw_categories)
-        categories = categories_memo[key] = shared.setdefault(categories, categories)
+        categories = shared[key] = shared.setdefault(categories, categories)
     except TypeError:  # an unhashable element, which the full check rejects
         categories = _normalise_categories(raw_categories)
     serial = get("serial", False)
@@ -229,10 +228,10 @@ def _open_lines(source) -> Iterator[str]:
 
 class _Ingest:
     """The state of one ingest_corpus call's line loop: records and
-    diagnostics so far, the ids seen, the blank lines, and the tables that
-    share category tuples, publisher strings, years and book ids between
-    records.
-    The tables are its own, not sys.intern's, so that they go with the
+    diagnostics so far, the ids seen, the blank lines, and the table that
+    shares category tuples, publisher strings, years and book ids between
+    records (see _parse_line).
+    The table is its own, not sys.intern's, so that it goes with the
     call: a long-tail corpus has 17k distinct publisher strings."""
 
     def __init__(self) -> None:
@@ -240,21 +239,19 @@ class _Ingest:
         self.diagnostics: list[Diagnostic] = []
         self.seen: set[str] = set()
         self.blank: list[int] = []
-        self.categories_memo: dict[tuple, tuple[str, ...]] = {}
         self.shared: dict = {}
         self.lines = 0  # lines scanned so far
 
-    def scan(self, lines: Iterable[str]) -> None:
-        """Run the line loop over `lines`, which follow the lines scanned so far."""
+    def scan(self, lines: Iterable[str]) -> bool:
+        """Run the line loop over `lines`, which follow those scanned so far; True if any."""
         records = self.records
         diagnostics = self.diagnostics
         seen = self.seen
-        categories_memo = self.categories_memo
         shared = self.shared
         loads = json.loads
         scan_once = _scan_once
-        line_no = self.lines
-        for line_no, line in enumerate(lines, start=line_no + 1):
+        line_no = scanned = self.lines
+        for line_no, line in enumerate(lines, start=scanned + 1):
             if not line or line.isspace():
                 self.blank.append(line_no)
                 continue
@@ -286,7 +283,7 @@ class _Ingest:
                 diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
                 continue
             try:
-                record, warnings = _parse_line(obj, categories_memo, shared)
+                record, warnings = _parse_line(obj, shared)
             except ValueError as exc:
                 diagnostics.append(Diagnostic(line_no, str(exc)))
                 continue
@@ -300,6 +297,7 @@ class _Ingest:
             for message in warnings:
                 diagnostics.append(Diagnostic(line_no, message, severity="warning"))
         self.lines = line_no
+        return line_no > scanned
 
     def _first_line(self, item_id: str) -> int:
         """The line of the first record with this id, for a scan that began
@@ -370,37 +368,32 @@ def _range_lines(path, start: int, end: int) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, end)), encoding="utf-8")
 
 
-def _split_at(source) -> tuple[int, int] | None:
-    """(offset just past the first "\\n" after the midpoint, file size) for a
-    corpus file that ingest splits, else None."""
-    if not isinstance(source, (str, Path)) or not hasattr(os, "sched_setaffinity"):
+def _large_file(source) -> os.stat_result | None:
+    """The status of a corpus file that ingest may split and caches, a regular
+    file of at least _SPLIT_MIN_BYTES; else None."""
+    if not isinstance(source, (str, Path)):
         return None
     try:
         info = os.stat(source)
-        if (len(os.sched_getaffinity(0)) < 2 or not stat.S_ISREG(info.st_mode)
-                or info.st_size < _SPLIT_MIN_BYTES):
-            return None
+    except OSError:  # the serial path reports it
+        return None
+    return info if stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT_MIN_BYTES else None
+
+
+def _split_at(source, size: int) -> int | None:
+    """The offset just past the first "\\n" after the midpoint of a large file
+    of `size` bytes, when this process may run on two CPUs; else None."""
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    with contextlib.suppress(OSError):  # the serial path reports it
         with open(source, "rb") as fh:
-            fh.seek(info.st_size // 2)
+            fh.seek(size // 2)
             for block in iter(lambda: fh.read(1 << 16), b""):
                 newline = block.find(b"\n")
                 if newline >= 0:
                     split = fh.tell() - len(block) + newline + 1
-                    return (split, info.st_size) if split < info.st_size else None
-    except OSError:  # the serial path reports it
-        return None
+                    return split if split < size else None
     return None
-
-
-def _chunks(state: _Ingest, lines: Iterator[str]) -> Iterator[None]:
-    """Scan `lines` into `state` _CHUNK_LINES at a time, yielding after each
-    chunk."""
-    while True:
-        scanned = state.lines
-        state.scan(islice(lines, _CHUNK_LINES))
-        if state.lines == scanned:
-            return
-        yield
 
 
 def _frame(records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic], lines: int) -> bytes:
@@ -415,25 +408,21 @@ def _frame(records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic], lin
     return len(payload).to_bytes(_FRAME_HEADER, "little") + payload
 
 
-def _send_chunks(path, start: int, end: int, out) -> None:
-    """The worker's side: scan bytes start..end and write one frame per
-    chunk, with line numbers counted from the range's first line, to the
-    file object `out`. Any error, a duplicate id among them, ends the worker
-    with status 1."""
+def _send_chunks(path, end: int, out) -> None:
+    """The worker's side: scan the file's bytes up to `end` and write one
+    frame per chunk to the file object `out`. Any error, a duplicate id
+    among them, ends the worker with status 1."""
     state = _Ingest()
-    with _range_lines(path, start, end) as lines:
-        for _ in _chunks(state, lines):
+    with _range_lines(path, 0, end) as lines:
+        while state.scan(islice(lines, _CHUNK_LINES)):
             out.write(_frame(state.records, state.diagnostics, state.lines))
             state.records.clear()
             state.diagnostics.clear()
 
 
-def _read_frames(
-    frames: io.BufferedReader, shared: dict, into: _Ingest, to_end: bool,
-    entry: _Entry | None = None,
-) -> None:
+def _read_frames(frames: io.BufferedReader, into: _Ingest, to_end: bool, entry: _Entry) -> None:
     """Read whole frames, from the worker's pipe or a cache entry, into
-    `into`: its records, whose values go through the `shared` table, its
+    `into`: its records, whose values go through its shared table, its
     diagnostics, and, as its line count, the last frame's. Read for as long
     as the pipe has data or, if `to_end`, up to the end, and pass each frame
     on to `entry` as it stands. A frame that has begun is read to its end,
@@ -441,6 +430,7 @@ def _read_frames(
     Each book's id joins the table before the frame's parent ids are looked
     up in it, so a chapter holds its book's id string whichever frame the
     book is in."""
+    shared = into.shared
     share = shared.setdefault
     while to_end or select.select((frames,), (), (), 0)[0]:
         header = frames.read(_FRAME_HEADER)
@@ -450,8 +440,7 @@ def _read_frames(
         payload = frames.read(size)
         if len(header) < _FRAME_HEADER or len(payload) < size:
             raise EOFError("truncated frame")
-        if entry is not None:
-            entry.write(header, payload)
+        entry.write(header, payload)
         columns, frame_diagnostics, into.lines = marshal.loads(payload)
         into.diagnostics += [Diagnostic(*diagnostic) for diagnostic in frame_diagnostics]
         if not columns:
@@ -475,7 +464,7 @@ def _read_frames(
 
 
 def _ingest_split(
-    path, split: int, size: int, entry: _Entry | None
+    path, split: int, size: int, entry: _Entry
 ) -> tuple[list[ItemRecord], list[Diagnostic]]:
     """Ingest bytes 0..split in a forked worker and split..size here, and
     write the result's frames to `entry`: the worker's as they arrive, then
@@ -501,20 +490,21 @@ def _ingest_split(
             try:
                 frames.close()
                 os.sched_setaffinity(0, cpus[:-1])
-                _send_chunks(path, 0, split, out)
+                _send_chunks(path, split, out)
                 out.close()  # flushes what os._exit would drop
                 status = 0
             finally:
                 os._exit(status)
-        first = _Ingest()  # the worker's range, from its frames
         state = _Ingest()  # this process's range, lines counted from its start
+        first = _Ingest()  # the worker's range, from its frames
+        first.shared = state.shared  # one table shares values across both
         try:
             out.close()
             os.sched_setaffinity(0, cpus[-1:])
             with _range_lines(path, split, size) as lines:
-                for _ in _chunks(state, lines):
-                    _read_frames(frames, state.shared, first, False, entry)
-            _read_frames(frames, state.shared, first, True, entry)
+                while state.scan(islice(lines, _CHUNK_LINES)):
+                    _read_frames(frames, first, False, entry)
+            _read_frames(frames, first, True, entry)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
@@ -527,17 +517,16 @@ def _ingest_split(
         raise ValueError("an item id is in both ranges")
     offset = first.lines
     diagnostics = [Diagnostic(d.line + offset, d.reason, d.severity) for d in state.diagnostics]
-    if entry is not None:
-        entry.write_result(state.records, diagnostics, offset + state.lines)
+    entry.write_result(state.records, diagnostics, offset + state.lines)
     first.records += state.records
     first.diagnostics += diagnostics
     return first.records, first.diagnostics
 
 
-# A cache of ingest's own result. A regular corpus file of at least
-# _SPLIT_MIN_BYTES is looked up by the SHA-256 of _code_tag() and its bytes
-# under $XDG_CACHE_HOME/pubrank (~/.cache/pubrank by default), a directory
-# that must belong to this user and be closed to everyone else: an entry is
+# A cache of ingest's own result. A large corpus file (see _large_file) is
+# looked up by the SHA-256 of _code_tag() and its bytes under
+# $XDG_CACHE_HOME/pubrank (~/.cache/pubrank by default), a directory that
+# must belong to this user and be closed to everyone else: an entry is
 # trusted once its digest checks, and marshal is not safe against crafted
 # data. An entry is the SHA-256 of its body, then the body: frames as the
 # ingest worker writes them, _CHUNK_LINES records and diagnostics each, with
@@ -598,23 +587,18 @@ def _cache_dir() -> Path | None:
     return directory
 
 
-def _cache_key(source) -> tuple[Path, tuple] | None:
-    """(cache entry path, the file's version before it was hashed) for a
-    corpus file that ingest caches, else None."""
-    if not isinstance(source, (str, Path)):
+def _cache_key(source) -> Path | None:
+    """The cache entry path of a large corpus file, when there is a cache
+    directory to hold it; else None."""
+    directory = _cache_dir()
+    if directory is None:
         return None
     try:
-        info = os.stat(source)
-        if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_MIN_BYTES:
-            return None
-        directory = _cache_dir()
-        if directory is None:
-            return None
         with open(source, "rb", buffering=0) as fh:
             key = _hash_rest(fh, hashlib.sha256(_code_tag()))
     except OSError:  # the parse reports it
         return None
-    return directory / key.hex(), _file_version(info)
+    return directory / key.hex()
 
 
 def _cache_read(entry: Path) -> tuple[list[ItemRecord], list[Diagnostic]] | None:
@@ -629,7 +613,7 @@ def _cache_read(entry: Path) -> tuple[list[ItemRecord], list[Diagnostic]] | None
             if _hash_rest(fh, hashlib.sha256()) != digest:
                 return None
             fh.seek(_DIGEST_BYTES)
-            _read_frames(fh, result.shared, result, to_end=True)
+            _read_frames(fh, result, True, _Entry(None))
     except Exception:
         return None
     with contextlib.suppress(OSError):  # a read-only cache still serves hits
@@ -643,16 +627,17 @@ class _Entry:
     puts the entry in place and drops all but the _CACHE_ENTRIES most
     recently used files there. An OSError (an unwritable directory, a full
     disk) or discard() ends the writing and removes the temporary file;
-    commit() then puts nothing in place."""
+    commit() then puts nothing in place. _Entry(None) writes nothing."""
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path | None) -> None:
         self.path = path
-        self.temporary = path.with_name(f".{path.name}.{os.getpid()}")
         self.body = hashlib.sha256()
         self.file = None
-        with contextlib.suppress(OSError):
-            self.file = open(self.temporary, "wb")
-            self.file.write(bytes(_DIGEST_BYTES))  # the body's digest, once it is known
+        if path is not None:
+            self.temporary = path.with_name(f".{path.name}.{os.getpid()}")
+            with contextlib.suppress(OSError):
+                self.file = open(self.temporary, "wb")
+                self.file.write(bytes(_DIGEST_BYTES))  # the body's digest, once it is known
 
     def write(self, *parts: bytes) -> None:
         if self.file is None:
@@ -702,28 +687,28 @@ class _Entry:
         self.file = None
 
 
-def _parse(source, entry: _Entry | None) -> tuple[list[ItemRecord], list[Diagnostic]]:
-    """Scan a large corpus file in two ranges at once, else serially, and
-    write the result's frames to `entry`."""
-    split = _split_at(source)
+def _parse(
+    source, info: os.stat_result | None, entry: _Entry
+) -> tuple[list[ItemRecord], list[Diagnostic]]:
+    """Scan a large corpus file, of status `info`, in two ranges at once,
+    else serially, and write the result's frames to `entry`."""
+    split = None if info is None else _split_at(source, info.st_size)
     if split is not None:
         # whatever goes wrong, the serial loop below gives the serial
         # result or raises the serial error
         with contextlib.suppress(Exception):
-            return _ingest_split(source, *split, entry)
-        if entry is not None:  # it may hold some of the worker's frames
-            entry.discard()
+            return _ingest_split(source, split, info.st_size, entry)
+        entry.discard()  # it may hold some of the worker's frames
     state = _Ingest()
     state.scan(_open_lines(source))
-    if entry is not None:
-        entry.write_result(state.records, state.diagnostics, state.lines)
+    entry.write_result(state.records, state.diagnostics, state.lines)
     return state.records, state.diagnostics
 
 
-def _unchanged(path, version: tuple) -> bool:
-    """Whether the file at `path` still has this version."""
+def _unchanged(path, info: os.stat_result) -> bool:
+    """Whether the file at `path` still has the inode, size and times of `info`."""
     try:
-        return _file_version(os.stat(path)) == version
+        return _file_version(os.stat(path)) == _file_version(info)
     except OSError:
         return False
 
@@ -736,30 +721,29 @@ def ingest_corpus(
     Every well-formed line yields exactly one record, in input order.
     Malformed lines become error diagnostics; blank lines are skipped.
     Duplicate item ids are fatal and report both line numbers. A large
-    corpus file is scanned in two ranges at once (see _SPLIT_MIN_BYTES);
-    if that fails in any way, the serial loop runs, so the result or the
-    error is always the serial one. A large corpus file's result is
-    cached by its bytes (see _CACHE_ENTRIES): a hit gives a result equal
-    to the parse's, with the same values shared. Only a parse that returns
-    over a file left unchanged while it ran writes an entry. `window` is
-    only checked, as the benchmark's output checks still pass it;
-    filter_corpus applies it.
+    corpus file (see _large_file) is scanned in two ranges at once; if that
+    fails in any way, the serial loop runs, so the result or the error is
+    always the serial one. Its result is cached by its bytes (see
+    _CACHE_ENTRIES): a hit gives a result equal to the parse's, with the
+    same values shared. Only a parse that returns over a file left
+    unchanged while it ran writes an entry. `window` is only checked, as
+    the benchmark's output checks still pass it; filter_corpus applies it.
     """
     _check_window(window)
-    key = _cache_key(source)
-    if key is not None and (cached := _cache_read(key[0])) is not None:
+    info = _large_file(source)
+    path = None if info is None else _cache_key(source)
+    if path is not None and (cached := _cache_read(path)) is not None:
         return cached
-    entry = None if key is None else _Entry(key[0])
+    entry = _Entry(path)
     digits_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(_INT_MAX_DIGITS)
     try:
-        result = _parse(source, entry)
-        if entry is not None and _unchanged(source, key[1]):
+        result = _parse(source, info, entry)
+        if path is not None and _unchanged(source, info):
             entry.commit()
     finally:
         sys.set_int_max_str_digits(digits_limit)
-        if entry is not None:
-            entry.discard()  # after a commit, there is nothing left to discard
+        entry.discard()  # after a commit, there is nothing left to discard
     return result
 
 

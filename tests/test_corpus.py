@@ -258,7 +258,7 @@ def jsonl_text_line(draw, index):
 def reference_ingest(lines):
     """ingest_corpus for a list of lines, decoding each with json.loads:
     (records, diagnostics), or the error it raises."""
-    records, diagnostics, seen, memo, publishers = [], [], {}, {}, {}
+    records, diagnostics, seen, shared = [], [], {}, {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -274,7 +274,7 @@ def reference_ingest(lines):
             diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
             continue
         try:
-            item, warnings = _parse_line(obj, memo, publishers)
+            item, warnings = _parse_line(obj, shared)
         except ValueError as exc:
             diagnostics.append(Diagnostic(line_no, str(exc)))
             continue
@@ -481,7 +481,7 @@ class TestSplitIngest:
     @pytest.mark.parametrize("frame", [b"\x05\x00\x00", (100).to_bytes(8, "little") + b"abc"],
                              ids=["short header", "short payload"])
     def test_truncated_frame_gives_the_serial_result(self, tmp_path, split_calls, monkeypatch, frame):
-        monkeypatch.setattr(corpus, "_send_chunks", lambda path, start, end, out: out.write(frame))
+        monkeypatch.setattr(corpus, "_send_chunks", lambda path, end, out: out.write(frame))
         path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
         result = ingest_corpus(path)
         assert split_calls == [None]
@@ -669,7 +669,7 @@ class TestIngestCache:
         parsed = []
         parse_line = corpus._parse_line
         monkeypatch.setattr(corpus, "_parse_line", lambda *args: parsed.append(1) or parse_line(*args))
-        monkeypatch.setattr(corpus, "_split_at", lambda source: None)
+        monkeypatch.setattr(corpus, "_split_at", lambda source, size: None)
         assert ingest_corpus(path) == result
         assert len(parsed) == 20 and len(entries(cached)) == 2
 
@@ -700,8 +700,8 @@ class TestIngestCache:
     def test_a_failed_split_writes_nothing(self, tmp_path, split_calls, ingest_cache, monkeypatch):
         send = corpus._send_chunks
 
-        def send_then_fail(path, start, end, out):
-            send(path, start, end, out)  # whole frames, which this process passes on
+        def send_then_fail(path, end, out):
+            send(path, end, out)  # whole frames, which this process passes on
             out.flush()
             os._exit(1)
 
@@ -728,7 +728,7 @@ class TestIngestCache:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
     def test_a_full_disk_leaves_no_entry_and_no_temporary_file(self, tmp_path, cached):
         path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
-        entry, _ = corpus._cache_key(path)
+        entry = corpus._cache_key(path)
         # the temporary file's name, as a link to a device that is always full
         (cached / f".{entry.name}.{os.getpid()}").symlink_to("/dev/full")
         assert ingest_corpus(path) == serial_ingest(path)
@@ -740,7 +740,7 @@ class TestIngestCache:
         planted = write_lines(tmp_path / "planted.jsonl", jsonl([record("planted")]))
         ingest_corpus(planted)
         (entry,) = cached.iterdir()
-        entry.rename(corpus._cache_key(ours)[0])  # a valid entry, under our file's key
+        entry.rename(corpus._cache_key(ours))  # a valid entry, under our file's key
         cached.chmod(mode)
         assert ingest_corpus(ours) == serial_ingest(ours)
         assert len(entries(cached)) == 1  # and nothing written there
