@@ -77,8 +77,7 @@ class ItemRecord(NamedTuple):
 _item_id = attrgetter("item_id")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     reason: str
     severity: str = "error"  # "error" rejects the line, "warning" keeps it
@@ -92,6 +91,7 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
 
 
 _CATEGORIES_ERROR = "categories must be a non-empty array of strings"
+_MAX_CITATIONS = 2**53 - 1  # the largest count every JSON reader reads back exactly
 
 
 def _normalise_categories(raw: list) -> tuple[str, ...]:
@@ -143,6 +143,8 @@ def _parse_line(obj: dict, shared: dict) -> tuple[ItemRecord, list[str]]:
         raise ValueError("citations must be an integer")
     if citations < 0:
         raise ValueError("citations must be >= 0")
+    if citations > _MAX_CITATIONS:
+        raise ValueError(f"citations must be <= {_MAX_CITATIONS}")
     raw_categories = get("categories")
     if type(raw_categories) is not list:
         raise ValueError(_CATEGORIES_ERROR)
@@ -198,6 +200,10 @@ _LINE_ENDS = ("\n", "", "\r\n")
 _INT_MAX_DIGITS = 4300
 _MAX_DEPTH = 200
 _TOO_DEEP = f"invalid JSON: nesting deeper than {_MAX_DEPTH} levels"
+# A surrogate in a line read from a file can only come from a \u escape
+# (UTF-8 decoding rejects an encoded one), so only lines with a backslash
+# are checked; a valid pair decodes to one character outside the range.
+_SURROGATE = re.compile(r"[\ud800-\udfff]").search
 
 
 def _too_deep(line: str) -> bool:
@@ -281,6 +287,9 @@ class _Ingest:
                 continue
             if type(obj) is not dict:
                 diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
+                continue
+            if "\\" in line and _SURROGATE(json.dumps(obj, ensure_ascii=False)):
+                diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate escape"))
                 continue
             try:
                 record, warnings = _parse_line(obj, shared)
@@ -402,7 +411,7 @@ def _frame(records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic], lin
     lines scanned when it was written."""
     payload = marshal.dumps((
         tuple(zip(*records)),
-        [(d.line, d.reason, d.severity) for d in diagnostics],
+        list(map(tuple, diagnostics)),
         lines,
     ))
     return len(payload).to_bytes(_FRAME_HEADER, "little") + payload
@@ -442,7 +451,7 @@ def _read_frames(frames: io.BufferedReader, into: _Ingest, to_end: bool, entry: 
             raise EOFError("truncated frame")
         entry.write(header, payload)
         columns, frame_diagnostics, into.lines = marshal.loads(payload)
-        into.diagnostics += [Diagnostic(*diagnostic) for diagnostic in frame_diagnostics]
+        into.diagnostics += map(tuple.__new__, repeat(Diagnostic), frame_diagnostics)
         if not columns:
             continue
         ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns

@@ -194,6 +194,26 @@ class TestValidate:
         assert capsys.readouterr().err == "error: thresholds must be >= 0\n"
 
 
+@pytest.mark.parametrize("line", [
+    record("x\ud800"),
+    record("c9", doc_type="chapter", parent_book_id="b\udfff"),
+    record("h9", categories=["Hist\ud800ory"]),
+    {**record("k9"), "x\ud800": 1},
+], ids=["id", "parent_book_id", "category", "unknown key"])
+def test_an_unpaired_surrogate_is_a_diagnostic_for_every_command(clean_corpus, tmp_path, line):
+    with clean_corpus.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")  # the surrogate as a \u escape
+    flags = ["--corpus", clean_corpus, "--min-books", "1", "--min-chapters", "1"]
+    validate = _pubrank("validate", *flags)
+    assert validate.returncode == EXIT_DIRTY
+    assert "line 5: string holds an unpaired surrogate escape [error]" in validate.stdout
+    for argv in (["rank", "--out", tmp_path / "rank"], ["stats"],
+                 ["profile", "Springer", "--out", tmp_path / "profile"]):
+        proc = _pubrank(*argv, *flags)
+        assert proc.returncode == EXIT_OK and "Traceback" not in proc.stderr, proc.stderr
+    assert "Traceback" not in validate.stderr
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("expected", [EXIT_OK, EXIT_DIRTY, EXIT_FATAL])
 def test_gc_is_off_during_a_command_and_restored_after(
@@ -320,6 +340,14 @@ class TestStats:
         assert "TOTAL: 2 publishers, 3 books, 1 chapters" in out
         assert "Humanities & Arts:" in out
         assert "avg cites/book" in out
+
+    def test_citations_past_a_float_are_a_diagnostic(self, clean_corpus, capsys):
+        with clean_corpus.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record("huge", citations=10**400)) + "\n")
+        assert run_cli(["stats", "--corpus", str(clean_corpus)]) == EXIT_OK
+        assert "TOTAL: 2 publishers, 3 books, 1 chapters, 3 citations" in capsys.readouterr().out
+        assert run_cli(["validate", "--corpus", str(clean_corpus)]) == EXIT_DIRTY
+        assert "line 5: citations must be <= 9007199254740991 [error]" in capsys.readouterr().out
 
     def test_unscoped_items_count_in_the_total_only(self, tmp_path, capsys):
         # a Cambridge University Press book whose only category is unknown

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -97,6 +98,21 @@ class TestIngest:
             (4, too_deep),
             (6, too_deep),
         ]
+
+    def test_citations_past_2_to_the_53_minus_1_become_diagnostics(self):
+        lines = jsonl([record("max", citations=2**53 - 1), record("over", citations=2**53)])
+        records, diagnostics = ingest_corpus(lines)
+        assert [r.citations for r in records] == [2**53 - 1]
+        assert diagnostics == [Diagnostic(2, "citations must be <= 9007199254740991")]
+
+    def test_an_unpaired_surrogate_escape_rejects_its_line(self):
+        lines = [json.dumps(record("x\ud800")), json.dumps({**record("k"), "x\udfff": 1}),
+                 json.dumps(record("h", categories=["Hist\ud800ory"])),
+                 json.dumps(record("pair\ud83d\ude00")), json.dumps(record("escaped\\ud800"))]
+        records, diagnostics = ingest_corpus(lines)
+        assert [r.item_id for r in records] == ["pair\U0001f600", "escaped\\ud800"]
+        assert diagnostics == [Diagnostic(n, "string holds an unpaired surrogate escape")
+                               for n in (1, 2, 3)]
 
     def test_blank_lines_skipped(self):
         records, diagnostics = ingest_corpus(["", "  ", json.dumps(record("a")), "\n"])
@@ -219,6 +235,14 @@ JSON_VALUES = st.recursive(
 )
 RECORD_KEYS = ["id", "doc_type", "publisher", "year", "categories", "citations", "serial",
                "parent_book_id", "edited", "isbn"]
+HIGH = st.integers(0xD800, 0xDBFF)
+LOW = st.integers(0xDC00, 0xDFFF)
+# \uXXXX escapes of UTF-16 surrogates: a lone high one, a lone low one, a pair
+SURROGATE_ESCAPES = st.one_of(
+    HIGH.map("\\u{:04x}".format),
+    LOW.map("\\u{:04X}".format),
+    st.tuples(HIGH, LOW).map(lambda pair: "\\u{:04x}\\u{:04x}".format(*pair)),
+)
 
 
 @st.composite
@@ -239,8 +263,10 @@ def corpus_line_bytes(draw, index):
 @st.composite
 def jsonl_text_line(draw, index):
     """One line as a reader hands it over: a record, another JSON value or
-    arbitrary text, maybe truncated, with whitespace, a BOM or trailing
-    data around it and an LF, a CRLF or no line end."""
+    arbitrary text, maybe with a surrogate escape after one of its quotes
+    (in a key or a string, or just after one), maybe truncated, with
+    whitespace, a BOM or trailing data around it and an LF, a CRLF or no
+    line end."""
     kind = draw(st.sampled_from(["record", "value", "text"]))
     if kind == "record":
         body = draw(corpus_line_bytes(index)).decode("utf-8", errors="replace")
@@ -248,11 +274,24 @@ def jsonl_text_line(draw, index):
         body = json.dumps(draw(JSON_VALUES), ensure_ascii=draw(st.booleans()))
     else:
         body = draw(st.text(max_size=20))
+    after_quotes = [at + 1 for at, char in enumerate(body) if char == '"']
+    if after_quotes and draw(st.booleans()):
+        at = draw(st.sampled_from(after_quotes))
+        body = body[:at] + draw(SURROGATE_ESCAPES) + body[at:]
     if draw(st.booleans()):
         body = body[: draw(st.integers(0, len(body)))]
     lead = draw(st.sampled_from(["", "", " ", "\t", "\ufeff", "\r"]))
     trail = draw(st.sampled_from(["", "", " ", "\t", " x", "{}", "]", ",", "\r"]))
     return lead + body + trail + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+def holds_surrogate(value) -> bool:
+    """Whether a JSON value holds a UTF-16 surrogate, in a key or a string."""
+    if isinstance(value, str):
+        return any("\ud800" <= char <= "\udfff" for char in value)
+    if isinstance(value, dict):
+        return any(holds_surrogate(key) or holds_surrogate(item) for key, item in value.items())
+    return isinstance(value, list) and any(map(holds_surrogate, value))
 
 
 def reference_ingest(lines):
@@ -272,6 +311,9 @@ def reference_ingest(lines):
             continue
         if not isinstance(obj, dict):
             diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
+            continue
+        if holds_surrogate(obj):
+            diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate escape"))
             continue
         try:
             item, warnings = _parse_line(obj, shared)
@@ -621,6 +663,34 @@ class TestIngestCache:
         ingest_corpus(path)
         ingest_corpus(jsonl([record(f"r{i}") for i in range(20)]))
         assert not ingest_cache.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_is_read_once_serially_and_not_cached(self, tmp_path, cached, monkeypatch):
+        lines = jsonl([record(f"r{i}") for i in range(20)])
+        fifo = tmp_path / "corpus.jsonl"
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:  # waits for the first reader
+                fh.write("".join(line + "\n" for line in lines))
+            while not done.wait(timeout=5):  # another reader waits: end its read
+                open(fifo, "w").close()
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        splits = []
+        monkeypatch.setattr(corpus, "_ingest_split", lambda *args: splits.append(args))
+        try:
+            result = ingest_corpus(fifo)
+        finally:
+            done.set()
+            release = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # for a writer waiting to open
+            writer.join(timeout=10)
+            os.close(release)
+        assert not writer.is_alive()
+        assert result == ingest_corpus(lines) and len(result[0]) == 20
+        assert splits == [] and entries(cached) == []
 
     @pytest.mark.parametrize("damage", ["flipped byte", "truncated", "foreign file", "file as directory"])
     def test_a_damaged_cache_gives_the_parse_result(self, tmp_path, cached, damage, capsys):
