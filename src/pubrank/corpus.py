@@ -200,9 +200,11 @@ _LINE_ENDS = ("\n", "", "\r\n")
 _INT_MAX_DIGITS = 4300
 _MAX_DEPTH = 200
 _TOO_DEEP = f"invalid JSON: nesting deeper than {_MAX_DEPTH} levels"
-# A surrogate in a line read from a file can only come from a \u escape
-# (UTF-8 decoding rejects an encoded one), so only lines with a backslash
-# are checked; a valid pair decodes to one character outside the range.
+# A surrogate in a line read from a file can only come from a \uD800-\uDFFF
+# escape (UTF-8 decoding rejects an encoded one), so only the object of a
+# line that holds such an escape's text is checked, and only after a quick
+# test for a backslash; a valid pair decodes to one character outside the range.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]").search
 _SURROGATE = re.compile(r"[\ud800-\udfff]").search
 
 
@@ -288,7 +290,8 @@ class _Ingest:
             if type(obj) is not dict:
                 diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
                 continue
-            if "\\" in line and _SURROGATE(json.dumps(obj, ensure_ascii=False)):
+            if ("\\" in line and _SURROGATE_ESCAPE(line)
+                    and _SURROGATE(json.dumps(obj, ensure_ascii=False))):
                 diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate escape"))
                 continue
             try:
@@ -319,16 +322,16 @@ class _Ingest:
         return next(islice(record_lines, index, None))
 
 
-# Ingest on two cores. A regular corpus file of at least _SPLIT_MIN_BYTES,
-# on Linux with more than one CPU allowed, is split at the first "\n" after
-# its byte midpoint: a forked worker scans the first range while this
-# process scans the second. Each _CHUNK_LINES lines, the worker writes that
-# chunk's records, as marshalled columns, its diagnostics and the number of
-# lines it has scanned as one length-prefixed frame to a pipe. After each
-# chunk of its own, this process reads the worker's whole frames for as
-# long as the pipe has data, and at the end it reads them up to the pipe's
-# end. The worker's range starts the file, so its frames, line numbers and
-# all, are also the start of the file's cache entry.
+# Ingest on two cores. A large corpus file (see _large_file), on Linux with
+# more than one CPU allowed, is split at the first "\n" after its byte
+# midpoint: a forked worker scans the first range while this process scans the
+# second. Each _CHUNK_LINES lines, the worker writes that chunk's records, as
+# marshalled columns, its diagnostics and the number of lines it has scanned
+# as one length-prefixed frame to a pipe. After each chunk of its own, this
+# process reads the worker's whole frames for as long as the pipe has data,
+# and at the end it reads them up to the pipe's end. The worker's range starts
+# the file, so its frames, line numbers and all, are also the start of the
+# file's cache entry.
 #
 # Measured with the worker on the second range (2 vCPU, CPython 3.11.7;
 # ingest_corpus alone, one fresh process per run, medians of 12 alternating
