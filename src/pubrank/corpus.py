@@ -200,11 +200,10 @@ _LINE_ENDS = ("\n", "", "\r\n")
 _INT_MAX_DIGITS = 4300
 _MAX_DEPTH = 200
 _TOO_DEEP = f"invalid JSON: nesting deeper than {_MAX_DEPTH} levels"
-# A surrogate in a line read from a file can only come from a \uD800-\uDFFF
-# escape (UTF-8 decoding rejects an encoded one), so only the object of a
-# line that holds such an escape's text is checked, and only after a quick
-# test for a backslash; a valid pair decodes to one character outside the range.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]").search
+# A surrogate reaches a line's object through a \u escape (JSON has no \U)
+# or, in a non-ASCII line a caller passes as a string, written literally
+# (UTF-8 decoding of a file rejects one); a valid pair decodes to one
+# character outside the range.
 _SURROGATE = re.compile(r"[\ud800-\udfff]").search
 
 
@@ -290,9 +289,9 @@ class _Ingest:
             if type(obj) is not dict:
                 diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
                 continue
-            if ("\\" in line and _SURROGATE_ESCAPE(line)
-                    and _SURROGATE(json.dumps(obj, ensure_ascii=False))):
-                diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate escape"))
+            if ((not line.isascii() and _SURROGATE(line))
+                    or ("\\u" in line and _SURROGATE(json.dumps(obj, ensure_ascii=False)))):
+                diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate"))
                 continue
             try:
                 record, warnings = _parse_line(obj, shared)

@@ -111,8 +111,18 @@ class TestIngest:
                  json.dumps(record("pair\ud83d\ude00")), json.dumps(record("escaped\\ud800"))]
         records, diagnostics = ingest_corpus(lines)
         assert [r.item_id for r in records] == ["pair\U0001f600", "escaped\\ud800"]
-        assert diagnostics == [Diagnostic(n, "string holds an unpaired surrogate escape")
+        assert diagnostics == [Diagnostic(n, "string holds an unpaired surrogate")
                                for n in (1, 2, 3)]
+
+    def test_a_literal_surrogate_in_a_string_line_rejects_it(self, registry):
+        # only a caller passing lines as strings can write one; a file cannot hold it
+        lines = [json.dumps(record(item_id), ensure_ascii=False)
+                 for item_id in ("x\ud800", "caf\u00e9", "pair\U0001f600", "é\udfff")]
+        records, diagnostics = ingest_corpus(lines)
+        assert [r.item_id for r in records] == ["caf\u00e9", "pair\U0001f600"]
+        assert diagnostics == [Diagnostic(n, "string holds an unpaired surrogate") for n in (1, 4)]
+        resolved, _ = resolve_corpus(records, registry, strict=False)
+        assert resolved.fingerprint  # encodes every id as UTF-8
 
     def test_blank_lines_skipped(self):
         records, diagnostics = ingest_corpus(["", "  ", json.dumps(record("a")), "\n"])
@@ -313,7 +323,7 @@ def reference_ingest(lines):
             diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
             continue
         if holds_surrogate(obj):
-            diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate escape"))
+            diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate"))
             continue
         try:
             item, warnings = _parse_line(obj, shared)
