@@ -200,10 +200,9 @@ _LINE_ENDS = ("\n", "", "\r\n")
 _INT_MAX_DIGITS = 4300
 _MAX_DEPTH = 200
 _TOO_DEEP = f"invalid JSON: nesting deeper than {_MAX_DEPTH} levels"
-# A surrogate reaches a line's object through a \u escape (JSON has no \U)
-# or, in a non-ASCII line a caller passes as a string, written literally
-# (UTF-8 decoding of a file rejects one); a valid pair decodes to one
-# character outside the range.
+# A surrogate in a line read from a file can only come from a \u escape (UTF-8
+# decoding rejects an encoded one), so only the object of a line that holds a
+# backslash is checked; a valid pair decodes to one character outside the range.
 _SURROGATE = re.compile(r"[\ud800-\udfff]").search
 
 
@@ -271,6 +270,8 @@ class _Ingest:
             # else (leading whitespace, a BOM, trailing data) goes through
             # json.loads, which gives the same object or the same error.
             try:
+                if not line.isascii():
+                    line.encode()  # a caller's string may hold a lone surrogate
                 try:
                     obj, end = scan_once(line, 0)
                 except StopIteration:
@@ -282,16 +283,15 @@ class _Ingest:
                 diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc.msg}"))
                 continue
             except (ValueError, RecursionError) as exc:
-                # an integer past _INT_MAX_DIGITS, or a caller's stack
-                # within _MAX_DEPTH frames of the recursion limit
+                # an integer past _INT_MAX_DIGITS, a lone surrogate, or a
+                # caller's stack within _MAX_DEPTH frames of the recursion limit
                 diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc}"))
                 continue
             if type(obj) is not dict:
                 diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
                 continue
-            if ((not line.isascii() and _SURROGATE(line))
-                    or ("\\u" in line and _SURROGATE(json.dumps(obj, ensure_ascii=False)))):
-                diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate"))
+            if "\\" in line and _SURROGATE(json.dumps(obj, ensure_ascii=False)):
+                diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate escape"))
                 continue
             try:
                 record, warnings = _parse_line(obj, shared)

@@ -206,7 +206,7 @@ def test_an_unpaired_surrogate_is_a_diagnostic_for_every_command(clean_corpus, t
     flags = ["--corpus", clean_corpus, "--min-books", "1", "--min-chapters", "1"]
     validate = _pubrank("validate", *flags)
     assert validate.returncode == EXIT_DIRTY
-    assert "line 5: string holds an unpaired surrogate [error]" in validate.stdout
+    assert "line 5: string holds an unpaired surrogate escape [error]" in validate.stdout
     for argv in (["rank", "--out", tmp_path / "rank"], ["stats"],
                  ["profile", "Springer", "--out", tmp_path / "profile"]):
         proc = _pubrank(*argv, *flags)

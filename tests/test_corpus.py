@@ -111,7 +111,7 @@ class TestIngest:
                  json.dumps(record("pair\ud83d\ude00")), json.dumps(record("escaped\\ud800"))]
         records, diagnostics = ingest_corpus(lines)
         assert [r.item_id for r in records] == ["pair\U0001f600", "escaped\\ud800"]
-        assert diagnostics == [Diagnostic(n, "string holds an unpaired surrogate")
+        assert diagnostics == [Diagnostic(n, "string holds an unpaired surrogate escape")
                                for n in (1, 2, 3)]
 
     def test_a_literal_surrogate_in_a_string_line_rejects_it(self, registry):
@@ -120,7 +120,10 @@ class TestIngest:
                  for item_id in ("x\ud800", "caf\u00e9", "pair\U0001f600", "é\udfff")]
         records, diagnostics = ingest_corpus(lines)
         assert [r.item_id for r in records] == ["caf\u00e9", "pair\U0001f600"]
-        assert diagnostics == [Diagnostic(n, "string holds an unpaired surrogate") for n in (1, 4)]
+        assert diagnostics == [
+            Diagnostic(n, f"invalid JSON: 'utf-8' codec can't encode character '\\u{code}' "
+                          "in position 9: surrogates not allowed")
+            for n, code in ((1, "d800"), (4, "dfff"))]
         resolved, _ = resolve_corpus(records, registry, strict=False)
         assert resolved.fingerprint  # encodes every id as UTF-8
 
@@ -323,7 +326,7 @@ def reference_ingest(lines):
             diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
             continue
         if holds_surrogate(obj):
-            diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate"))
+            diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate escape"))
             continue
         try:
             item, warnings = _parse_line(obj, shared)
