@@ -217,7 +217,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help
         return exc.code
-    # A command keeps one record per input line alive to its end and leaves
+    # A command keeps one record per input line alive to its walk or its end, and leaves
     # under two thousand objects in reference cycles, so cyclic collection
     # would only walk the live records again and again.
     gc_was_enabled = gc.isenabled()

@@ -796,8 +796,8 @@ class ResolvedCorpus:
     is hashed as its keys are built; it is order-insensitive whatever the
     order of the items."""
 
-    items: tuple[ItemRecord, ...]
-    publisher_ids: tuple[str, ...]
+    items: Sequence[ItemRecord]
+    publisher_ids: Sequence[str]
 
     def __len__(self) -> int:
         return len(self.items)
@@ -805,11 +805,44 @@ class ResolvedCorpus:
     def pairs(self) -> Iterator[tuple[ItemRecord, str]]:
         return zip(self.items, self.publisher_ids)
 
+    def chunks(self) -> Iterator[tuple[Sequence[ItemRecord], Sequence[str]]]:
+        """The items and their publisher ids, as the walk reads them: here
+        in one chunk, and the corpus keeps them."""
+        yield self.items, self.publisher_ids
+
     @cached_property
     def fingerprint(self) -> str:
         """Computed on first read, so commands that never read it (validate,
         stats) never hash the corpus."""
         return corpus_fingerprint(self.items, self.publisher_ids)
+
+    def hand_over(self, hashed: bool) -> ResolvedCorpus:
+        """These items, handed to the walk as their last reader: the walk
+        lets go of each chunk once it has passed it, and so empties the item
+        list that this corpus shares; this corpus is not read after. The
+        fingerprint is taken from every item before the walk if `hashed`,
+        else it is None."""
+        return _HandedOver(self.items, self.publisher_ids, hashed)
+
+
+_HANDOVER_CHUNK = 4096  # items a handed-over corpus gives the walk at a time
+
+
+@dataclass(frozen=True)
+class _HandedOver(ResolvedCorpus):
+    items: list[ItemRecord]
+    hashed: bool
+
+    def chunks(self) -> Iterator[tuple[Sequence[ItemRecord], Sequence[str]]]:
+        items, ids = self.items, self.publisher_ids
+        for start in range(0, len(ids), _HANDOVER_CHUNK):
+            chunk = items[:_HANDOVER_CHUNK]
+            del items[:_HANDOVER_CHUNK]  # the chunk holds them alone: they go when the walk drops it
+            yield chunk, ids[start:start + _HANDOVER_CHUNK]
+
+    @cached_property
+    def fingerprint(self) -> str | None:
+        return corpus_fingerprint(self.items, self.publisher_ids) if self.hashed else None
 
 
 _DIGEST_BATCH = 1024  # key lines hashed per update
@@ -871,7 +904,7 @@ def resolve_corpus(
     kept_items = [item for item in items if item.raw_publisher in resolved]
     kept_items.sort(key=_item_id)
     publisher_ids = tuple(resolved[item.raw_publisher] for item in kept_items)
-    return ResolvedCorpus(items=tuple(kept_items), publisher_ids=publisher_ids), set(unresolved)
+    return ResolvedCorpus(items=kept_items, publisher_ids=publisher_ids), set(unresolved)
 
 
 def _resolve_names(

@@ -16,6 +16,9 @@ exact sum of those means over a common denominator. Rows are slotted.
 One walk over the items, `compute_baselines`, builds the baseline cells,
 the rows' accumulators and the per-field coverage sums; `compute_all_rows`
 finalises the rows, and `corpus_stats` folds the coverage for `stats`.
+Given a handed-over corpus, the walk is the items' last reader and lets go
+of them a chunk at a time, so its tables grow into the memory the records
+give back.
 
 Scoped computations run over the items that map to at least one known
 discipline; items whose categories are all unknown are excluded from
@@ -94,13 +97,15 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
     """The one walk over the corpus. One cell per occupied (discipline,
     doc_type, year) triple, built from every item of every publisher;
     eligibility never trims baselines. An item in k disciplines contributes
-    whole to all k cells."""
-    return _walk(corpus, taxonomy, corpus.fingerprint)  # hashed first, before the walk's memory grows
+    whole to all k cells. A corpus from `ResolvedCorpus.hand_over` is left
+    empty, each chunk of items released once the walk has passed it; any
+    other is left as it was."""
+    return _walk(corpus, taxonomy, corpus.fingerprint)  # hashed first, before any item is released
 
 
 def _walk(corpus: ResolvedCorpus, taxonomy: TaxonomyMap, fingerprint: str | None) -> BaselineTable:
     plans = taxonomy.plans
-    # a chapter may come before its book
+    # a chapter may come before its book; taken before any item is released
     edited = {i.item_id for i in corpus.items if i.book_is_edited and i.doc_type == DOC_BOOK}
 
     # Ids interned once per run: Scope -> scope id and
@@ -119,51 +124,52 @@ def _walk(corpus: ResolvedCorpus, taxonomy: TaxonomyMap, fingerprint: str | None
     accs: dict[str, dict[int, _Acc]] = {}
     totals: dict[str, list[int]] = {}
 
-    for item, pid in corpus.pairs():
-        dt = item.doc_type
-        year = item.pub_year
-        shape = (item.categories, dt, year)
-        memo = parts_of.get(shape)
-        if memo is None:
-            shape_parts = []
-            for entry in plans[item.categories].scopes:
-                part_key = (entry, dt, year)
-                part = part_of.get(part_key)
-                if part is None:
-                    kind, name, members, k = entry
-                    sid = scope_ids.setdefault(Scope(kind, name), len(scope_ids))
-                    ids = tuple(
-                        cell_ids.setdefault((d, dt, year, k), len(cell_ids)) for d in members
-                    )
-                    part = part_of[part_key] = (sid, ids)
-                shape_parts.append(part)
-            memo = parts_of[shape] = (tuple(shape_parts), len(counts))
-            counts += (0, 0)
-        parts, n = memo
-        cit = item.citations
-        counts[n] += 1
-        counts[n + 1] += cit
-        own = accs.get(pid)
-        if own is None:
-            own = accs[pid] = {}
-            totals[pid] = [0, 0]
-        if not parts:  # all categories unknown: counted in the coverage only
-            continue
-        is_book = dt == DOC_BOOK
-        from_edited = dt == DOC_CHAPTER and item.parent_book_id in edited
-        totals[pid][0 if is_book else 1] += 1
-        for sid, ids in parts:
-            acc = own.get(sid)
-            if acc is None:
-                acc = own[sid] = _Acc()
-            if is_book:
-                acc.pbk += 1
-            else:
-                acc.pch += 1
-                if from_edited:
-                    acc.edited_chapters += 1
-            acc.cit += cit
-            acc.cells.extend(ids)
+    for items, pids in corpus.chunks():
+        for item, pid in zip(items, pids):
+            dt = item.doc_type
+            year = item.pub_year
+            shape = (item.categories, dt, year)
+            memo = parts_of.get(shape)
+            if memo is None:
+                shape_parts = []
+                for entry in plans[item.categories].scopes:
+                    part_key = (entry, dt, year)
+                    part = part_of.get(part_key)
+                    if part is None:
+                        kind, name, members, k = entry
+                        sid = scope_ids.setdefault(Scope(kind, name), len(scope_ids))
+                        ids = tuple(
+                            cell_ids.setdefault((d, dt, year, k), len(cell_ids)) for d in members
+                        )
+                        part = part_of[part_key] = (sid, ids)
+                    shape_parts.append(part)
+                memo = parts_of[shape] = (tuple(shape_parts), len(counts))
+                counts += (0, 0)
+            parts, n = memo
+            cit = item.citations
+            counts[n] += 1
+            counts[n + 1] += cit
+            own = accs.get(pid)
+            if own is None:
+                own = accs[pid] = {}
+                totals[pid] = [0, 0]
+            if not parts:  # all categories unknown: counted in the coverage only
+                continue
+            is_book = dt == DOC_BOOK
+            from_edited = dt == DOC_CHAPTER and item.parent_book_id in edited
+            totals[pid][0 if is_book else 1] += 1
+            for sid, ids in parts:
+                acc = own.get(sid)
+                if acc is None:
+                    acc = own[sid] = _Acc()
+                if is_book:
+                    acc.pbk += 1
+                else:
+                    acc.pch += 1
+                    if from_edited:
+                        acc.edited_chapters += 1
+                acc.cit += cit
+                acc.cells.extend(ids)
 
     # one pass over the shapes: [items, citations] by baseline cell and by coverage key
     cell_counts: dict[tuple[str, str, int], list[int]] = {}
@@ -280,7 +286,8 @@ def corpus_stats(
     corpus: ResolvedCorpus, registry: PublisherRegistry, taxonomy: TaxonomyMap
 ) -> CorpusStats:
     """Per-field and global aggregates over a filtered, resolved corpus,
-    folded from the one walk's table; the corpus is not hashed. Items are
+    folded from the one walk's table; the corpus is not hashed, and a
+    handed-over one is emptied as `compute_baselines` empties it. Items are
     whole-counted: one item in n fields counts fully in all n, so per-field
     numbers sum to the totals only when every item has one field. A
     publisher counts in a field when it holds an accumulator there.

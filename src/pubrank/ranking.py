@@ -47,7 +47,7 @@ def check_eligibility(pbk: int, pch: int, policy: ThresholdPolicy) -> bool:
 
 @dataclass(frozen=True)
 class RunMeta:
-    corpus_fingerprint: str
+    corpus_fingerprint: str | None  # None when no JSON ranking is written, so nothing hashed
     window: tuple[int, int]
     policy: ThresholdPolicy
     type_filter: str | None = None

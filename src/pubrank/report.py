@@ -72,6 +72,12 @@ class RunConfig:
         if self.type_filter is not None and self.type_filter not in PUBLISHER_TYPES:
             raise ConfigError(f"unknown type {self.type_filter!r}, expected one of {PUBLISHER_TYPES}")
         self.policy()  # thresholds and basis, checked before any input is read
+        if self.out is not None:  # else the export fails once the whole pipeline has run
+            out = Path(self.out)
+            existing = next(p for p in (out, *out.parents) if p.exists())
+            if not existing.is_dir():
+                blocked = "" if existing == out else f", since {existing} is not"
+                raise ConfigError(f"--out {self.out} is not a directory{blocked}")
 
     def policy(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.min_books, self.min_chapters, self.basis)
@@ -357,11 +363,14 @@ def _prepare_inputs(config: RunConfig) -> tuple[PreparedInputs, ResolvedCorpus]:
     return inputs, corpus
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Prepare the inputs, compute baselines, and build all ranking tables."""
+def run_pipeline(config: RunConfig, hashed: bool = True) -> PipelineResult:
+    """Prepare the inputs, compute baselines, and build all ranking tables.
+    The walk is the corpus's last reader, so the records go as it passes
+    them. The tables carry the corpus fingerprint if `hashed`, else None;
+    only the JSON rankings write it."""
     inputs, corpus = _prepare_inputs(config)
-    baselines = compute_baselines(corpus, inputs.taxonomy)
-    del corpus  # its last reference: the rows and tables reuse its memory
+    baselines = compute_baselines(corpus.hand_over(hashed), inputs.taxonomy)
+    del corpus  # emptied by the walk; its publisher ids go before the tables grow
     tables = build_all_rankings(
         inputs.registry,
         inputs.taxonomy,
@@ -376,7 +385,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 def run_rank(config: RunConfig) -> tuple[PipelineResult, list[Path]]:
     if config.out is None:
         raise ConfigError("rank requires an output directory")
-    result = run_pipeline(config)
+    result = run_pipeline(config, hashed="json" in config.formats)
     written = export_all_rankings(result.tables, config.formats, config.out)
     return result, written
 
@@ -387,7 +396,7 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
     terminal owner, the publisher the rankings count the items under."""
     if config.out is None:
         raise ConfigError("profile requires an output directory")
-    result = run_pipeline(config)
+    result = run_pipeline(config, hashed=False)  # a profile holds no fingerprint
     registry = result.registry
     profile = build_profile(registry.resolve(publisher), result.tables, registry)
     written = [export_profile(profile, fmt, config.out) for fmt in config.formats]
@@ -396,7 +405,7 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
 
 def run_stats(config: RunConfig) -> CorpusStats:
     inputs, corpus = _prepare_inputs(config)
-    return corpus_stats(corpus, inputs.registry, inputs.taxonomy)
+    return corpus_stats(corpus.hand_over(hashed=False), inputs.registry, inputs.taxonomy)
 
 
 @dataclass
@@ -412,8 +421,9 @@ def run_validate(config: RunConfig) -> ValidationReport:
     and resolution gaps instead of failing on them (load errors and, in
     strict mode, unresolved publishers stay fatal)."""
     inputs, corpus = _prepare_inputs(config)
-    plans = inputs.taxonomy.plans
-    unknown = {c for item in corpus.items for c in plans[item.categories].unknown}
+    discipline_of = inputs.taxonomy.discipline_of
+    category_tuples = {item.categories for item in corpus.items}
+    unknown = {c for categories in category_tuples for c in categories if c not in discipline_of}
     return ValidationReport(
         **vars(inputs),
         unknown_categories=tuple(sorted(unknown)),

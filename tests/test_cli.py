@@ -332,6 +332,20 @@ class TestProfile:
         assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["rank"], ["profile", "Springer"]])
+@pytest.mark.parametrize("corpus_exists", [True, False])
+def test_out_naming_a_file_is_fatal_before_any_input_is_read(
+    clean_corpus, tmp_path, capsys, command, corpus_exists
+):
+    out = tmp_path / "tables.csv"
+    out.write_text("mine\n", encoding="utf-8")
+    corpus = clean_corpus if corpus_exists else tmp_path / "absent.jsonl"
+    code = run_cli([*command, "--corpus", str(corpus), "--out", str(out)])
+    assert code == EXIT_FATAL
+    assert capsys.readouterr() == ("", f"error: --out {out} is not a directory\n")
+    assert out.read_text(encoding="utf-8") == "mine\n"
+
+
 class TestStats:
     def test_field_and_total_lines(self, clean_corpus, capsys):
         code = run_cli(["stats", "--corpus", str(clean_corpus)])

@@ -8,6 +8,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from pubrank import corpus as corpus_module
 from pubrank.corpus import ResolvedCorpus
 from pubrank.indicators import (
     IndicatorRow,
@@ -497,6 +498,22 @@ def test_rankings_walk_the_items_once(registry, taxonomy):
     policy = ThresholdPolicy(basis=BASIS_GLOBAL)
     assert build_all_rankings(registry, taxonomy, baselines, policy)
     assert counted.items.iterations <= 2
+
+
+def test_a_handed_over_corpus_gives_the_same_table_and_is_emptied(registry, taxonomy, monkeypatch):
+    """The walk over a handed-over corpus, a few items at a time, builds the
+    table the kept corpus gives, with the fingerprint taken first."""
+    records = random_records(random.Random(7), taxonomy, 60)
+    corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
+    monkeypatch.setattr(corpus_module, "_HANDOVER_CHUNK", 7)
+    kept = ResolvedCorpus(list(corpus.items), corpus.publisher_ids)
+    handed = compute_baselines(kept.hand_over(hashed=True), taxonomy)
+    assert kept.items == []
+    assert handed.fingerprint == baselines.fingerprint == corpus.fingerprint
+    assert compute_all_rows(handed) == compute_all_rows(baselines)
+    assert (handed.cells, handed.totals, handed.coverage) == (baselines.cells, baselines.totals, baselines.coverage)
+    unhashed = ResolvedCorpus(list(corpus.items), corpus.publisher_ids).hand_over(hashed=False)
+    assert compute_baselines(unhashed, taxonomy).fingerprint is None
 
 
 class TestRowsMemory:

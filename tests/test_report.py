@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import sys
 import weakref
 
 import pytest
@@ -21,6 +22,7 @@ from pubrank.ranking import (
 )
 from pubrank.report import (
     CSV_HEADER,
+    FORMATS,
     RunConfig,
     _indicator_cells,
     _json_payload,
@@ -429,6 +431,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="comercial"):
             self.base(type_filter="comercial")
 
+    def test_out_must_be_or_become_a_directory(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("mine\n", encoding="utf-8")
+        assert self.base(out=tmp_path / "new" / "tables").out == tmp_path / "new" / "tables"
+        with pytest.raises(ConfigError) as raised:
+            self.base(out=taken)
+        assert str(raised.value) == f"--out {taken} is not a directory"
+        with pytest.raises(ConfigError) as raised:
+            self.base(out=taken / "x")
+        assert str(raised.value) == f"--out {taken / 'x'} is not a directory, since {taken} is not"
+        assert taken.read_text(encoding="utf-8") == "mine\n"
+
 
 @pytest.fixture
 def run_inputs(tmp_path):
@@ -481,6 +495,24 @@ class TestRunPipeline:
         monkeypatch.setattr(report_module, "compute_baselines", baselines)
         monkeypatch.setattr(report_module, "build_all_rankings", rankings)
         assert len(run_pipeline(run_inputs).tables) == 42
+
+    @pytest.mark.parametrize("chunk", [2, 4096])
+    def test_the_walk_releases_the_records_it_has_passed(self, run_inputs, monkeypatch, chunk):
+        # with chunks of 2, the first record is in a chunk the walk has left
+        # behind and the last in the one it ends on
+        monkeypatch.setattr(corpus_module, "_HANDOVER_CHUNK", chunk)
+        held = []
+
+        def baselines(corpus, taxonomy):
+            first, last = corpus.items[0], corpus.items[-1]
+            table = compute_baselines(corpus, taxonomy)
+            # getrefcount counts its argument: 2 means no one else holds it
+            held.append((sys.getrefcount(first), sys.getrefcount(last)))
+            return table
+
+        monkeypatch.setattr(report_module, "compute_baselines", baselines)
+        assert len(run_pipeline(run_inputs).tables) == 42
+        assert held == [(2, 2)]
 
     def test_rank_requires_out(self, run_inputs):
         config = RunConfig(
@@ -599,6 +631,25 @@ class TestLazyFingerprint:
         run_stats(run_inputs)
         assert calls == []
 
+    def test_outputs_without_a_digest_never_hash(self, run_inputs, monkeypatch):
+        def tree(directory):
+            return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+        def outputs(name):
+            config = dataclasses.replace(run_inputs, out=run_inputs.out.parent / name)
+            run_rank(dataclasses.replace(config, formats=("csv", "html")))
+            run_profile(dataclasses.replace(config, formats=FORMATS), "springer")
+            return tree(config.out)
+
+        expected = outputs("with_hash")
+
+        def refuse(*args):
+            raise AssertionError("the corpus was hashed")
+
+        monkeypatch.setattr(corpus_module, "corpus_fingerprint", refuse)
+        assert outputs("without_hash") == expected
+        assert len(expected) == 42 * 2 + 3
+
     def test_rank_hashes_once_and_writes_the_same_digest(self, run_inputs, calls):
         run_rank(run_inputs)
         assert len(calls) == 1
@@ -610,6 +661,17 @@ class TestLazyFingerprint:
 
 
 class TestRunValidate:
+    def test_unknown_categories_need_no_scope_plan(self, tmp_path):
+        corpus = write_jsonl(
+            tmp_path / "corpus.jsonl",
+            [record("b1", categories=["Phrenology", "History", "Alchemy"]),
+             record("b2", categories=["Alchemy"]), record("b3")],
+        )
+        config = RunConfig(corpus=corpus, registry_dir=sample_registry_dir(), taxonomy=sample_taxonomy_path())
+        report = run_validate(config)
+        assert report.unknown_categories == ("Alchemy", "Phrenology")
+        assert report.taxonomy.plans == {}
+
     def test_clean_inputs(self, run_inputs):
         report = run_validate(run_inputs)
         assert len(report.registry.publishers) == 16
