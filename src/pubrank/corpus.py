@@ -120,7 +120,8 @@ def _parse_line(obj: dict, shared: dict) -> tuple[ItemRecord, list[str]]:
     """
     warnings = []
     if not obj.keys() <= _KNOWN_KEYS:
-        warnings.append("unknown keys ignored: " + ", ".join(sorted(obj.keys() - _KNOWN_KEYS)))
+        unknown = sorted(obj.keys() - _KNOWN_KEYS)
+        warnings.append("unknown keys ignored: " + ", ".join(map(repr, unknown)))  # repr escapes line breaks
 
     get = obj.get
     doc_type = get("doc_type")
@@ -812,17 +813,17 @@ class ResolvedCorpus:
 
     @cached_property
     def fingerprint(self) -> str:
-        """Computed on first read, so commands that never read it (validate,
-        stats) never hash the corpus."""
+        """Computed on first read. Only `report.run_pipeline` reads it, for
+        a run that writes JSON rankings, so every other run never hashes
+        the corpus."""
         return corpus_fingerprint(self.items, self.publisher_ids)
 
-    def hand_over(self, hashed: bool) -> ResolvedCorpus:
+    def hand_over(self) -> ResolvedCorpus:
         """These items, handed to the walk as their last reader: the walk
         lets go of each chunk once it has passed it, and so empties the item
-        list that this corpus shares; this corpus is not read after. The
-        fingerprint is taken from every item before the walk if `hashed`,
-        else it is None."""
-        return _HandedOver(self.items, self.publisher_ids, hashed)
+        list that this corpus shares; this corpus is not read after, so its
+        fingerprint, if wanted, is read first."""
+        return _HandedOver(self.items, self.publisher_ids)
 
 
 _HANDOVER_CHUNK = 4096  # items a handed-over corpus gives the walk at a time
@@ -831,7 +832,6 @@ _HANDOVER_CHUNK = 4096  # items a handed-over corpus gives the walk at a time
 @dataclass(frozen=True)
 class _HandedOver(ResolvedCorpus):
     items: list[ItemRecord]
-    hashed: bool
 
     def chunks(self) -> Iterator[tuple[Sequence[ItemRecord], Sequence[str]]]:
         items, ids = self.items, self.publisher_ids
@@ -839,10 +839,6 @@ class _HandedOver(ResolvedCorpus):
             chunk = items[:_HANDOVER_CHUNK]
             del items[:_HANDOVER_CHUNK]  # the chunk holds them alone: they go when the walk drops it
             yield chunk, ids[start:start + _HANDOVER_CHUNK]
-
-    @cached_property
-    def fingerprint(self) -> str | None:
-        return corpus_fingerprint(self.items, self.publisher_ids) if self.hashed else None
 
 
 _DIGEST_BATCH = 1024  # key lines hashed per update

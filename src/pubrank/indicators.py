@@ -54,11 +54,10 @@ class BaselineCell:
 
 @dataclass(frozen=True)
 class BaselineTable:
-    """The baseline cells, the accumulators, the coverage sums and the
-    fingerprint of the corpus (None if not hashed), as the walk left them."""
+    """The baseline cells, the accumulators and the coverage sums, as the
+    walk left them."""
 
     cells: dict[tuple[str, str, int], BaselineCell]
-    fingerprint: str | None
     accs: dict[str, dict[int, _Acc]]  # publisher id -> scope id -> accumulator; every publisher
     totals: dict[str, list[int]]  # publisher id -> [books, chapters] over scoped items
     scopes: list[Scope]  # by scope id
@@ -100,10 +99,6 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
     whole to all k cells. A corpus from `ResolvedCorpus.hand_over` is left
     empty, each chunk of items released once the walk has passed it; any
     other is left as it was."""
-    return _walk(corpus, taxonomy, corpus.fingerprint)  # hashed first, before any item is released
-
-
-def _walk(corpus: ResolvedCorpus, taxonomy: TaxonomyMap, fingerprint: str | None) -> BaselineTable:
     plans = taxonomy.plans
     # a chapter may come before its book; taken before any item is released
     edited = {i.item_id for i in corpus.items if i.book_is_edited and i.doc_type == DOC_BOOK}
@@ -174,9 +169,7 @@ def _walk(corpus: ResolvedCorpus, taxonomy: TaxonomyMap, fingerprint: str | None
     # one pass over the shapes: [items, citations] by baseline cell and by coverage key
     cell_counts: dict[tuple[str, str, int], list[int]] = {}
     coverage: dict[tuple[str | None, str], list[int]] = {}
-    unknown: set[str] = set()
     for (categories, dt, year), (_, n) in parts_of.items():
-        unknown.update(plans[categories].unknown)
         sums = [coverage.setdefault((None, dt), [0, 0])]
         for kind, name, _, _ in plans[categories].scopes:
             if kind == SCOPE_DISCIPLINE:
@@ -187,9 +180,8 @@ def _walk(corpus: ResolvedCorpus, taxonomy: TaxonomyMap, fingerprint: str | None
             pair[0] += counts[n]
             pair[1] += counts[n + 1]
     cells = {key: BaselineCell(*key, n, s) for key, (n, s) in cell_counts.items()}
-    return BaselineTable(
-        cells, fingerprint, accs, totals, list(scope_ids), list(cell_ids), coverage, tuple(sorted(unknown))
-    )
+    unknown = taxonomy.unknown_categories(categories for categories, _, _ in parts_of)
+    return BaselineTable(cells, accs, totals, list(scope_ids), list(cell_ids), coverage, unknown)
 
 
 def compute_all_rows(baselines: BaselineTable) -> dict[tuple[str, Scope], IndicatorRow]:
@@ -286,13 +278,13 @@ def corpus_stats(
     corpus: ResolvedCorpus, registry: PublisherRegistry, taxonomy: TaxonomyMap
 ) -> CorpusStats:
     """Per-field and global aggregates over a filtered, resolved corpus,
-    folded from the one walk's table; the corpus is not hashed, and a
-    handed-over one is emptied as `compute_baselines` empties it. Items are
-    whole-counted: one item in n fields counts fully in all n, so per-field
-    numbers sum to the totals only when every item has one field. A
-    publisher counts in a field when it holds an accumulator there.
+    folded from the one walk's table; a handed-over corpus is emptied as
+    `compute_baselines` empties it. Items are whole-counted: one item in n
+    fields counts fully in all n, so per-field numbers sum to the totals
+    only when every item has one field. A publisher counts in a field when
+    it holds an accumulator there.
     """
-    table = _walk(corpus, taxonomy, None)
+    table = compute_baselines(corpus, taxonomy)
     field_ids = {name: sid for sid, (kind, name) in enumerate(table.scopes) if kind == SCOPE_FIELD}
 
     def fold(fieldname: str | None, disciplines: int) -> FieldStats:

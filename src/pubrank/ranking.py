@@ -106,16 +106,18 @@ def build_all_rankings(
     policy: ThresholdPolicy,
     window: tuple[int, int] = (0, 0),
     type_filter: str | None = None,
+    fingerprint: str | None = None,
 ) -> list[RankingTable]:
     """One table per field then one per discipline, in taxonomy order.
 
-    Rows and run metadata both come from the baselines, the one walk over
-    the corpus; the 4-field/38-discipline sample taxonomy therefore yields
-    its 42 tables from a single aggregation pass.
+    Rows come from the baselines, the one walk over the corpus; the
+    4-field/38-discipline sample taxonomy therefore yields its 42 tables
+    from a single aggregation pass. Every table's run metadata carries the
+    given corpus fingerprint, which the walk never takes.
     """
     rows = compute_all_rows(baselines)
     totals = baselines.totals
-    meta = RunMeta(baselines.fingerprint, window, policy, type_filter=type_filter)
+    meta = RunMeta(fingerprint, window, policy, type_filter=type_filter)
     del baselines  # its accumulators go before the tables grow, unless the caller keeps it
 
     # rows bucketed by scope in one pass, keeping their order

@@ -369,7 +369,8 @@ def run_pipeline(config: RunConfig, hashed: bool = True) -> PipelineResult:
     them. The tables carry the corpus fingerprint if `hashed`, else None;
     only the JSON rankings write it."""
     inputs, corpus = _prepare_inputs(config)
-    baselines = compute_baselines(corpus.hand_over(hashed), inputs.taxonomy)
+    fingerprint = corpus.fingerprint if hashed else None  # taken before the walk releases any record
+    baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
     del corpus  # emptied by the walk; its publisher ids go before the tables grow
     tables = build_all_rankings(
         inputs.registry,
@@ -378,6 +379,7 @@ def run_pipeline(config: RunConfig, hashed: bool = True) -> PipelineResult:
         config.policy(),
         window=config.window,
         type_filter=config.type_filter,
+        fingerprint=fingerprint,
     )
     return PipelineResult(**vars(inputs), tables=tables)
 
@@ -405,7 +407,7 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
 
 def run_stats(config: RunConfig) -> CorpusStats:
     inputs, corpus = _prepare_inputs(config)
-    return corpus_stats(corpus.hand_over(hashed=False), inputs.registry, inputs.taxonomy)
+    return corpus_stats(corpus.hand_over(), inputs.registry, inputs.taxonomy)
 
 
 @dataclass
@@ -421,11 +423,9 @@ def run_validate(config: RunConfig) -> ValidationReport:
     and resolution gaps instead of failing on them (load errors and, in
     strict mode, unresolved publishers stay fatal)."""
     inputs, corpus = _prepare_inputs(config)
-    discipline_of = inputs.taxonomy.discipline_of
     category_tuples = {item.categories for item in corpus.items}
-    unknown = {c for categories in category_tuples for c in categories if c not in discipline_of}
     return ValidationReport(
         **vars(inputs),
-        unknown_categories=tuple(sorted(unknown)),
+        unknown_categories=inputs.taxonomy.unknown_categories(category_tuples),
         orphan_chapters=len(unknown_parent_chapters(corpus.items)),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .csvfile import read_csv
 from .errors import TaxonomyError
@@ -36,7 +36,6 @@ class ScopePlan:
     computations by the callers."""
 
     scopes: tuple[ScopeEntry, ...]  # its disciplines, then its fields, each sorted
-    unknown: tuple[str, ...]  # categories the taxonomy does not map, sorted
 
 
 class ScopePlans(dict):
@@ -59,13 +58,12 @@ class ScopePlans(dict):
     def __missing__(self, categories: tuple[str, ...]) -> ScopePlan:
         discipline_of = self._discipline_of
         disciplines = sorted({discipline_of[c] for c in categories if c in discipline_of})
-        unknown = tuple(sorted({c for c in categories if c not in discipline_of}))
         by_field: dict[str, list[str]] = {}
         for d in disciplines:
             by_field.setdefault(self._field_of[d], []).append(d)
         scopes = [self._entry(SCOPE_DISCIPLINE, d, (d,)) for d in disciplines]
         scopes += [self._entry(SCOPE_FIELD, f, tuple(ds)) for f, ds in sorted(by_field.items())]
-        plan = self[categories] = ScopePlan(tuple(scopes), unknown)
+        plan = self[categories] = ScopePlan(tuple(scopes))
         return plan
 
 
@@ -94,6 +92,12 @@ class TaxonomyMap:
     @property
     def category_count(self) -> int:
         return len(self.discipline_of)
+
+    def unknown_categories(self, category_tuples: Iterable[tuple[str, ...]]) -> tuple[str, ...]:
+        """The categories of the given tuples that this map does not map, sorted."""
+        discipline_of = self.discipline_of
+        unknown = {c for categories in category_tuples for c in categories if c not in discipline_of}
+        return tuple(sorted(unknown))
 
 
 def load_taxonomy(source: str | Path) -> TaxonomyMap:

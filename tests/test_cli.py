@@ -147,6 +147,12 @@ class TestValidate:
         assert default.stdout == unlimited.stdout
         assert "line 1: invalid JSON: Exceeds the limit (4300 digits)" in default.stdout
 
+    def test_an_unknown_key_cannot_forge_a_report_line(self, tmp_path, capsys):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", [{**record("ok"), "x\nvalidation ok": 1}])
+        assert run_cli(["validate", "--corpus", str(corpus)]) == EXIT_OK
+        diagnostic = "  line 1: unknown keys ignored: 'x\\nvalidation ok' [warning]"
+        assert capsys.readouterr().out.splitlines()[-2:] == [diagnostic, "validation ok"]
+
     def test_missing_corpus_file_is_fatal(self, tmp_path, capsys):
         code = run_cli(["validate", "--corpus", str(tmp_path / "absent.jsonl")])
         captured = capsys.readouterr()

@@ -15,6 +15,7 @@ from pubrank.indicators import (
     Scope,
     compute_all_rows,
     compute_baselines,
+    corpus_stats,
 )
 from pubrank.ranking import BASIS_GLOBAL, RankingEntry, ThresholdPolicy, build_all_rankings
 from pubrank.testkit import SynthParams, generate_corpus, oracle_indicators
@@ -502,18 +503,37 @@ def test_rankings_walk_the_items_once(registry, taxonomy):
 
 def test_a_handed_over_corpus_gives_the_same_table_and_is_emptied(registry, taxonomy, monkeypatch):
     """The walk over a handed-over corpus, a few items at a time, builds the
-    table the kept corpus gives, with the fingerprint taken first."""
+    table the kept corpus gives."""
     records = random_records(random.Random(7), taxonomy, 60)
     corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
     monkeypatch.setattr(corpus_module, "_HANDOVER_CHUNK", 7)
     kept = ResolvedCorpus(list(corpus.items), corpus.publisher_ids)
-    handed = compute_baselines(kept.hand_over(hashed=True), taxonomy)
+    handed = compute_baselines(kept.hand_over(), taxonomy)
     assert kept.items == []
-    assert handed.fingerprint == baselines.fingerprint == corpus.fingerprint
     assert compute_all_rows(handed) == compute_all_rows(baselines)
     assert (handed.cells, handed.totals, handed.coverage) == (baselines.cells, baselines.totals, baselines.coverage)
-    unhashed = ResolvedCorpus(list(corpus.items), corpus.publisher_ids).hand_over(hashed=False)
-    assert compute_baselines(unhashed, taxonomy).fingerprint is None
+
+
+def test_the_engine_never_hashes(registry, taxonomy, monkeypatch):
+    """The walk, the rows, the stats and the tables run on a kept corpus
+    with hashing refused; the tables carry the fingerprint they are given,
+    or None."""
+    records = random_records(random.Random(9), taxonomy, 60)
+    corpus, _, _ = ingest_and_resolve(records, registry)
+
+    def refuse(*args):
+        raise AssertionError("the corpus was hashed")
+
+    monkeypatch.setattr(corpus_module, "corpus_fingerprint", refuse)
+    baselines = compute_baselines(corpus, taxonomy)
+    assert compute_all_rows(baselines)
+    stats = corpus_stats(corpus, registry, taxonomy)
+    assert stats.total.books + stats.total.chapters == len(corpus) > 0
+    policy = ThresholdPolicy(min_books=1, min_chapters=1)
+    tables = build_all_rankings(registry, taxonomy, baselines, policy, fingerprint="f" * 64)
+    assert {table.meta.corpus_fingerprint for table in tables} == {"f" * 64}
+    tables = build_all_rankings(registry, taxonomy, baselines, policy)
+    assert {table.meta.corpus_fingerprint for table in tables} == {None}
 
 
 class TestRowsMemory:
