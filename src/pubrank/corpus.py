@@ -21,7 +21,7 @@ import stat
 import sys
 import time
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, count, islice, repeat
 from operator import attrgetter, lt
 from pathlib import Path
@@ -763,18 +763,17 @@ def filter_corpus(
     items: list[ItemRecord],
     registry: PublisherRegistry,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    excluded_publishers: Iterable[str] = DEFAULT_EXCLUDED_PUBLISHERS,
 ) -> list[ItemRecord]:
     """Keep books and chapters inside the window, dropping serials.
 
     Serial exclusion is both flag-based (is_serial) and publisher-based:
-    items whose publisher resolves into the exclusion list are removed.
-    Raw strings that do not resolve are kept here; the resolution step
-    decides their fate. Pure, order-preserving, idempotent.
+    items whose publisher resolves into DEFAULT_EXCLUDED_PUBLISHERS are
+    removed. Raw strings that do not resolve are kept here; the resolution
+    step decides their fate. Pure, order-preserving, idempotent.
     """
     start, end = _check_window(window)
     excluded_ids = set()
-    for entry in excluded_publishers:
+    for entry in DEFAULT_EXCLUDED_PUBLISHERS:
         with contextlib.suppress(UnresolvedPublisherError):
             excluded_ids.add(registry.resolve(entry))
     kept = [
@@ -791,11 +790,11 @@ def filter_corpus(
 
 @dataclass(frozen=True)
 class ResolvedCorpus:
-    """Filtered items with their terminal publisher ids and a content
-    fingerprint. `resolve_corpus` gives the items in item-id order, so
-    record order never leaks into downstream artifacts and the fingerprint
-    is hashed as its keys are built; it is order-insensitive whatever the
-    order of the items."""
+    """Filtered items with their terminal publisher ids. `resolve_corpus`
+    gives the items in item-id order, so record order never leaks into
+    downstream artifacts and `corpus_fingerprint` hashes their keys as it
+    builds them; the digest is order-insensitive whatever the order of the
+    items."""
 
     items: Sequence[ItemRecord]
     publisher_ids: Sequence[str]
@@ -811,18 +810,11 @@ class ResolvedCorpus:
         in one chunk, and the corpus keeps them."""
         yield self.items, self.publisher_ids
 
-    @cached_property
-    def fingerprint(self) -> str:
-        """Computed on first read. Only `report.run_pipeline` reads it, for
-        a run that writes JSON rankings, so every other run never hashes
-        the corpus."""
-        return corpus_fingerprint(self.items, self.publisher_ids)
-
     def hand_over(self) -> ResolvedCorpus:
         """These items, handed to the walk as their last reader: the walk
         lets go of each chunk once it has passed it, and so empties the item
-        list that this corpus shares; this corpus is not read after, so its
-        fingerprint, if wanted, is read first."""
+        list that this corpus shares; this corpus is not read after, so a
+        caller that wants `corpus_fingerprint` of the items takes it first."""
         return _HandedOver(self.items, self.publisher_ids)
 
 

@@ -15,7 +15,7 @@ list of its items' cell ids, and its expected citations are then one
 exact sum of those means over a common denominator. Rows are slotted.
 One walk over the items, `compute_baselines`, builds the baseline cells,
 the rows' accumulators and the per-field coverage sums; `compute_all_rows`
-finalises the rows, and `corpus_stats` folds the coverage for `stats`.
+finalises the rows, and `corpus_stats` folds a given table for `stats`.
 Given a handed-over corpus, the walk is the items' last reader and lets go
 of them a chunk at a time, so its tables grow into the memory the records
 give back.
@@ -23,8 +23,8 @@ give back.
 Scoped computations run over the items that map to at least one known
 discipline; items whose categories are all unknown are excluded from
 baselines, counts, and the AI denominators alike, and count only in the
-coverage. Every item reads its scopes from the taxonomy's `ScopePlan`
-for its category tuple.
+coverage. Every item reads its scopes from the taxonomy's plan for its
+category tuple, a tuple of `ScopeEntry`.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
             memo = parts_of.get(shape)
             if memo is None:
                 shape_parts = []
-                for entry in plans[item.categories].scopes:
+                for entry in plans[item.categories]:
                     part_key = (entry, dt, year)
                     part = part_of.get(part_key)
                     if part is None:
@@ -171,7 +171,7 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
     coverage: dict[tuple[str | None, str], list[int]] = {}
     for (categories, dt, year), (_, n) in parts_of.items():
         sums = [coverage.setdefault((None, dt), [0, 0])]
-        for kind, name, _, _ in plans[categories].scopes:
+        for kind, name, _, _ in plans[categories]:
             if kind == SCOPE_DISCIPLINE:
                 sums.append(cell_counts.setdefault((name, dt, year), [0, 0]))
             else:
@@ -275,16 +275,14 @@ class CorpusStats:
 
 
 def corpus_stats(
-    corpus: ResolvedCorpus, registry: PublisherRegistry, taxonomy: TaxonomyMap
+    table: BaselineTable, registry: PublisherRegistry, taxonomy: TaxonomyMap
 ) -> CorpusStats:
     """Per-field and global aggregates over a filtered, resolved corpus,
-    folded from the one walk's table; a handed-over corpus is emptied as
-    `compute_baselines` empties it. Items are whole-counted: one item in n
-    fields counts fully in all n, so per-field numbers sum to the totals
-    only when every item has one field. A publisher counts in a field when
-    it holds an accumulator there.
+    folded from the table of its one walk (`compute_baselines`). Items are
+    whole-counted: one item in n fields counts fully in all n, so per-field
+    numbers sum to the totals only when every item has one field. A
+    publisher counts in a field when it holds an accumulator there.
     """
-    table = compute_baselines(corpus, taxonomy)
     field_ids = {name: sid for sid, (kind, name) in enumerate(table.scopes) if kind == SCOPE_FIELD}
 
     def fold(fieldname: str | None, disciplines: int) -> FieldStats:

@@ -9,6 +9,7 @@ alphabetical tie-break, so every table is a total order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import ConfigError
 from .indicators import (
@@ -69,7 +70,7 @@ class RankingTable:
         return tuple(e.publisher.publisher_id for e in self.entries)
 
 
-def _order_entries(entries: list[RankingEntry]) -> tuple[RankingEntry, ...]:
+def _order_entries(entries: Iterable[RankingEntry]) -> tuple[RankingEntry, ...]:
     # PBK descending, canonical name ascending (case-insensitive); names
     # are fold-unique across the registry, so this is a total order.
     return tuple(
@@ -77,26 +78,25 @@ def _order_entries(entries: list[RankingEntry]) -> tuple[RankingEntry, ...]:
     )
 
 
-def _table_for_scope(
-    scope: Scope,
-    rows: list[IndicatorRow],
+def _ranked(
+    rows: Iterable[IndicatorRow],
     registry: PublisherRegistry,
     totals: dict[str, list[int]],  # publisher id -> corpus-wide [books, chapters]
-    meta: RunMeta,
-) -> RankingTable:
-    """The ranking table of one scope, from that scope's rows."""
-    policy = meta.policy
-    entries = []
+    policy: ThresholdPolicy,
+    type_filter: str | None,
+) -> Iterator[RankingEntry]:
+    """An entry for each row a reader sees, in the rows' order: the rows
+    eligible on the policy's basis whose publisher is of the filtered type,
+    if there is a filter. Tables and profiles both take their rows here."""
     for row in rows:
         pid = row.publisher_id
         pbk, pch = totals[pid] if policy.basis == BASIS_GLOBAL else (row.pbk, row.pch)
         if not check_eligibility(pbk, pch, policy):
             continue
         publisher = registry.publisher(pid)
-        if meta.type_filter is not None and publisher.publisher_type != meta.type_filter:
+        if type_filter is not None and publisher.publisher_type != type_filter:
             continue
-        entries.append(RankingEntry(publisher, row))
-    return RankingTable(scope=scope, entries=_order_entries(entries), meta=meta)
+        yield RankingEntry(publisher, row)
 
 
 def build_all_rankings(
@@ -120,7 +120,8 @@ def build_all_rankings(
     meta = RunMeta(fingerprint, window, policy, type_filter=type_filter)
     del baselines  # its accumulators go before the tables grow, unless the caller keeps it
 
-    # rows bucketed by scope in one pass, keeping their order
+    # rows bucketed by scope in one pass, keeping their order; a table's entries
+    # are made together, so the export, a table at a time, reads them close in memory
     by_scope: dict[Scope, list[IndicatorRow]] = {}
     for row in rows.values():
         by_scope.setdefault(row.scope, []).append(row)
@@ -128,10 +129,11 @@ def build_all_rankings(
     scopes = [Scope(SCOPE_FIELD, f) for f in taxonomy.fields] + [
         Scope(SCOPE_DISCIPLINE, d) for d in taxonomy.disciplines
     ]
-    return [
-        _table_for_scope(scope, by_scope.get(scope, []), registry, totals, meta)
-        for scope in scopes
-    ]
+    tables = []
+    for scope in scopes:
+        entries = _ranked(by_scope.get(scope, []), registry, totals, policy, type_filter)
+        tables.append(RankingTable(scope, _order_entries(entries), meta))
+    return tables
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,18 @@ class PublisherProfile:
 
 
 def build_profile(
-    publisher_id: str, rankings: list[RankingTable], registry: PublisherRegistry
+    publisher_id: str,
+    table: BaselineTable,
+    registry: PublisherRegistry,
+    policy: ThresholdPolicy,
+    type_filter: str | None = None,
 ) -> PublisherProfile:
-    """Registry data, name variants, and the publisher's row from every
-    table it appears in, sorted by PBK descending."""
+    """Registry data, name variants, and the publisher's row in every scope
+    where it ranks, sorted by PBK descending: its rows of the walk's table
+    that `_ranked` lets through, so no ranking table is built."""
     publisher = registry.publisher(publisher_id)  # raises UnknownPublisherError
-    rows = [e.row for t in rankings for e in t.entries if e.publisher.publisher_id == publisher_id]
+    own = [row for (pid, _), row in compute_all_rows(table).items() if pid == publisher_id]
+    rows = [e.row for e in _ranked(own, registry, table.totals, policy, type_filter)]
     rows.sort(key=lambda r: (-r.pbk, r.scope))
     return PublisherProfile(
         publisher=publisher,

@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import corpus as corpus_module  # for corpus_fingerprint, looked up at call time
 from .corpus import (
     DEFAULT_WINDOW,
     Diagnostic,
@@ -363,13 +364,15 @@ def _prepare_inputs(config: RunConfig) -> tuple[PreparedInputs, ResolvedCorpus]:
     return inputs, corpus
 
 
-def run_pipeline(config: RunConfig, hashed: bool = True) -> PipelineResult:
+def run_pipeline(config: RunConfig) -> PipelineResult:
     """Prepare the inputs, compute baselines, and build all ranking tables.
     The walk is the corpus's last reader, so the records go as it passes
-    them. The tables carry the corpus fingerprint if `hashed`, else None;
-    only the JSON rankings write it."""
+    them. The tables carry the corpus fingerprint if `config.formats` names
+    json, the one format that writes it, else None."""
     inputs, corpus = _prepare_inputs(config)
-    fingerprint = corpus.fingerprint if hashed else None  # taken before the walk releases any record
+    fingerprint = None
+    if "json" in config.formats:  # taken before the walk releases any record
+        fingerprint = corpus_module.corpus_fingerprint(corpus.items, corpus.publisher_ids)
     baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
     del corpus  # emptied by the walk; its publisher ids go before the tables grow
     tables = build_all_rankings(
@@ -387,7 +390,7 @@ def run_pipeline(config: RunConfig, hashed: bool = True) -> PipelineResult:
 def run_rank(config: RunConfig) -> tuple[PipelineResult, list[Path]]:
     if config.out is None:
         raise ConfigError("rank requires an output directory")
-    result = run_pipeline(config, hashed="json" in config.formats)
+    result = run_pipeline(config)
     written = export_all_rankings(result.tables, config.formats, config.out)
     return result, written
 
@@ -398,16 +401,19 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
     terminal owner, the publisher the rankings count the items under."""
     if config.out is None:
         raise ConfigError("profile requires an output directory")
-    result = run_pipeline(config, hashed=False)  # a profile holds no fingerprint
-    registry = result.registry
-    profile = build_profile(registry.resolve(publisher), result.tables, registry)
+    inputs, corpus = _prepare_inputs(config)
+    baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
+    del corpus  # emptied by the walk; its publisher ids go before the rows grow
+    pid = inputs.registry.resolve(publisher)
+    profile = build_profile(pid, baselines, inputs.registry, config.policy(), config.type_filter)
     written = [export_profile(profile, fmt, config.out) for fmt in config.formats]
     return profile, written
 
 
 def run_stats(config: RunConfig) -> CorpusStats:
     inputs, corpus = _prepare_inputs(config)
-    return corpus_stats(corpus.hand_over(), inputs.registry, inputs.taxonomy)
+    baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
+    return corpus_stats(baselines, inputs.registry, inputs.taxonomy)
 
 
 @dataclass

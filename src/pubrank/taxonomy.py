@@ -4,7 +4,7 @@ Both levels are many-to-one, so each category has exactly one discipline
 and each discipline exactly one field. Scope membership of an item is a
 set image of its categories: an item never counts twice in one scope no
 matter how many of its categories land there. `TaxonomyMap.plans` holds
-that image once per distinct category tuple, as a `ScopePlan`.
+that image once per distinct category tuple, as a tuple of `ScopeEntry`.
 """
 
 from __future__ import annotations
@@ -29,18 +29,12 @@ class ScopeEntry(NamedTuple):
     k: int  # len(members): the divisor of the item's expected citations
 
 
-@dataclass(frozen=True, slots=True)
-class ScopePlan:
-    """Where the items with one category tuple count. An item whose
-    categories are all unknown has no scopes and is excluded from scoped
-    computations by the callers."""
-
-    scopes: tuple[ScopeEntry, ...]  # its disciplines, then its fields, each sorted
-
-
 class ScopePlans(dict):
-    """category tuple -> ScopePlan, each built on first lookup; plans
-    share their ScopeEntry objects."""
+    """category tuple -> the scopes where the items with those categories
+    count: their disciplines, then their fields, each sorted. Each plan is
+    built on first lookup, and plans share their ScopeEntry objects. An
+    item whose categories are all unknown has no scopes and is excluded
+    from scoped computations by the callers."""
 
     def __init__(self, discipline_of: dict[str, str], field_of: dict[str, str]):
         super().__init__()
@@ -55,7 +49,7 @@ class ScopePlans(dict):
             entry = self._entries[key] = ScopeEntry(kind, name, members, len(members))
         return entry
 
-    def __missing__(self, categories: tuple[str, ...]) -> ScopePlan:
+    def __missing__(self, categories: tuple[str, ...]) -> tuple[ScopeEntry, ...]:
         discipline_of = self._discipline_of
         disciplines = sorted({discipline_of[c] for c in categories if c in discipline_of})
         by_field: dict[str, list[str]] = {}
@@ -63,7 +57,7 @@ class ScopePlans(dict):
             by_field.setdefault(self._field_of[d], []).append(d)
         scopes = [self._entry(SCOPE_DISCIPLINE, d, (d,)) for d in disciplines]
         scopes += [self._entry(SCOPE_FIELD, f, tuple(ds)) for f, ds in sorted(by_field.items())]
-        plan = self[categories] = ScopePlan(tuple(scopes))
+        plan = self[categories] = tuple(scopes)
         return plan
 
 
@@ -74,8 +68,8 @@ class TaxonomyMap:
     fields: tuple[str, ...]  # sorted; stable under row reordering
     disciplines: tuple[str, ...]  # sorted
     disciplines_by_field: dict[str, tuple[str, ...]]
-    # one ScopePlan per item category tuple looked up, for as long as this
-    # map lives, so one run builds each plan once
+    # one plan per item category tuple looked up, for as long as this map
+    # lives, so one run builds each plan once
     plans: ScopePlans = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -31,7 +31,7 @@ from pubrank.errors import (
     PubrankError,
     UnresolvedPublisherError,
 )
-from pubrank.indicators import corpus_stats
+from pubrank.indicators import compute_baselines, corpus_stats
 from util import ingest_and_resolve, jsonl, record
 
 
@@ -125,7 +125,7 @@ class TestIngest:
                           "in position 9: surrogates not allowed")
             for n, code in ((1, "d800"), (4, "dfff"))]
         resolved, _ = resolve_corpus(records, registry, strict=False)
-        assert resolved.fingerprint  # encodes every id as UTF-8
+        assert corpus_fingerprint(resolved.items, resolved.publisher_ids)  # encodes every id as UTF-8
 
     def test_blank_lines_skipped(self):
         records, diagnostics = ingest_corpus(["", "  ", json.dumps(record("a")), "\n"])
@@ -864,7 +864,7 @@ class TestFilter:
         kept = filter_corpus(records, registry)
         assert [i.item_id for i in kept] == ["d"]
 
-    def test_excluded_publishers_given_by_registry_id(self, registry):
+    def test_excluded_publishers_given_by_registry_id(self, registry, monkeypatch):
         records, _ = ingest_corpus(
             jsonl(
                 [
@@ -875,10 +875,12 @@ class TestFilter:
                 ]
             )
         )
-        kept = filter_corpus(records, registry, excluded_publishers=("springer", "no-such-house"))
+        monkeypatch.setattr(corpus, "DEFAULT_EXCLUDED_PUBLISHERS", ("springer", "no-such-house"))
+        kept = filter_corpus(records, registry)
         assert [i.item_id for i in kept] == ["b", "c", "d"]
         # "ak-peters" is an id and no name form; it excludes its terminal owner
-        kept = filter_corpus(records, registry, excluded_publishers=("ak-peters",))
+        monkeypatch.setattr(corpus, "DEFAULT_EXCLUDED_PUBLISHERS", ("ak-peters",))
+        kept = filter_corpus(records, registry)
         assert [i.item_id for i in kept] == ["a", "b"]
 
     def test_window_boundaries(self, registry):
@@ -972,19 +974,21 @@ class TestResolve:
         random.Random(3).shuffle(shuffled)
         a, _ = resolve_corpus(records, registry)
         b, _ = resolve_corpus(shuffled, registry)
-        assert a.fingerprint == b.fingerprint
+        assert corpus_fingerprint(a.items, a.publisher_ids) == corpus_fingerprint(b.items, b.publisher_ids)
 
     def test_fingerprint_sees_content_changes(self, registry):
         base = [record("r1", citations=1), record("r2", citations=2)]
         changed = [record("r1", citations=1), record("r2", citations=3)]
         a, _, _ = ingest_and_resolve(base, registry)
         b, _, _ = ingest_and_resolve(changed, registry)
-        assert a.fingerprint != b.fingerprint
+        assert corpus_fingerprint(a.items, a.publisher_ids) != corpus_fingerprint(b.items, b.publisher_ids)
 
     def test_fingerprint_function_matches_resolve(self, registry):
         records, _ = ingest_corpus(jsonl([record("r1"), record("r2")]))
         corpus, _ = resolve_corpus(records, registry)
-        assert corpus.fingerprint == corpus_fingerprint(corpus.items, corpus.publisher_ids)
+        assert corpus_fingerprint(corpus.items, corpus.publisher_ids) == reference_fingerprint(
+            corpus.items, corpus.publisher_ids
+        )
 
 
 _DIGEST_BATCH = 4096  # the reference's own batch, which does not change the digest
@@ -1041,8 +1045,9 @@ class TestFingerprint:
     def test_items_out_of_id_order(self):
         items = tuple(fingerprint_item(f"i{n:03d}", citations=n) for n in range(50))[::-1]
         corpus = ResolvedCorpus(items, tuple(f"p{n % 3}" for n in range(50)))
-        assert corpus.fingerprint == reference_fingerprint(corpus.items, corpus.publisher_ids)
-        assert corpus.fingerprint == ResolvedCorpus(items[::-1], corpus.publisher_ids[::-1]).fingerprint
+        digest = corpus_fingerprint(corpus.items, corpus.publisher_ids)
+        assert digest == reference_fingerprint(corpus.items, corpus.publisher_ids)
+        assert digest == corpus_fingerprint(items[::-1], corpus.publisher_ids[::-1])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1097,7 +1102,7 @@ class TestStats:
         corpus, _, _ = ingest_and_resolve(
             [record("b1", citations=4), record("b2", citations=2)], registry
         )
-        stats = corpus_stats(corpus, registry, taxonomy)
+        stats = corpus_stats(compute_baselines(corpus, taxonomy), registry, taxonomy)
         assert stats.total.books == 2
         assert stats.total.book_citation_avg == 3.0
         assert stats.total.chapter_citation_avg is None
@@ -1110,7 +1115,7 @@ class TestStats:
             ],
             registry,
         )
-        stats = corpus_stats(corpus, registry, taxonomy)
+        stats = corpus_stats(compute_baselines(corpus, taxonomy), registry, taxonomy)
         fs = stats.per_field["Humanities & Arts"]
         assert fs.commercial_publishers == 1
         assert fs.university_publishers == 1
@@ -1127,11 +1132,11 @@ class TestStats:
         recs = [record(f"r{i}", citations=i % 4) for i in range(25)]
         corpus, _, _ = ingest_and_resolve(recs, registry)
         again, _, _ = ingest_and_resolve(recs, registry)
-        assert corpus_stats(corpus, registry, taxonomy) == corpus_stats(
-            again, registry, taxonomy
+        assert corpus_stats(compute_baselines(corpus, taxonomy), registry, taxonomy) == corpus_stats(
+            compute_baselines(again, taxonomy), registry, taxonomy
         )
 
     def test_unknown_categories_surface(self, registry, taxonomy):
         corpus, _, _ = ingest_and_resolve([record("b1", categories=["Phrenology"])], registry)
-        stats = corpus_stats(corpus, registry, taxonomy)
+        stats = corpus_stats(compute_baselines(corpus, taxonomy), registry, taxonomy)
         assert stats.unknown_categories == ("Phrenology",)

@@ -1,10 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pubrank.errors import ConfigError, UnknownPublisherError
 from pubrank.indicators import Scope, compute_all_rows
-from pubrank.ranking import ThresholdPolicy, build_all_rankings, build_profile, check_eligibility
+from pubrank.ranking import (
+    BASIS_GLOBAL,
+    BASIS_SCOPE,
+    ThresholdPolicy,
+    build_all_rankings,
+    build_profile,
+    check_eligibility,
+)
 from pubrank.registry import load_registry_dir
 from pubrank.taxonomy import load_taxonomy
 from pubrank.testkit import oracle_indicators
@@ -255,8 +263,7 @@ class TestProfile:
             "Springer", 1, start=100, categories=["Law"]
         )
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-        tables = build_all_rankings(registry, taxonomy, baselines, OPEN)
-        profile = build_profile("springer", tables, registry)
+        profile = build_profile("springer", baselines, registry, OPEN)
         assert profile.publisher.name == "Springer"
         assert [(r.scope.kind, r.scope.name, r.pbk) for r in profile.rows] == [
             ("discipline", "History", 3),
@@ -267,20 +274,45 @@ class TestProfile:
 
     def test_variants_come_from_the_registry(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts(books("Elsevier", 1), registry, taxonomy)
-        tables = build_all_rankings(registry, taxonomy, baselines, OPEN)
-        profile = build_profile("elsevier", tables, registry)
+        profile = build_profile("elsevier", baselines, registry, OPEN)
         assert len(profile.variants) == 15
         assert all(v.canonical == "elsevier" for v in profile.variants)
 
     def test_unranked_publisher_has_no_rows(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts(books("Springer", 5), registry, taxonomy)
-        tables = build_all_rankings(registry, taxonomy, baselines, DEFAULT)
-        profile = build_profile("routledge", tables, registry)
+        profile = build_profile("routledge", baselines, registry, DEFAULT)
         assert profile.rows == ()
         assert profile.publisher.publisher_id == "routledge"
 
     def test_unknown_publisher_is_fatal(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts(books("Springer", 1), registry, taxonomy)
-        tables = build_all_rankings(registry, taxonomy, baselines, OPEN)
         with pytest.raises(UnknownPublisherError):
-            build_profile("penguin", tables, registry)
+            build_profile("penguin", baselines, registry, OPEN)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 60),
+        min_books=st.integers(0, 3),
+        min_chapters=st.integers(0, 3),
+        basis=st.sampled_from([BASIS_SCOPE, BASIS_GLOBAL]),
+        type_filter=st.sampled_from([None, "commercial", "university_press"]),
+    )
+    def test_rows_are_the_publishers_rows_of_the_tables(
+        self, registry, taxonomy, seed, size, min_books, min_chapters, basis, type_filter
+    ):
+        """A profile's rows are the publisher's entries in the ranking tables
+        built with the same policy and type filter, sorted by PBK descending
+        then scope: the profile's first definition, kept as the reference.
+        Every registry publisher is profiled, those with no items included."""
+        publishers = ("Springer", "Routledge", "Cambridge University Press", "Princeton University Press")
+        records = random_records(random.Random(seed), taxonomy, size, publishers=publishers)
+        corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
+        policy = ThresholdPolicy(min_books, min_chapters, basis)
+        tables = build_all_rankings(registry, taxonomy, baselines, policy, type_filter=type_filter)
+        assert "crc-press" not in corpus.publisher_ids  # one of the publishers with no items
+        for pid in registry.publishers:
+            expected = [e.row for t in tables for e in t.entries if e.publisher.publisher_id == pid]
+            expected.sort(key=lambda r: (-r.pbk, r.scope))
+            profile = build_profile(pid, baselines, registry, policy, type_filter)
+            assert profile.rows == tuple(expected)

@@ -18,7 +18,6 @@ from pubrank.ranking import (
     RunMeta,
     ThresholdPolicy,
     build_all_rankings,
-    build_profile,
 )
 from pubrank.report import (
     CSV_HEADER,
@@ -580,13 +579,30 @@ class TestRunProfile:
         raws = {v["raw"] for v in payload["variants"]}
         assert "Pergamon" in raws
 
+    @pytest.mark.parametrize("changes", [{}, {"basis": "global"}, {"type_filter": "university_press"}])
+    def test_builds_no_ranking_table(self, run_inputs, monkeypatch, changes):
+        def tree(name):
+            config = dataclasses.replace(
+                run_inputs, out=run_inputs.out.parent / name, formats=FORMATS, **changes
+            )
+            run_profile(config, "springer")
+            return {p.name: p.read_bytes() for p in config.out.iterdir()}
+
+        expected = tree("as_built")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ranking table was built")
+
+        monkeypatch.setattr(report_module, "build_all_rankings", refuse)
+        assert tree("without_tables") == expected
+        assert len(expected) == 3
+
     def test_unknown_name_is_fatal(self, run_inputs):
         with pytest.raises(UnresolvedPublisherError):
             run_profile(run_inputs, "No Such House")
 
     def test_export_profile_rejects_unknown_format(self, run_inputs, tmp_path):
-        result = run_pipeline(run_inputs)
-        profile = build_profile("springer", result.tables, result.registry)
+        profile, _ = run_profile(run_inputs, "springer")
         with pytest.raises(ExportError):
             export_profile(profile, "pdf", tmp_path)
 

@@ -18,8 +18,8 @@ class Scopes:
     def __init__(self, taxonomy, categories):
         plan = taxonomy.plans[tuple(sorted(set(categories)))]
         self.plan = plan
-        self.disciplines = {e.name for e in plan.scopes if e.kind == SCOPE_DISCIPLINE}
-        self.fields = {e.name for e in plan.scopes if e.kind == SCOPE_FIELD}
+        self.disciplines = {e.name for e in plan if e.kind == SCOPE_DISCIPLINE}
+        self.fields = {e.name for e in plan if e.kind == SCOPE_FIELD}
         self.unknown_categories = set(taxonomy.unknown_categories([categories]))
 
 
@@ -155,7 +155,7 @@ def test_plan_matches_the_category_mapping(taxonomy, data):
     for d in discs:
         members.setdefault(taxonomy.field_of[d], []).append(d)
     assert taxonomy.unknown_categories([key]) == tuple(c for c in key if c not in taxonomy.discipline_of)
-    assert list(plan.scopes) == [(SCOPE_DISCIPLINE, d, (d,), 1) for d in discs] + [
+    assert list(plan) == [(SCOPE_DISCIPLINE, d, (d,), 1) for d in discs] + [
         (SCOPE_FIELD, f, tuple(members[f]), len(members[f])) for f in sorted(members)
     ]
 
@@ -163,9 +163,9 @@ def test_plan_matches_the_category_mapping(taxonomy, data):
 def test_plans_share_their_entries(taxonomy):
     alone = taxonomy.plans[("History",)]
     mixed = taxonomy.plans[("Economics", "History", "Phrenology")]
-    history = next(e for e in mixed.scopes if e.name == "History")
-    assert alone.scopes[0] is history
-    assert taxonomy.plans[("History & Philosophy Of Science",)].scopes == alone.scopes
+    history = next(e for e in mixed if e.name == "History")
+    assert alone[0] is history
+    assert taxonomy.plans[("History & Philosophy Of Science",)] == alone
 
 
 def test_record_helper_round_trips_categories():

@@ -126,7 +126,7 @@ class TestLedgerAgainstEngine:
     def test_field_rollups_match_corpus_stats(self, taxonomy, tmp_path):
         result = generate_corpus(SynthParams(seed=12, **SMALL), taxonomy, tmp_path)
         registry, tax, corpus = load_bundle(result)
-        stats = corpus_stats(corpus, registry, tax)
+        stats = corpus_stats(compute_baselines(corpus, tax), registry, tax)
         ledger = result.ledger
         assert stats.total.books == ledger.total_books
         assert stats.total.chapters == ledger.total_chapters
@@ -144,7 +144,7 @@ class TestLedgerAgainstEngine:
     def test_publisher_counts_match_corpus_stats(self, taxonomy, tmp_path, seed):
         result = generate_corpus(SynthParams(seed=seed, **SMALL), taxonomy, tmp_path)
         registry, tax, corpus = load_bundle(result)
-        stats = corpus_stats(corpus, registry, tax)
+        stats = corpus_stats(compute_baselines(corpus, tax), registry, tax)
         ledger = result.ledger
         assert stats.total.publishers == len(ledger.all_publishers)
         for fieldname, truth in ledger.field_stats.items():

@@ -98,3 +98,12 @@ def test_traced_validate_neither_hashes_nor_walks(tmp_path, bundle, monkeypatch)
     assert len(by_name.get("report.run_validate", [])) == 1
     assert "corpus.fingerprint" not in by_name
     assert "indicators.baselines" not in by_name
+
+
+def test_traced_stats_walks_once_and_never_hashes(tmp_path, bundle):
+    """`stats` folds the table of the walk that it runs itself."""
+    doc, by_name = traced(tmp_path, bundle, "stats", bundle.corpus_path)
+    assert doc["exit_code"] == 0
+    assert doc["missing"] == []
+    assert len(by_name.get("indicators.baselines", [])) == 1
+    assert "corpus.fingerprint" not in by_name

@@ -9,7 +9,6 @@ import json
 from pathlib import Path
 
 from pubrank.corpus import (
-    DEFAULT_EXCLUDED_PUBLISHERS,
     DEFAULT_WINDOW,
     filter_corpus,
     ingest_corpus,
@@ -89,7 +88,7 @@ def load_synth_bundle(result):
     taxonomy = load_taxonomy(result.taxonomy_path)
     records, diagnostics = ingest_corpus(result.corpus_path)
     assert [d for d in diagnostics if d.severity == "error"] == []
-    filtered = filter_corpus(records, registry, DEFAULT_WINDOW, DEFAULT_EXCLUDED_PUBLISHERS)
+    filtered = filter_corpus(records, registry, DEFAULT_WINDOW)
     corpus, unresolved = resolve_corpus(filtered, registry, strict=True)
     assert unresolved == set()
     return registry, taxonomy, corpus
