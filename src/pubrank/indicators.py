@@ -184,13 +184,15 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
     return BaselineTable(cells, accs, totals, list(scope_ids), list(cell_ids), coverage, unknown)
 
 
-def compute_all_rows(baselines: BaselineTable) -> dict[tuple[str, Scope], IndicatorRow]:
+def compute_all_rows(baselines: BaselineTable) -> list[IndicatorRow]:
     """All indicator rows, finalised from the baselines' accumulators,
     which stay as they are.
 
-    Produces one row per occupied (publisher, scope) pair; pairs with no
-    items have all-zero indicators and no row. Every row equals the
-    brute-force `testkit.oracle_indicators` exactly.
+    A list of one row per occupied (publisher, scope) pair, by publisher in
+    the order the walk first met them, then by scope id; each row carries
+    its pair, so no pair keys it twice. Pairs with no items have all-zero
+    indicators and no row. Every row equals the brute-force
+    `testkit.oracle_indicators` exactly.
     """
     accs, totals, scopes = baselines.accs, baselines.totals, baselines.scopes
 
@@ -210,7 +212,7 @@ def compute_all_rows(baselines: BaselineTable) -> dict[tuple[str, Scope], Indica
         g = gcd(cell.citation_sum, q)
         means.append((cell.citation_sum // g, q // g))
 
-    rows: dict[tuple[str, Scope], IndicatorRow] = {}
+    rows: list[IndicatorRow] = []
     for pid, own in accs.items():
         own_total = totals[pid][0]
         for sid, acc in own.items():
@@ -235,8 +237,7 @@ def compute_all_rows(baselines: BaselineTable) -> dict[tuple[str, Scope], Indica
                 ai = 0.0
 
             ed = 100 * acc.edited_chapters / acc.pch if acc.pch else 0.0
-            scope = scopes[sid]
-            rows[(pid, scope)] = IndicatorRow(pid, scope, acc.pbk, acc.pch, acc.cit, fncs, ai, ed)
+            rows.append(IndicatorRow(pid, scopes[sid], acc.pbk, acc.pch, acc.cit, fncs, ai, ed))
     return rows
 
 

@@ -123,7 +123,7 @@ def build_all_rankings(
     # rows bucketed by scope in one pass, keeping their order; a table's entries
     # are made together, so the export, a table at a time, reads them close in memory
     by_scope: dict[Scope, list[IndicatorRow]] = {}
-    for row in rows.values():
+    for row in rows:
         by_scope.setdefault(row.scope, []).append(row)
 
     scopes = [Scope(SCOPE_FIELD, f) for f in taxonomy.fields] + [
@@ -154,7 +154,7 @@ def build_profile(
     where it ranks, sorted by PBK descending: its rows of the walk's table
     that `_ranked` lets through, so no ranking table is built."""
     publisher = registry.publisher(publisher_id)  # raises UnknownPublisherError
-    own = [row for (pid, _), row in compute_all_rows(table).items() if pid == publisher_id]
+    own = [row for row in compute_all_rows(table) if row.publisher_id == publisher_id]
     rows = [e.row for e in _ranked(own, registry, table.totals, policy, type_filter)]
     rows.sort(key=lambda r: (-r.pbk, r.scope))
     return PublisherProfile(

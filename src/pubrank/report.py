@@ -2,18 +2,22 @@
 
 CSV and HTML round fncs/ai to two decimals and print ED as an integer
 percentage; JSON keeps full precision so a parse-back reproduces the
-in-memory rows bit for bit. Files are written atomically (temp + rename)
-and contain nothing run-dependent, so identical inputs and configuration
-give byte-identical output trees.
+in-memory rows bit for bit. Each file is written atomically: its text,
+rendered in parts of at most `_PART_ROWS` rows so that no whole text is
+held at once, goes into a temp file that is then renamed over the target.
+Files contain nothing run-dependent, so identical inputs and
+configuration give byte-identical output trees.
 """
 
 from __future__ import annotations
 
+import contextlib
 import html
 import json
 import os
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -41,6 +45,8 @@ INDICATORS = ("pbk", "pch", "cit", "fncs", "ai", "ed")
 RANKING_COLUMNS = ("rank", "publisher", "type", *INDICATORS)
 
 CSV_HEADER = ",".join(RANKING_COLUMNS)
+
+_PART_ROWS = 256  # table rows per part of a file's text
 
 
 @dataclass(frozen=True)
@@ -93,14 +99,31 @@ def table_filename(table: RankingTable, fmt: str) -> str:
     return f"{table.scope.kind}_{scope_slug(table.scope.name)}.{fmt}"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, parts: Iterable[str]) -> None:
+    """Write the text's parts, in order, to a temp file beside `path`, then
+    rename it over `path`. On any failure the temp file goes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                fh.writelines(parts)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):  # unlink never removes a directory
+                tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise ExportError(f"cannot write {path}: {exc}") from exc
+
+
+def _joined(sep: str, items: Iterable[str]) -> Iterator[str]:
+    """`sep.join(items)` in parts of at most `_PART_ROWS` items each."""
+    items = iter(items)
+    lead = ""
+    while part := list(islice(items, _PART_ROWS)):
+        yield lead + sep.join(part)
+        lead = sep
 
 
 def _csv_cell(text: str) -> str:
@@ -122,12 +145,12 @@ def _indicator_cells(row: IndicatorRow) -> tuple[str, ...]:
     )
 
 
-def _csv_text(columns: Iterable[str], rows: Iterable[tuple[str, ...]]) -> str:
-    """A CSV document of display rows: a label (rank or scope kind), a
-    free-text name, plain cells, then the indicator cells."""
-    lines = [",".join(columns)]
-    lines += [",".join((label, _csv_cell(name), *cells)) for label, name, *cells in rows]
-    return "\n".join(lines) + "\n"
+def _csv_text(columns: Iterable[str], rows: Iterable[tuple[str, ...]]) -> Iterator[str]:
+    """A CSV document of display rows, in parts: a label (rank or scope
+    kind), a free-text name, plain cells, then the indicator cells."""
+    lines = (",".join((label, _csv_cell(name), *cells)) for label, name, *cells in rows)
+    yield from _joined("\n", chain([",".join(columns)], lines))
+    yield "\n"
 
 
 def _indicator_json(row: IndicatorRow) -> dict:
@@ -135,21 +158,25 @@ def _indicator_json(row: IndicatorRow) -> dict:
             "fncs": row.fncs, "ai": row.ai, "ed": row.ed}
 
 
-_HTML_PAGE = """<!DOCTYPE html>
-<html lang="en">
-<head><meta charset="utf-8"><title>{title}</title></head>
-<body>
-<h1>{title}</h1>
-{body}</body>
-</html>
-"""
+def _html_page(title: str, body: Iterable[str]) -> Iterator[str]:
+    """An HTML page, in parts: the title escaped, then the body's parts."""
+    title = html.escape(title)
+    yield (
+        '<!DOCTYPE html>\n<html lang="en">\n'
+        f'<head><meta charset="utf-8"><title>{title}</title></head>\n'
+        f"<body>\n<h1>{title}</h1>\n"
+    )
+    yield from body
+    yield "</body>\n</html>\n"
 
 
-def _html_table(columns: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
-    """An HTML table of already-escaped cells."""
+def _html_table(columns: Iterable[str], rows: Iterable[Iterable[str]]) -> Iterator[str]:
+    """An HTML table of already-escaped cells, in parts."""
     head = "<tr><th>" + "</th><th>".join(columns) + "</th></tr>"
-    body = "\n".join("<tr><td>" + "</td><td>".join(cells) + "</td></tr>" for cells in rows)
-    return f'<table border="1">\n{head}\n{body}\n</table>\n'
+    lines = ("<tr><td>" + "</td><td>".join(cells) + "</td></tr>" for cells in rows)
+    yield f'<table border="1">\n{head}\n'
+    yield from _joined("\n", lines)
+    yield "\n</table>\n"
 
 
 def _html_cells(rows: Iterable[tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
@@ -186,8 +213,8 @@ def _json_header(table: RankingTable) -> dict:
 
 
 def _json_payload(table: RankingTable) -> dict:
-    """The ranking JSON document as plain data; `_ranking_json` writes
-    exactly `json.dumps(_json_payload(table), indent=2) + "\n"`."""
+    """The ranking JSON document as plain data; `_ranking_json`'s parts
+    join to exactly `json.dumps(_json_payload(table), indent=2) + "\n"`."""
     return {
         **_json_header(table),
         "rows": [
@@ -225,15 +252,18 @@ def _json_rows(table: RankingTable) -> Iterator[str]:
         )
 
 
-def _ranking_json(table: RankingTable) -> str:
-    """The ranking JSON text: the header through json.dumps, the rows from
-    a fixed template, since json.dumps with indent runs in pure Python."""
+def _ranking_json(table: RankingTable) -> Iterator[str]:
+    """The ranking JSON text, in parts: the header through json.dumps, the
+    rows from a fixed template, since json.dumps with indent runs in pure
+    Python."""
     head = json.dumps(_json_header(table), indent=2)
     if not table.entries:
-        return head + "\n"
+        yield head + "\n"
+        return
     # head ends in '"rows": []\n}'; drop "]\n}" and write the rows into the list
-    rows = ",\n".join(_json_rows(table))
-    return f"{head[:-3]}\n{rows}\n  ]\n}}\n"
+    yield head[:-3] + "\n"
+    yield from _joined(",\n", _json_rows(table))
+    yield "\n  ]\n}\n"
 
 
 def export_ranking(
@@ -249,17 +279,16 @@ def export_ranking(
         raise ExportError(f"unknown format {fmt!r}")
     path = Path(destination) / table_filename(table, fmt)
     if fmt == "json":
-        text = _ranking_json(table)
+        parts = _ranking_json(table)
     else:
         if cells is None:
             cells = _table_cells(table)
         if fmt == "csv":
-            text = _csv_text(RANKING_COLUMNS, cells)
+            parts = _csv_text(RANKING_COLUMNS, cells)
         else:
             title = f"{table.scope.kind.capitalize()}: {table.scope.name}"
-            body = _html_table(RANKING_COLUMNS, _html_cells(cells))
-            text = _HTML_PAGE.format(title=html.escape(title), body=body)
-    _atomic_write(path, text)
+            parts = _html_page(title, _html_table(RANKING_COLUMNS, _html_cells(cells)))
+    _atomic_write(path, parts)
     return path
 
 
@@ -307,25 +336,25 @@ def export_profile(profile: PublisherProfile, fmt: str, destination: str | Path)
     pub = profile.publisher
     path = Path(destination) / f"publisher_{scope_slug(pub.name)}.{fmt}"
     if fmt == "json":
-        text = json.dumps(_profile_json(profile), indent=2) + "\n"
+        parts = [json.dumps(_profile_json(profile), indent=2) + "\n"]
     else:
         rows = [(r.scope.kind, r.scope.name, *_indicator_cells(r)) for r in profile.rows]
         if fmt == "csv":
-            text = _csv_text(("scope_kind", "scope", *INDICATORS), rows)
+            parts = _csv_text(("scope_kind", "scope", *INDICATORS), rows)
         else:
             website = f" | website: {html.escape(pub.website)}" if pub.website else ""
             variant_rows = (
                 [html.escape(c or "") for c in (v.raw, v.city, v.address)]
                 for v in profile.variants
             )
-            body = (
-                f"<p>type: {pub.publisher_type}{website}</p>\n<h2>Name variants</h2>\n"
-                + _html_table(("raw", "city", "address"), variant_rows)
-                + "<h2>Indicators by scope</h2>\n"
-                + _html_table(("kind", "scope", *INDICATORS), _html_cells(rows))
+            body = chain(
+                [f"<p>type: {pub.publisher_type}{website}</p>\n<h2>Name variants</h2>\n"],
+                _html_table(("raw", "city", "address"), variant_rows),
+                ["<h2>Indicators by scope</h2>\n"],
+                _html_table(("kind", "scope", *INDICATORS), _html_cells(rows)),
             )
-            text = _HTML_PAGE.format(title=html.escape(pub.name), body=body)
-    _atomic_write(path, text)
+            parts = _html_page(pub.name, body)
+    _atomic_write(path, parts)
     return path
 
 

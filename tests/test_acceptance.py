@@ -21,7 +21,7 @@ from pubrank.indicators import Scope, compute_all_rows, compute_baselines
 from pubrank.ranking import ThresholdPolicy, check_eligibility
 from pubrank.report import RunConfig, run_rank
 from pubrank.testkit import SynthParams, generate_corpus, oracle_indicators
-from util import load_synth_bundle, pipeline_artifacts, ranking_table, record, tree_hash
+from util import keyed_rows, load_synth_bundle, pipeline_artifacts, ranking_table, record, tree_hash
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,7 +86,7 @@ def test_criterion_3_fncs_closure(taxonomy, tmp_path):
             _, tax, corpus = load_synth_bundle(result)
             pseudo = ResolvedCorpus(items=corpus.items, publisher_ids=("__all__",) * len(corpus))
             baselines = compute_baselines(pseudo, tax)
-            for (pid, scope), row in compute_all_rows(baselines).items():
+            for (pid, scope), row in keyed_rows(compute_all_rows(baselines)).items():
                 if scope.kind != "discipline":
                     continue
                 if row.cit:
@@ -112,7 +112,7 @@ def test_criterion_4_differential_oracle(taxonomy, tmp_path):
             assert result.item_count <= 2000
             _, tax, corpus = load_synth_bundle(result)
             baselines = compute_baselines(corpus, tax)
-            for (pid, scope), row in compute_all_rows(baselines).items():
+            for (pid, scope), row in keyed_rows(compute_all_rows(baselines)).items():
                 pbk, pch, cit, fncs, ai, ed = oracle_indicators(pid, scope, corpus, tax)
                 assert (row.pbk, row.pch, row.cit) == (pbk, pch, cit), (seed, pid, scope)
                 assert abs(row.fncs - fncs) <= 1e-12, (seed, pid, scope)
@@ -227,7 +227,7 @@ def test_criterion_8_scaling_and_ai_closure(taxonomy, tmp_path):
             tmp_path / "base",
         )
         _, tax, corpus = load_synth_bundle(result)
-        rows = compute_all_rows(compute_baselines(corpus, tax))
+        rows = keyed_rows(compute_all_rows(compute_baselines(corpus, tax)))
 
         scaled_records = []
         for line in result.corpus_path.read_text(encoding="utf-8").splitlines():
@@ -247,7 +247,7 @@ def test_criterion_8_scaling_and_ai_closure(taxonomy, tmp_path):
             item_count=result.item_count,
         )
         _, _, scaled_corpus = load_synth_bundle(scaled_result)
-        scaled_rows = compute_all_rows(compute_baselines(scaled_corpus, tax))
+        scaled_rows = keyed_rows(compute_all_rows(compute_baselines(scaled_corpus, tax)))
         assert set(scaled_rows) == set(rows)
         for key, row in rows.items():
             srow = scaled_rows[key]
@@ -273,7 +273,7 @@ def test_criterion_8_scaling_and_ai_closure(taxonomy, tmp_path):
                 tmp_path / f"ai{seed}",
             )
             _, tax, corpus = load_synth_bundle(result)
-            rows = compute_all_rows(compute_baselines(corpus, tax))
+            rows = keyed_rows(compute_all_rows(compute_baselines(corpus, tax)))
             ledger = result.ledger
             for pid in sorted(ledger.all_publishers):
                 own_books = sum(

@@ -21,6 +21,7 @@ from pubrank.ranking import BASIS_GLOBAL, RankingEntry, ThresholdPolicy, build_a
 from pubrank.testkit import SynthParams, generate_corpus, oracle_indicators
 from util import (
     ingest_and_resolve,
+    keyed_rows,
     load_synth_bundle,
     pipeline_artifacts,
     random_records,
@@ -35,7 +36,7 @@ LAW = Scope("discipline", "Law")
 def rows_of(records, registry, taxonomy):
     """The engine's rows for a small record list, plus the resolved corpus."""
     corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-    return compute_all_rows(baselines), corpus
+    return keyed_rows(compute_all_rows(baselines)), corpus
 
 
 class TestCounts:
@@ -292,7 +293,7 @@ class TestSinglePassAggregation:
         corpus, baselines = pipeline_artifacts(
             random_records(rng, taxonomy, rng.randint(20, 80)), registry, taxonomy
         )
-        rows = compute_all_rows(baselines)
+        rows = keyed_rows(compute_all_rows(baselines))
         assert rows, "corpus should occupy at least one (publisher, scope)"
         for (pid, scope), row in rows.items():
             assert oracle_indicators(pid, scope, corpus, taxonomy) == (
@@ -305,7 +306,7 @@ class TestSinglePassAggregation:
 
     def test_no_rows_for_unoccupied_pairs(self, registry, taxonomy):
         corpus, baselines = pipeline_artifacts([record("b1")], registry, taxonomy)
-        rows = compute_all_rows(baselines)
+        rows = keyed_rows(compute_all_rows(baselines))
         assert set(rows) == {("springer", HIST), ("springer", HUM)}
 
 
@@ -365,7 +366,7 @@ class TestEdgeShapes:
     def test_engine_equals_oracle(self, registry, taxonomy, shape, data):
         records = data.draw(edge_records(taxonomy, shape))
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
-        rows = compute_all_rows(baselines)
+        rows = keyed_rows(compute_all_rows(baselines))
         if shape == "chapter_only_publisher":
             assert all(row.pbk == 0 for (pid, _), row in rows.items() if pid == "crc-press")
         for (pid, scope), row in rows.items():
@@ -390,8 +391,8 @@ class TestExactArithmetic:
         scaled_records = [dict(r, citations=r["citations"] * factor) for r in base_records]
         corpus, baselines = pipeline_artifacts(base_records, registry, taxonomy)
         scaled, scaled_baselines = pipeline_artifacts(scaled_records, registry, taxonomy)
-        rows = compute_all_rows(baselines)
-        scaled_rows = compute_all_rows(scaled_baselines)
+        rows = keyed_rows(compute_all_rows(baselines))
+        scaled_rows = keyed_rows(compute_all_rows(scaled_baselines))
         assert set(rows) == set(scaled_rows)
         for key, row in rows.items():
             assert scaled_rows[key].cit == row.cit * factor
@@ -409,7 +410,9 @@ class TestExactArithmetic:
         assert corpus_fingerprint(corpus.items, corpus.publisher_ids) == corpus_fingerprint(
             shuffled.items, shuffled.publisher_ids
         )
-        assert compute_all_rows(baselines) == compute_all_rows(shuffled_baselines)
+        assert keyed_rows(compute_all_rows(baselines)) == keyed_rows(
+            compute_all_rows(shuffled_baselines)
+        )
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_engine_equals_oracle_on_coprime_denominators(self, registry, taxonomy, seed):
@@ -455,7 +458,7 @@ class TestExactArithmetic:
             for d in discs:
                 assert baselines.cells[(d, doc_type, year)].item_count == count
 
-        rows = compute_all_rows(baselines)
+        rows = keyed_rows(compute_all_rows(baselines))
         assert {(pid, scope.name) for pid, scope in rows} == {
             (pid, name) for pid in ("springer", "routledge") for name in (d0, d1, d2, fieldname)
         }
@@ -514,7 +517,7 @@ def test_a_handed_over_corpus_gives_the_same_table_and_is_emptied(registry, taxo
     kept = ResolvedCorpus(list(corpus.items), corpus.publisher_ids)
     handed = compute_baselines(kept.hand_over(), taxonomy)
     assert kept.items == []
-    assert compute_all_rows(handed) == compute_all_rows(baselines)
+    assert keyed_rows(compute_all_rows(handed)) == keyed_rows(compute_all_rows(baselines))
     assert (handed.cells, handed.totals, handed.coverage) == (baselines.cells, baselines.totals, baselines.coverage)
 
 

@@ -16,7 +16,7 @@ from pubrank.ranking import (
 from pubrank.registry import load_registry_dir
 from pubrank.taxonomy import load_taxonomy
 from pubrank.testkit import oracle_indicators
-from util import pipeline_artifacts, random_records, ranking_table, record, write_registry
+from util import keyed_rows, pipeline_artifacts, random_records, ranking_table, record, write_registry
 
 HIST = Scope("discipline", "History")
 DEFAULT = ThresholdPolicy()
@@ -98,7 +98,7 @@ class TestTableMembership:
             books("Springer", 5, citations=2), registry, taxonomy
         )
         table = ranking_table(HIST, registry, taxonomy, baselines, DEFAULT)
-        rows = compute_all_rows(baselines)
+        rows = keyed_rows(compute_all_rows(baselines))
         assert len(table.entries) == 1
         assert table.entries[0].row == rows[("springer", HIST)]
 

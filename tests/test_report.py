@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -22,6 +23,7 @@ from pubrank.ranking import (
 from pubrank.report import (
     CSV_HEADER,
     FORMATS,
+    RANKING_COLUMNS,
     RunConfig,
     _indicator_cells,
     _json_payload,
@@ -199,13 +201,13 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(table=ranking_tables())
     def test_matches_json_dumps(self, table):
-        assert _ranking_json(table) == json.dumps(_json_payload(table), indent=2) + "\n"
+        assert "".join(_ranking_json(table)) == json.dumps(_json_payload(table), indent=2) + "\n"
 
     @pytest.mark.parametrize("type_filter", [None, "university_press"])
     def test_empty_table(self, type_filter):
         meta = RunMeta("f" * 64, (2009, 2013), OPEN, type_filter=type_filter)
         table = RankingTable(scope=HIST, entries=(), meta=meta)
-        text = _ranking_json(table)
+        text = "".join(_ranking_json(table))
         assert text == json.dumps(_json_payload(table), indent=2) + "\n"
         assert text.endswith('  "rows": []\n}\n')
 
@@ -378,6 +380,66 @@ class TestExportAll:
             export_ranking(history_table, "xlsx", tmp_path)
 
 
+def _long_table(n: int) -> RankingTable:
+    """A table of n hand-built entries whose names need quoting and escaping."""
+    scope = Scope("field", "Humanities & Arts")
+    entries = []
+    for i in range(n):
+        publisher = CanonicalPublisher(f"p{i}", f'Press {i}, "<&>"', "commercial")
+        row = IndicatorRow(f"p{i}", scope, n - i, i, 3 * i, i / 7, i / 3, 100 * i / (i + 1))
+        entries.append(RankingEntry(publisher, row))
+    return RankingTable(scope, tuple(entries), TestWriterBytes.META)
+
+
+class TestWritingInParts:
+    """Each file's text is rendered and written in parts of at most
+    `_PART_ROWS` rows, and the parts make the text a whole render gives."""
+
+    @pytest.mark.parametrize("part_rows", [1, 2, 3])
+    def test_any_part_size_writes_the_same_bytes(self, tmp_path, monkeypatch, part_rows):
+        table = _long_table(7)
+        publisher = CanonicalPublisher("p0", "Press <0>", "commercial", "https://p0.example")
+        variants = tuple(NameVariant(f"Press {i}", "p0", city=f"City {i}") for i in range(5))
+        profile = PublisherProfile(publisher, variants, tuple(e.row for e in table.entries))
+        empty = RankingTable(Scope("discipline", "Law"), (), TestWriterBytes.META)
+
+        def write_all(directory):
+            paths = [export_ranking(t, fmt, directory) for t in (table, empty) for fmt in FORMATS]
+            paths += [export_profile(profile, fmt, directory) for fmt in FORMATS]
+            return {p.name: p.read_bytes() for p in paths}
+
+        whole = write_all(tmp_path / "whole")  # 7 rows: each text in one part
+        monkeypatch.setattr(report_module, "_PART_ROWS", part_rows)
+        assert write_all(tmp_path / "parts") == whole
+
+    def test_no_part_holds_more_rows_than_the_bound(self, monkeypatch):
+        monkeypatch.setattr(report_module, "_PART_ROWS", 2)
+        table = _long_table(7)
+        cells = report_module._table_cells(table)
+        renders = {
+            '"rank"': _ranking_json(table),
+            "commercial,": report_module._csv_text(RANKING_COLUMNS, cells),
+            "<tr><td>": report_module._html_table(
+                RANKING_COLUMNS, report_module._html_cells(cells)
+            ),
+        }
+        for marker, parts in renders.items():
+            per_part = [part.count(marker) for part in parts]
+            assert sum(per_part) == 7 and max(per_part) == 2, marker
+
+    def test_export_holds_no_whole_text(self, tmp_path):
+        table = _long_table(20_000)
+        cells = report_module._table_cells(table)
+        for fmt in FORMATS:
+            tracemalloc.start()
+            try:
+                path = export_ranking(table, fmt, tmp_path, cells=cells)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < path.stat().st_size / 4, (fmt, peak, path.stat().st_size)
+
+
 class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, history_table, tmp_path):
         export_ranking(history_table, "csv", tmp_path)
@@ -387,6 +449,28 @@ class TestAtomicWrites:
         (tmp_path / "discipline_history.csv").mkdir()
         with pytest.raises(ExportError, match="cannot write"):
             export_ranking(history_table, "csv", tmp_path)
+        assert not (tmp_path / "discipline_history.csv.tmp").exists()
+
+    @pytest.mark.parametrize("error,raised", [(OSError, ExportError), (KeyError, KeyError)])
+    def test_a_write_failing_midway_keeps_the_old_file(self, tmp_path, error, raised):
+        path = tmp_path / "field_x.csv"
+        path.write_text("old\n", encoding="utf-8")
+
+        def parts():
+            yield "a first part\n"
+            raise error("a failure midway")
+
+        with pytest.raises(raised):
+            report_module._atomic_write(path, parts())
+        assert [p.name for p in tmp_path.iterdir()] == ["field_x.csv"]
+        assert path.read_text(encoding="utf-8") == "old\n"
+
+    def test_a_directory_at_the_temp_path_stays(self, history_table, tmp_path):
+        (tmp_path / "discipline_history.csv.tmp").mkdir()
+        with pytest.raises(ExportError, match="cannot write"):
+            export_ranking(history_table, "csv", tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["discipline_history.csv.tmp"]
+        assert (tmp_path / "discipline_history.csv.tmp").is_dir()
 
 
 class TestRunConfig:

@@ -8,7 +8,7 @@ from pubrank.indicators import Scope, compute_all_rows, compute_baselines, corpu
 from pubrank.testkit import SynthParams, generate_corpus, load_ledger, oracle_indicators
 from pubrank.registry import fold_name
 from util import load_synth_bundle as load_bundle
-from util import pipeline_artifacts, record, tree_hash
+from util import keyed_rows, pipeline_artifacts, record, tree_hash
 
 SMALL = dict(publisher_count=6, items_per_publisher=(20, 40))
 
@@ -108,7 +108,7 @@ class TestLedgerAgainstEngine:
         result = generate_corpus(SynthParams(seed=seed, **SMALL), taxonomy, tmp_path)
         _, tax, corpus = load_bundle(result)
         baselines = compute_baselines(corpus, tax)
-        rows = compute_all_rows(baselines)
+        rows = keyed_rows(compute_all_rows(baselines))
         assert {(pid, s.kind, s.name) for pid, s in rows} == set(result.ledger.scopes)
         for (pid, scope), row in rows.items():
             truth = result.ledger.scope_truth(pid, scope)
@@ -219,7 +219,7 @@ class TestOracle:
         result = generate_corpus(params, taxonomy, tmp_path)
         _, tax, corpus = load_bundle(result)
         baselines = compute_baselines(corpus, tax)
-        rows = compute_all_rows(baselines)
+        rows = keyed_rows(compute_all_rows(baselines))
         assert rows
         for (pid, scope), row in rows.items():
             assert oracle_indicators(pid, scope, corpus, tax) == (

@@ -73,6 +73,14 @@ def pipeline_artifacts(records, registry, taxonomy, window=(2009, 2013)):
     return corpus, baselines
 
 
+def keyed_rows(rows):
+    """The engine's row list as a dict keyed by (publisher_id, scope);
+    asserts that no pair has two rows."""
+    keyed = {(row.publisher_id, row.scope): row for row in rows}
+    assert len(keyed) == len(rows), "a (publisher, scope) pair has more than one row"
+    return keyed
+
+
 def ranking_table(scope, *args, **kwargs):
     """The table for one scope, picked from build_all_rankings(*args, **kwargs)."""
     return next(t for t in build_all_rankings(*args, **kwargs) if t.scope == scope)
