@@ -33,21 +33,29 @@ def _int_pair(form: str):
     return parse
 
 
+def _path(text: str) -> Path:
+    """An argparse type for a path flag that refuses "": Path("") is ".",
+    the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("path must be non-empty")
+    return Path(text)
+
+
 def _parse_formats(text: str) -> tuple[str, ...]:
     """The comma-separated formats, stripped; RunConfig checks them."""
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser, need_out: bool) -> None:
-    parser.add_argument("--corpus", type=Path, required=True, help="JSONL corpus file")
+    parser.add_argument("--corpus", type=_path, required=True, help="JSONL corpus file")
     parser.add_argument(
         "--registry-dir",
-        type=Path,
+        type=_path,
         default=None,
         help="directory with publishers.csv / variants.csv / acquisitions.csv (default: bundled sample)",
     )
     parser.add_argument(
-        "--taxonomy", type=Path, default=None,
+        "--taxonomy", type=_path, default=None,
         help="category,discipline,field CSV (default: bundled sample)",
     )
     parser.add_argument("--window", type=_int_pair("window must be YYYY:YYYY"),
@@ -65,7 +73,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser, need_out: bool) -> None
     )
     parser.add_argument("--strict", action="store_true", help="unresolved publisher names are fatal")
     if need_out:
-        parser.add_argument("--out", type=Path, required=True, help="output directory")
+        parser.add_argument("--out", type=_path, required=True, help="output directory")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -105,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p_stats, need_out=False)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
-    p_synth.add_argument("--out", type=Path, required=True, help="output directory")
+    p_synth.add_argument("--out", type=_path, required=True, help="output directory")
     p_synth.add_argument("--seed", type=int, default=1)
     p_synth.add_argument("--publishers", type=int, default=10)
     p_synth.add_argument("--items", type=_int_pair("items must be LO:HI"), default=(30, 70), metavar="LO:HI",
                          help="items per publisher, inclusive range")
     p_synth.add_argument("--chapter-fraction", type=float, default=0.5)
     p_synth.add_argument("--edited-fraction", type=float, default=0.5)
-    p_synth.add_argument("--taxonomy", type=Path, default=None,
+    p_synth.add_argument("--taxonomy", type=_path, default=None,
                          help="taxonomy to draw categories from (default: bundled sample)")
     return parser
 

@@ -10,7 +10,6 @@ folded from the indicators' one walk (`indicators.corpus_stats`).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import marshal
@@ -20,7 +19,6 @@ import select
 import stat
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, count, islice, repeat
 from operator import attrgetter, lt
@@ -553,11 +551,16 @@ _BLOCK_BYTES = 1 << 16
 _file_version = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 
 
+def _sha256(data: bytes = b""):
+    import hashlib  # here, not at start-up: only the cache key and the fingerprint hash
+    return hashlib.sha256(data)
+
+
 @cache
 def _code_tag() -> bytes:
     """SHA-256 of this module's source and the Python version: the parse's
     messages and the marshal format are both fixed by these."""
-    digest = hashlib.sha256(Path(__file__).read_bytes())
+    digest = _sha256(Path(__file__).read_bytes())
     digest.update(sys.version.encode())
     return digest.digest()
 
@@ -607,7 +610,7 @@ def _cache_key(source) -> Path | None:
         return None
     try:
         with open(source, "rb", buffering=0) as fh:
-            key = _hash_rest(fh, hashlib.sha256(_code_tag()))
+            key = _hash_rest(fh, _sha256(_code_tag()))
     except OSError:  # the parse reports it
         return None
     return directory / key.hex()
@@ -622,7 +625,7 @@ def _cache_read(entry: Path) -> tuple[list[ItemRecord], list[Diagnostic]] | None
     try:
         with open(entry, "rb") as fh:
             digest = fh.read(_DIGEST_BYTES)
-            if _hash_rest(fh, hashlib.sha256()) != digest:
+            if _hash_rest(fh, _sha256()) != digest:
                 return None
             fh.seek(_DIGEST_BYTES)
             _read_frames(fh, result, True, _Entry(None))
@@ -643,9 +646,9 @@ class _Entry:
 
     def __init__(self, path: Path | None) -> None:
         self.path = path
-        self.body = hashlib.sha256()
         self.file = None
         if path is not None:
+            self.body = _sha256()
             self.temporary = path.with_name(f".{path.name}.{os.getpid()}")
             with contextlib.suppress(OSError):
                 self.file = open(self.temporary, "wb")
@@ -788,7 +791,6 @@ def filter_corpus(
     return kept
 
 
-@dataclass(frozen=True)
 class ResolvedCorpus:
     """Filtered items with their terminal publisher ids. `resolve_corpus`
     gives the items in item-id order, so record order never leaks into
@@ -796,8 +798,9 @@ class ResolvedCorpus:
     builds them; the digest is order-insensitive whatever the order of the
     items."""
 
-    items: Sequence[ItemRecord]
-    publisher_ids: Sequence[str]
+    def __init__(self, items: Sequence[ItemRecord], publisher_ids: Sequence[str]):
+        self.items = items
+        self.publisher_ids = publisher_ids
 
     def __len__(self) -> int:
         return len(self.items)
@@ -812,16 +815,17 @@ class ResolvedCorpus:
 
     def hand_over(self) -> ResolvedCorpus:
         """These items, handed to the walk as their last reader: the walk
-        lets go of each chunk once it has passed it, and so empties the item
-        list that this corpus shares; this corpus is not read after, so a
-        caller that wants `corpus_fingerprint` of the items takes it first."""
-        return _HandedOver(self.items, self.publisher_ids)
+        lets go of each chunk once it has passed it, and this corpus is left
+        empty at once, so the walk's corpus holds the items alone; a caller
+        that wants `corpus_fingerprint` of the items takes it first."""
+        handed = _HandedOver(self.items, self.publisher_ids)
+        self.items, self.publisher_ids = [], ()
+        return handed
 
 
 _HANDOVER_CHUNK = 4096  # items a handed-over corpus gives the walk at a time
 
 
-@dataclass(frozen=True)
 class _HandedOver(ResolvedCorpus):
     items: list[ItemRecord]
 
@@ -868,7 +872,7 @@ def corpus_fingerprint(items: Sequence[ItemRecord], publisher_ids: Iterable[str]
     )
     if not _keys_in_order(items):
         keys = iter(sorted(keys))
-    digest = hashlib.sha256()
+    digest = _sha256()
     while batch := "\n".join(islice(keys, _DIGEST_BATCH)):  # a key is never empty
         digest.update(batch.encode("utf-8"))
         digest.update(b"\n")

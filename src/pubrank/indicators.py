@@ -43,8 +43,7 @@ class Scope(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class BaselineCell:
+class BaselineCell(NamedTuple):
     discipline: str
     doc_type: str
     year: int
@@ -52,8 +51,7 @@ class BaselineCell:
     citation_sum: int
 
 
-@dataclass(frozen=True)
-class BaselineTable:
+class BaselineTable(NamedTuple):
     """The baseline cells, the accumulators and the coverage sums, as the
     walk left them."""
 
@@ -241,8 +239,7 @@ def compute_all_rows(baselines: BaselineTable) -> list[IndicatorRow]:
     return rows
 
 
-@dataclass
-class FieldStats:
+class FieldStats(NamedTuple):
     disciplines: int = 0
     commercial_publishers: int = 0
     university_publishers: int = 0
@@ -268,8 +265,7 @@ class FieldStats:
         return self.chapter_citations / self.chapters if self.chapters else None
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     per_field: dict[str, FieldStats]
     total: FieldStats
     unknown_categories: tuple[str, ...]

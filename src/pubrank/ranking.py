@@ -9,7 +9,7 @@ alphabetical tie-break, so every table is a total order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError
 from .indicators import (
@@ -46,8 +46,7 @@ def check_eligibility(pbk: int, pch: int, policy: ThresholdPolicy) -> bool:
     return pbk >= policy.min_books or pch >= policy.min_chapters
 
 
-@dataclass(frozen=True)
-class RunMeta:
+class RunMeta(NamedTuple):
     corpus_fingerprint: str | None  # None when no JSON ranking is written, so nothing hashed
     window: tuple[int, int]
     policy: ThresholdPolicy
@@ -60,8 +59,7 @@ class RankingEntry:
     row: IndicatorRow
 
 
-@dataclass(frozen=True)
-class RankingTable:
+class RankingTable(NamedTuple):
     scope: Scope
     entries: tuple[RankingEntry, ...]
     meta: RunMeta
@@ -136,8 +134,7 @@ def build_all_rankings(
     return tables
 
 
-@dataclass(frozen=True)
-class PublisherProfile:
+class PublisherProfile(NamedTuple):
     publisher: CanonicalPublisher
     variants: tuple[NameVariant, ...]
     rows: tuple[IndicatorRow, ...]  # one per scope where the publisher ranks

@@ -8,9 +8,8 @@ either as a variant or as a canonical name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .csvfile import read_csv
 from .errors import (
@@ -33,41 +32,38 @@ def fold_name(raw: str) -> str:
     return " ".join(raw.split()).casefold()
 
 
-@dataclass(frozen=True)
-class CanonicalPublisher:
+class CanonicalPublisher(NamedTuple):
     publisher_id: str
     name: str
     publisher_type: str
     website: str | None = None
 
 
-@dataclass(frozen=True)
-class NameVariant:
+class NameVariant(NamedTuple):
     raw: str
     canonical: str
     city: str | None = None
     address: str | None = None
 
 
-@dataclass(frozen=True)
-class AcquisitionEvent:
+class AcquisitionEvent(NamedTuple):
     acquired: str
     acquirer: str
     year: int | None = None
 
 
-@dataclass(frozen=True)
 class PublisherRegistry:
-    publishers: dict[str, CanonicalPublisher]
-    variants: dict[str, str]  # folded raw -> publisher_id
-    variant_rows: tuple[NameVariant, ...]
-    acquisitions: tuple[AcquisitionEvent, ...]
-    terminal: dict[str, str]  # publisher_id -> terminal owner
-    # what lookup found, per raw string, so each distinct raw string is
-    # folded and matched once for the life of the registry: the terminal
-    # id of a matched string, the folded form of an unmatched one
-    _matched: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _unmatched: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, publishers, variants, variant_rows, acquisitions, terminal):
+        self.publishers: dict[str, CanonicalPublisher] = publishers
+        self.variants: dict[str, str] = variants  # folded raw -> publisher_id
+        self.variant_rows: tuple[NameVariant, ...] = variant_rows
+        self.acquisitions: tuple[AcquisitionEvent, ...] = acquisitions
+        self.terminal: dict[str, str] = terminal  # publisher_id -> terminal owner
+        # what lookup found, per raw string, so each distinct raw string is
+        # folded and matched once for the life of the registry: the terminal
+        # id of a matched string, the folded form of an unmatched one
+        self._matched: dict[str, str] = {}
+        self._unmatched: dict[str, str] = {}
 
     def lookup(self, raw: str) -> tuple[str | None, str | None]:
         """Fold a raw publisher string, match it against the variant map, and

@@ -12,7 +12,6 @@ configuration give byte-identical output trees.
 from __future__ import annotations
 
 import contextlib
-import html
 import json
 import os
 import re
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from . import corpus as corpus_module  # for corpus_fingerprint, looked up at call time
@@ -160,7 +160,8 @@ def _indicator_json(row: IndicatorRow) -> dict:
 
 def _html_page(title: str, body: Iterable[str]) -> Iterator[str]:
     """An HTML page, in parts: the title escaped, then the body's parts."""
-    title = html.escape(title)
+    from html import escape  # here, not at start-up: only HTML output escapes
+    title = escape(title)
     yield (
         '<!DOCTYPE html>\n<html lang="en">\n'
         f'<head><meta charset="utf-8"><title>{title}</title></head>\n'
@@ -181,8 +182,9 @@ def _html_table(columns: Iterable[str], rows: Iterable[Iterable[str]]) -> Iterat
 
 def _html_cells(rows: Iterable[tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
     """Display rows as HTML cells: the name escaped, a "%" after ED."""
+    from html import escape
     for label, name, *cells, ed in rows:
-        yield (label, html.escape(name), *cells, ed + "%")
+        yield (label, escape(name), *cells, ed + "%")
 
 
 def _table_cells(table: RankingTable) -> list[tuple[str, ...]]:
@@ -342,9 +344,10 @@ def export_profile(profile: PublisherProfile, fmt: str, destination: str | Path)
         if fmt == "csv":
             parts = _csv_text(("scope_kind", "scope", *INDICATORS), rows)
         else:
-            website = f" | website: {html.escape(pub.website)}" if pub.website else ""
+            from html import escape
+            website = f" | website: {escape(pub.website)}" if pub.website else ""
             variant_rows = (
-                [html.escape(c or "") for c in (v.raw, v.city, v.address)]
+                [escape(c or "") for c in (v.raw, v.city, v.address)]
                 for v in profile.variants
             )
             body = chain(
@@ -358,10 +361,10 @@ def export_profile(profile: PublisherProfile, fmt: str, destination: str | Path)
     return path
 
 
-@dataclass
-class PreparedInputs:
+class PreparedInputs(SimpleNamespace):
     """Loaded registry and taxonomy, and what ingest, filter and resolution
-    reported; `_prepare_inputs` hands on the corpus beside it."""
+    reported; `_prepare_inputs` hands on the corpus beside it. Built from
+    keywords, as are the two records that extend it."""
 
     registry: PublisherRegistry
     taxonomy: TaxonomyMap
@@ -372,7 +375,6 @@ class PreparedInputs:
     resolved: int
 
 
-@dataclass
 class PipelineResult(PreparedInputs):
     """Everything the pipeline produced, for callers that keep going."""
 
@@ -381,15 +383,18 @@ class PipelineResult(PreparedInputs):
 
 def _prepare_inputs(config: RunConfig) -> tuple[PreparedInputs, ResolvedCorpus]:
     """Load registry and taxonomy, then ingest, filter and resolve the
-    corpus. Raises PubrankError subclasses on fatal problems."""
+    corpus. Raises PubrankError subclasses on fatal problems. The ingested
+    list goes once filter has returned, so resolve never holds what filter drops."""
     registry = load_registry_dir(config.registry_dir)
     taxonomy = load_taxonomy(config.taxonomy)
     records, diagnostics = ingest_corpus(config.corpus)
-    filtered = filter_corpus(records, registry, config.window)
-    corpus, unresolved = resolve_corpus(filtered, registry, strict=config.strict)
-    inputs = PreparedInputs(
-        registry, taxonomy, diagnostics, unresolved, len(records), len(filtered), len(corpus)
-    )
+    ingested = len(records)
+    records = filter_corpus(records, registry, config.window)
+    filtered = len(records)
+    corpus, unresolved = resolve_corpus(records, registry, strict=config.strict)
+    inputs = PreparedInputs(registry=registry, taxonomy=taxonomy, diagnostics=diagnostics,
+                            unresolved=unresolved, ingested=ingested, filtered=filtered,
+                            resolved=len(corpus))
     return inputs, corpus
 
 
@@ -402,12 +407,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     fingerprint = None
     if "json" in config.formats:  # taken before the walk releases any record
         fingerprint = corpus_module.corpus_fingerprint(corpus.items, corpus.publisher_ids)
-    baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
-    del corpus  # emptied by the walk; its publisher ids go before the tables grow
     tables = build_all_rankings(
         inputs.registry,
         inputs.taxonomy,
-        baselines,
+        # held by build_all_rankings alone, which lets go of it once the rows are made
+        compute_baselines(corpus.hand_over(), inputs.taxonomy),
         config.policy(),
         window=config.window,
         type_filter=config.type_filter,
@@ -432,7 +436,6 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
         raise ConfigError("profile requires an output directory")
     inputs, corpus = _prepare_inputs(config)
     baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
-    del corpus  # emptied by the walk; its publisher ids go before the rows grow
     pid = inputs.registry.resolve(publisher)
     profile = build_profile(pid, baselines, inputs.registry, config.policy(), config.type_filter)
     written = [export_profile(profile, fmt, config.out) for fmt in config.formats]
@@ -445,7 +448,6 @@ def run_stats(config: RunConfig) -> CorpusStats:
     return corpus_stats(baselines, inputs.registry, inputs.taxonomy)
 
 
-@dataclass
 class ValidationReport(PreparedInputs):
     """The prepared inputs, and the gaps validate finds in the corpus."""
 

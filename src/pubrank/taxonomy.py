@@ -9,7 +9,6 @@ that image once per distinct category tuple, as a tuple of `ScopeEntry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -61,19 +60,16 @@ class ScopePlans(dict):
         return plan
 
 
-@dataclass(frozen=True)
 class TaxonomyMap:
-    discipline_of: dict[str, str]  # category -> discipline
-    field_of: dict[str, str]  # discipline -> field
-    fields: tuple[str, ...]  # sorted; stable under row reordering
-    disciplines: tuple[str, ...]  # sorted
-    disciplines_by_field: dict[str, tuple[str, ...]]
-    # one plan per item category tuple looked up, for as long as this map
-    # lives, so one run builds each plan once
-    plans: ScopePlans = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "plans", ScopePlans(self.discipline_of, self.field_of))
+    def __init__(self, discipline_of, field_of, fields, disciplines, disciplines_by_field):
+        self.discipline_of: dict[str, str] = discipline_of  # category -> discipline
+        self.field_of: dict[str, str] = field_of  # discipline -> field
+        self.fields: tuple[str, ...] = fields  # sorted; stable under row reordering
+        self.disciplines: tuple[str, ...] = disciplines  # sorted
+        self.disciplines_by_field: dict[str, tuple[str, ...]] = disciplines_by_field
+        # one plan per item category tuple looked up, for as long as this map
+        # lives, so one run builds each plan once
+        self.plans = ScopePlans(discipline_of, field_of)
 
     @property
     def field_count(self) -> int:

@@ -352,6 +352,24 @@ def test_out_naming_a_file_is_fatal_before_any_input_is_read(
     assert out.read_text(encoding="utf-8") == "mine\n"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--corpus", "--registry-dir", "--taxonomy"])
+def test_an_empty_path_flag_is_fatal_before_anything_is_written(
+    clean_corpus, tmp_path, capsys, monkeypatch, flag
+):
+    # Path("") is ".": an empty --out would write the tables into the current directory
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    flags = {"--corpus": str(clean_corpus), "--out": str(tmp_path / "tables"), flag: ""}
+    code = run_cli(["rank", *(part for pair in flags.items() for part in pair)])
+    assert code == EXIT_FATAL
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if "error" in line] == [
+        f"pubrank rank: error: argument {flag}: path must be non-empty"
+    ]
+    assert list(cwd.iterdir()) == [] and not (tmp_path / "tables").exists()
+
+
 class TestStats:
     def test_field_and_total_lines(self, clean_corpus, capsys):
         code = run_cli(["stats", "--corpus", str(clean_corpus)])
@@ -449,15 +467,30 @@ class TestSynth:
         assert len(list(tables.iterdir())) == 42
 
 
-def test_cli_import_leaves_the_test_kit_unloaded():
-    # only `synth` needs the generator and the oracle; it imports them itself
+# Modules that a command imports only where it uses them: only `synth` needs
+# the generator and the oracle, only the cache key and the fingerprint hash,
+# and only HTML output escapes. A module taken off the start-up path is added
+# here, so that a later top-level import of it fails this test.
+LOADED_WHERE_USED = ("pubrank.testkit", "hashlib", "html")
+
+
+def test_cli_import_leaves_the_test_kit_unloaded(tmp_path):
+    # neither the import nor a validate of an empty corpus loads any of them
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    loaded = f"[m for m in {LOADED_WHERE_USED!r} if m in sys.modules]"
+    code = (
+        "import contextlib, io, sys, pubrank.cli\n"
+        f"after_import = {loaded}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert pubrank.cli.run_cli(['validate', '--corpus', {str(empty)!r}]) == 0\n"
+        f"print(after_import, {loaded})\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pubrank.cli; print('pubrank.testkit' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] []\n", "")
 
 
 def test_demo_script_runs(tmp_path):

@@ -9,7 +9,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pubrank import corpus as corpus_module, report as report_module
+from pubrank import corpus as corpus_module, ranking as ranking_module, report as report_module
+from pubrank.corpus import ingest_corpus, resolve_corpus
 from pubrank.errors import ConfigError, ExportError, UnresolvedPublisherError
 from pubrank.indicators import IndicatorRow, Scope, compute_baselines
 from pubrank.ranking import (
@@ -578,6 +579,43 @@ class TestRunPipeline:
         monkeypatch.setattr(report_module, "compute_baselines", baselines)
         monkeypatch.setattr(report_module, "build_all_rankings", rankings)
         assert len(run_pipeline(run_inputs).tables) == 42
+
+    def test_nothing_else_holds_the_walks_table_once_the_rows_are_made(self, run_inputs, monkeypatch):
+        made, held = [], []
+        ranked = ranking_module._ranked
+
+        def baselines(corpus, taxonomy):
+            made.append(compute_baselines(corpus, taxonomy))
+            return made[0]
+
+        def first_ranked(*args):  # the tables take their entries here, once the rows are made
+            if not held:
+                # the table cannot be weakly referenced; 2 counts `made` and the argument
+                held.append(sys.getrefcount(made[0]))
+            return ranked(*args)
+
+        monkeypatch.setattr(report_module, "compute_baselines", baselines)
+        monkeypatch.setattr(ranking_module, "_ranked", first_ranked)
+        assert len(run_pipeline(run_inputs).tables) == 42
+        assert held == [2]
+
+    def test_the_records_filter_drops_go_before_resolve(self, run_inputs, monkeypatch):
+        dropped, held = [], []
+
+        def ingest(source):
+            records, diagnostics = ingest_corpus(source)
+            dropped.extend(r for r in records if r.item_id == "x1")  # an excluded publisher's
+            return records, diagnostics
+
+        def resolve(records, registry, strict):
+            held.append(sys.getrefcount(dropped[0]))  # 2 counts `dropped` and the argument
+            return resolve_corpus(records, registry, strict=strict)
+
+        monkeypatch.setattr(report_module, "ingest_corpus", ingest)
+        monkeypatch.setattr(report_module, "resolve_corpus", resolve)
+        result = run_pipeline(run_inputs)
+        assert (result.ingested, result.filtered, result.resolved) == (5, 4, 4)
+        assert held == [2]
 
     @pytest.mark.parametrize("chunk", [2, 4096])
     def test_the_walk_releases_the_records_it_has_passed(self, run_inputs, monkeypatch, chunk):
