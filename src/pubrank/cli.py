@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .errors import PubrankError
 from .registry import PUBLISHER_TYPES
-from .report import RunConfig, run_profile, run_rank, run_stats, run_validate
+from .report import RunConfig, _joined, run_profile, run_rank, run_stats, run_validate
 from .samples import sample_registry_dir, sample_taxonomy_path
 
 EXIT_OK = 0
@@ -92,65 +94,66 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("publisher", help="publisher id or any registered name form")
+    _add_pipeline_flags(parser, need_out=True)
+
+
+def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", type=_path, required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--publishers", type=int, default=10)
+    parser.add_argument("--items", type=_int_pair("items must be LO:HI"), default=(30, 70), metavar="LO:HI",
+                        help="items per publisher, inclusive range")
+    parser.add_argument("--chapter-fraction", type=float, default=0.5)
+    parser.add_argument("--edited-fraction", type=float, default=0.5)
+    parser.add_argument("--taxonomy", type=_path, default=None,
+                        help="taxonomy to draw categories from (default: bundled sample)")
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. Given the `argv` it is to parse, it
+    adds the flags of only the subcommands that `argv` names, as a run
+    parses with one; each is still registered, so help and usage errors
+    are the same."""
     parser = argparse.ArgumentParser(
         prog="pubrank",
         description="Rank academic book publishers by output and citation impact.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="load and cross-check all inputs")
-    _add_pipeline_flags(p_validate, need_out=False)
-
-    p_rank = sub.add_parser("rank", help="build and export every ranking table")
-    _add_pipeline_flags(p_rank, need_out=True)
-
-    p_profile = sub.add_parser("profile", help="export one publisher profile")
-    p_profile.add_argument("publisher", help="publisher id or any registered name form")
-    _add_pipeline_flags(p_profile, need_out=True)
-
-    p_stats = sub.add_parser("stats", help="corpus coverage statistics per field")
-    _add_pipeline_flags(p_stats, need_out=False)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
-    p_synth.add_argument("--out", type=_path, required=True, help="output directory")
-    p_synth.add_argument("--seed", type=int, default=1)
-    p_synth.add_argument("--publishers", type=int, default=10)
-    p_synth.add_argument("--items", type=_int_pair("items must be LO:HI"), default=(30, 70), metavar="LO:HI",
-                         help="items per publisher, inclusive range")
-    p_synth.add_argument("--chapter-fraction", type=float, default=0.5)
-    p_synth.add_argument("--edited-fraction", type=float, default=0.5)
-    p_synth.add_argument("--taxonomy", type=_path, default=None,
-                         help="taxonomy to draw categories from (default: bundled sample)")
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if argv is None or name in argv:
+            add_flags(subparser)
     return parser
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = run_validate(_config_from(args))
-    lines = [
-        f"registry: {len(report.registry.publishers)} publishers, "
-        f"{len(report.registry.variant_rows)} variants, {len(report.registry.acquisitions)} acquisitions",
-        f"taxonomy: {report.taxonomy.field_count} fields, {report.taxonomy.discipline_count} disciplines",
-        f"corpus: {report.ingested} records ingested, {report.filtered} in scope, "
-        f"{report.resolved} resolved",
-    ]
-    lines += [f"  line {diag.line}: {diag.reason} [{diag.severity}]" for diag in report.diagnostics]
-    lines += [f"  unresolved publisher: {folded!r}" for folded in sorted(report.unresolved)]
-    lines += [f"  unknown category: {category!r}" for category in report.unknown_categories]
-    if report.orphan_chapters:
-        lines.append(f"  {report.orphan_chapters} chapters reference books outside the corpus")
     errors = sum(1 for d in report.diagnostics if d.severity == "error")
-    if errors or report.unresolved:
-        lines.append(f"validation found problems: {errors} malformed lines, "
-                     f"{len(report.unresolved)} unresolved publishers")
-        code = EXIT_DIRTY
-    else:
-        lines.append("validation ok")
-        code = EXIT_OK
-    # one write, not a print call per line: a dirty corpus has tens of
-    # thousands of diagnostics
-    sys.stdout.write("\n".join(lines) + "\n")
-    return code
+    dirty = bool(errors or report.unresolved)
+    registry, taxonomy = report.registry, report.taxonomy
+    lines = chain(
+        [f"registry: {len(registry.publishers)} publishers, {len(registry.variant_rows)} variants, "
+         f"{len(registry.acquisitions)} acquisitions",
+         f"taxonomy: {taxonomy.field_count} fields, {taxonomy.discipline_count} disciplines",
+         f"corpus: {report.ingested} records ingested, {report.filtered} in scope, "
+         f"{report.resolved} resolved"],
+        (f"  line {diag.line}: {diag.reason} [{diag.severity}]" for diag in report.diagnostics),
+        (f"  unresolved publisher: {folded!r}" for folded in sorted(report.unresolved)),
+        (f"  unknown category: {category!r}" for category in report.unknown_categories),
+        [f"  {report.orphan_chapters} chapters reference books outside the corpus"]
+        if report.orphan_chapters else [],
+        [f"validation found problems: {errors} malformed lines, "
+         f"{len(report.unresolved)} unresolved publishers" if dirty else "validation ok"],
+    )
+    # in parts, not a print call per line or one whole text: a dirty corpus
+    # has tens of thousands of diagnostics. The flush is here so that a
+    # closed stdout fails the command, not the interpreter's exit.
+    sys.stdout.writelines(_joined("\n", lines))
+    sys.stdout.write("\n")
+    sys.stdout.flush()
+    return EXIT_DIRTY if dirty else EXIT_OK
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -211,18 +214,24 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# each subcommand's help line, what adds its flags, and what runs it
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "rank": _cmd_rank,
-    "profile": _cmd_profile,
-    "stats": _cmd_stats,
-    "synth": _cmd_synth,
+    "validate": ("load and cross-check all inputs",
+                 partial(_add_pipeline_flags, need_out=False), _cmd_validate),
+    "rank": ("build and export every ranking table",
+             partial(_add_pipeline_flags, need_out=True), _cmd_rank),
+    "profile": ("export one publisher profile", _add_profile_flags, _cmd_profile),
+    "stats": ("corpus coverage statistics per field",
+              partial(_add_pipeline_flags, need_out=False), _cmd_stats),
+    "synth": ("generate a synthetic corpus with ground truth", _add_synth_flags, _cmd_synth),
 }
 
 
 def run_cli(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help
         return exc.code
     # A command keeps one record per input line alive to its walk or its end, and leaves
@@ -231,7 +240,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        _, _, command = _COMMANDS[args.command]
+        return command(args)
     except (PubrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL

@@ -235,7 +235,7 @@ class _Ingest:
     """The state of one ingest_corpus call's line loop: records and
     diagnostics so far, the ids seen, the blank lines, and the table that
     shares category tuples, publisher strings, years and book ids between
-    records (see _parse_line).
+    records (see _parse_line), and each reason between diagnostics.
     The table is its own, not sys.intern's, so that it goes with the
     call: a long-tail corpus has 17k distinct publisher strings."""
 
@@ -250,7 +250,6 @@ class _Ingest:
     def scan(self, lines: Iterable[str]) -> bool:
         """Run the line loop over `lines`, which follow those scanned so far; True if any."""
         records = self.records
-        diagnostics = self.diagnostics
         seen = self.seen
         shared = self.shared
         loads = json.loads
@@ -261,7 +260,7 @@ class _Ingest:
                 self.blank.append(line_no)
                 continue
             if len(line) > _MAX_DEPTH and _too_deep(line):
-                diagnostics.append(Diagnostic(line_no, _TOO_DEEP))
+                self.note(line_no, _TOO_DEEP)
                 continue
             # A line that starts with a value is scanned exactly as
             # json.loads scans it, so the scan raises what json.loads would.
@@ -279,23 +278,23 @@ class _Ingest:
                     if line[end:] not in _LINE_ENDS:
                         obj = loads(line)
             except json.JSONDecodeError as exc:
-                diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc.msg}"))
+                self.note(line_no, f"invalid JSON: {exc.msg}")
                 continue
             except (ValueError, RecursionError) as exc:
                 # an integer past _INT_MAX_DIGITS, a lone surrogate, or a
                 # caller's stack within _MAX_DEPTH frames of the recursion limit
-                diagnostics.append(Diagnostic(line_no, f"invalid JSON: {exc}"))
+                self.note(line_no, f"invalid JSON: {exc}")
                 continue
             if type(obj) is not dict:
-                diagnostics.append(Diagnostic(line_no, "record is not a JSON object"))
+                self.note(line_no, "record is not a JSON object")
                 continue
             if "\\" in line and _SURROGATE(json.dumps(obj, ensure_ascii=False)):
-                diagnostics.append(Diagnostic(line_no, "string holds an unpaired surrogate escape"))
+                self.note(line_no, "string holds an unpaired surrogate escape")
                 continue
             try:
                 record, warnings = _parse_line(obj, shared)
             except ValueError as exc:
-                diagnostics.append(Diagnostic(line_no, str(exc)))
+                self.note(line_no, str(exc))
                 continue
             item_id = record.item_id
             if item_id in seen:
@@ -305,9 +304,13 @@ class _Ingest:
                 shared[item_id] = item_id
             records.append(record)
             for message in warnings:
-                diagnostics.append(Diagnostic(line_no, message, severity="warning"))
+                self.note(line_no, message, "warning")
         self.lines = line_no
         return line_no > scanned
+
+    def note(self, line_no: int, reason: str, severity: str = "error") -> None:
+        reason = self.shared.setdefault(reason, reason)
+        self.diagnostics.append(Diagnostic(line_no, reason, severity))
 
     def _first_line(self, item_id: str) -> int:
         """The line of the first record with this id, for a scan that began
@@ -407,14 +410,9 @@ def _split_at(source, size: int) -> int | None:
 
 
 def _frame(records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic], lines: int) -> bytes:
-    """One length-prefixed frame: the records as marshalled columns, the
-    diagnostics as plain (line, reason, severity) tuples, and the number of
-    lines scanned when it was written."""
-    payload = marshal.dumps((
-        tuple(zip(*records)),
-        list(map(tuple, diagnostics)),
-        lines,
-    ))
+    """One length-prefixed frame: the records and the diagnostics as
+    marshalled columns, and the number of lines scanned when it was written."""
+    payload = marshal.dumps((tuple(zip(*records)), tuple(zip(*diagnostics)), lines))
     return len(payload).to_bytes(_FRAME_HEADER, "little") + payload
 
 
@@ -433,9 +431,9 @@ def _send_chunks(path, end: int, out) -> None:
 def _read_frames(frames: io.BufferedReader, into: _Ingest, to_end: bool, entry: _Entry) -> None:
     """Read whole frames, from the worker's pipe or a cache entry, into
     `into`: its records, whose values go through its shared table, its
-    diagnostics, and, as its line count, the last frame's. Read for as long
-    as the pipe has data or, if `to_end`, up to the end, and pass each frame
-    on to `entry` as it stands. A frame that has begun is read to its end,
+    diagnostics, whose reasons do too, and, as its line count, the last
+    frame's. Read for as long as the pipe has data or, if `to_end`, up to
+    the end, and pass each frame on to `entry` as it stands. A frame that has begun is read to its end,
     as the worker is writing it. A short header or payload raises EOFError.
     Each book's id joins the table before the frame's parent ids are looked
     up in it, so a chapter holds its book's id string whichever frame the
@@ -451,8 +449,11 @@ def _read_frames(frames: io.BufferedReader, into: _Ingest, to_end: bool, entry: 
         if len(header) < _FRAME_HEADER or len(payload) < size:
             raise EOFError("truncated frame")
         entry.write(header, payload)
-        columns, frame_diagnostics, into.lines = marshal.loads(payload)
-        into.diagnostics += map(tuple.__new__, repeat(Diagnostic), frame_diagnostics)
+        columns, diagnostic_columns, into.lines = marshal.loads(payload)
+        if diagnostic_columns:
+            line_nos, reasons, severities = diagnostic_columns
+            into.diagnostics += map(tuple.__new__, repeat(Diagnostic),
+                                    zip(line_nos, map(share, reasons, reasons), severities))
         if not columns:
             continue
         ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns

@@ -9,7 +9,7 @@ either as a variant or as a canonical name.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Collection, NamedTuple
 
 from .csvfile import read_csv
 from .errors import (
@@ -206,9 +206,10 @@ def load_registry_dir(directory: str | Path) -> PublisherRegistry:
     return load_registry(d / PUBLISHERS_FILE, d / VARIANTS_FILE, d / ACQUISITIONS_FILE)
 
 
-def _terminal_map(publisher_ids: Iterable[str], acquirer_of: dict[str, str]) -> dict[str, str]:
-    """Resolve every publisher to its terminal owner, rejecting cycles."""
-    terminal: dict[str, str] = {}
+def _terminal_map(publisher_ids: Collection[str], acquirer_of: dict[str, str]) -> dict[str, str]:
+    """Resolve every publisher to its terminal owner, rejecting cycles. One
+    that nothing acquires is its own; chains start only at acquired ones."""
+    terminal = {pid: pid for pid in publisher_ids if pid not in acquirer_of}
     for start in publisher_ids:
         if start in terminal:
             continue

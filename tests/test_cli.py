@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import json
@@ -6,12 +7,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pubrank.cli
+import pubrank.report
 from pubrank.cli import EXIT_DIRTY, EXIT_FATAL, EXIT_OK, _config_from, build_parser, run_cli
 from pubrank.report import RunConfig
 from pubrank.samples import sample_registry_dir, sample_taxonomy_path
@@ -98,6 +101,21 @@ class TestParser:
         assert run_cli(["validate", "--help"]) == EXIT_OK
         assert "usage: pubrank validate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus"], ["validate"], ["validate", "--help"], ["--x", "rank", "--out", "o"],
+        ["rank", "--corpus", "c"], ["stats", "--corpus", "c", "--out", "o"], ["synth", "--items", "1"],
+        ["profile", "rank", "--corpus", "c", "--out", "o"], ["rank", "--corpus", "c", "--out", "o"],
+    ])
+    def test_flags_of_the_named_command_alone_parse_the_same(self, argv, capsys):
+        def parsed(parser):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        assert parsed(build_parser(argv)) == parsed(build_parser())
+
     def test_minimal_rank_argv_takes_the_run_config_defaults(self, tmp_path):
         args = build_parser().parse_args(
             ["rank", "--corpus", "corpus.jsonl", "--out", str(tmp_path)]
@@ -108,6 +126,33 @@ class TestParser:
             taxonomy=sample_taxonomy_path(),
             out=tmp_path,
         )
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def writelines(self, parts):
+        for part in parts:
+            self.write(part)
+
+    def flush(self):
+        pass
+
+
+def _long_report_corpus(path: Path, broken: int) -> Path:
+    """A corpus of `broken` malformed lines, each one report line of about
+    85 characters, plus an unresolved publisher and an unknown category."""
+    lines = ["{"] * broken + [json.dumps(record("ok1", publisher="Mystery House")),
+                              json.dumps(record("ok2", categories=["Alchemy"]))]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
 
 
 class TestValidate:
@@ -198,6 +243,50 @@ class TestValidate:
                         "--min-chapters", "-1"])
         assert code == EXIT_FATAL
         assert capsys.readouterr().err == "error: thresholds must be >= 0\n"
+
+    @pytest.mark.parametrize("part_rows", [1, 2, 3])
+    def test_any_part_size_prints_the_same_report(self, tmp_path, monkeypatch, capsys, part_rows):
+        argv = ["validate", "--corpus", str(_long_report_corpus(tmp_path / "dirty.jsonl", 600))]
+        assert run_cli(argv) == EXIT_DIRTY
+        whole = capsys.readouterr()
+        lines = whole.out.splitlines()
+        assert len(lines) == 3 + 600 + 2 + 1 > pubrank.report._PART_ROWS
+        assert lines[-3:] == ["  unresolved publisher: 'mystery house'", "  unknown category: 'Alchemy'",
+                              "validation found problems: 600 malformed lines, 1 unresolved publishers"]
+        monkeypatch.setattr(pubrank.report, "_PART_ROWS", part_rows)
+        assert run_cli(argv) == EXIT_DIRTY
+        assert capsys.readouterr() == whole
+
+    def test_the_report_is_never_held_whole(self, tmp_path, monkeypatch):
+        argv = ["validate", "--corpus", str(_long_report_corpus(tmp_path / "dirty.jsonl", 20_000))]
+        report = pubrank.cli.run_validate(_config_from(build_parser().parse_args(argv)))
+        monkeypatch.setattr(pubrank.cli, "run_validate", lambda config: report)
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = run_cli(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DIRTY
+        assert peak < sink.size / 4, (peak, sink.size)
+
+    def test_a_reader_that_closes_early_gets_one_error_line(self, tmp_path):
+        corpus = _long_report_corpus(tmp_path / "dirty.jsonl", 5_000)  # a report of about 430 KB
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pubrank.cli", "validate", "--corpus", str(corpus)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert head.startswith(b"registry: ") and len(head) == 100
+        assert proc.returncode == EXIT_FATAL
+        assert err.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
 @pytest.mark.parametrize("line", [

@@ -625,6 +625,50 @@ def assert_values_shared(records):
         assert by_id[f"c{i}"].parent_book_id is by_id[f"b{i // 2}"].item_id
 
 
+def repeated_faults() -> list[str]:
+    """Lines whose errors and warnings repeat, each reason a string the
+    parse builds afresh for its line, spread over several frames."""
+    huge = '"citations": 1' + "0" * 5000
+    lines = []
+    for i in range(12):
+        lines += [
+            "{broken",
+            json.dumps(record(f"big{i}", citations=2**53)),
+            json.dumps(record(f"h{i}")).replace('"citations": 0', huge),
+            json.dumps(record(f"k{i}", isbn="x")),
+            json.dumps(record(f"b{i}")),
+        ]
+    return lines
+
+
+def assert_reasons_shared(diagnostics):
+    """One string object per distinct reason, each reason repeated."""
+    reasons = {d.reason for d in diagnostics}
+    assert len(diagnostics) == 4 * 12 and len(reasons) == 4
+    assert len({id(d.reason) for d in diagnostics}) == len(reasons)
+
+
+class TestSharedReasons:
+    """Equal diagnostic reasons are one string, however ingest ran."""
+
+    def test_serial(self, tmp_path):
+        path = write_lines(tmp_path / "corpus.jsonl", repeated_faults())
+        assert_reasons_shared(serial_ingest(path)[1])
+
+    def test_split(self, tmp_path, split_calls):
+        path = write_lines(tmp_path / "corpus.jsonl", repeated_faults())
+        _, diagnostics = ingest_corpus(path)
+        assert split_calls[0] is not None
+        assert_reasons_shared(diagnostics)
+
+    def test_cache_hit(self, tmp_path, cached):
+        path = write_lines(tmp_path / "corpus.jsonl", repeated_faults())
+        miss = ingest_corpus(path)
+        hit = ingest_corpus(path)
+        assert hit == miss == serial_ingest(path) and len(entries(cached)) == 1
+        assert_reasons_shared(hit[1])
+
+
 @pytest.fixture
 def cached(monkeypatch, ingest_cache):
     """Cache every corpus file, whatever its size; returns the cache directory."""
