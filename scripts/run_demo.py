@@ -67,18 +67,16 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# top of '{scope.name}' ({len(table.entries)} eligible publishers)")
     print(f"  {'rank':>4}  {'publisher':<28} {'pbk':>5} {'pch':>5} {'cit':>5} "
           f"{'fncs':>6} {'ai':>5} {'ed':>4}")
-    for rank, entry in enumerate(table.entries[:8], start=1):
-        r = entry.row
-        print(f"  {rank:>4}  {entry.publisher.name:<28} {r.pbk:>5} {r.pch:>5} "
+    for rank, r in enumerate(table.entries[:8], start=1):
+        name = table.publishers[r.publisher_id].name
+        print(f"  {rank:>4}  {name:<28} {r.pbk:>5} {r.pch:>5} "
               f"{r.cit:>5} {r.fncs:>6.2f} {r.ai:>5.2f} {r.ed:>3.0f}%")
 
     if table.entries:
-        entry = table.entries[0]
-        truth = result.ledger.scope_truth(entry.publisher.publisher_id, scope)
-        ok = (entry.row.pbk, entry.row.pch, entry.row.cit) == (
-            truth.pbk, truth.pch, truth.cit,
-        )
-        print(f"# ledger cross-check for {entry.publisher.name}: "
+        top = table.entries[0]
+        truth = result.ledger.scope_truth(top.publisher_id, scope)
+        ok = (top.pbk, top.pch, top.cit) == (truth.pbk, truth.pch, truth.cit)
+        print(f"# ledger cross-check for {table.publishers[top.publisher_id].name}: "
               f"{'counts match' if ok else 'MISMATCH'}")
         if not ok:
             return 1

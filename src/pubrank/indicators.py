@@ -12,7 +12,7 @@ independent of accumulation order and invariant under uniform citation
 scaling. Each (discipline, doc_type, year, k) cell gets an int id once
 per run and its mean is reduced once; a row's accumulator keeps a flat
 list of its items' cell ids, and its expected citations are then one
-exact sum of those means over a common denominator. Rows are slotted.
+exact sum of those means over a common denominator. Rows are named tuples.
 One walk over the items, `compute_baselines`, builds the baseline cells,
 the rows' accumulators and the per-field coverage sums; `compute_all_rows`
 finalises the rows, and `corpus_stats` folds a given table for `stats`.
@@ -29,7 +29,6 @@ category tuple, a tuple of `ScopeEntry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -64,8 +63,7 @@ class BaselineTable(NamedTuple):
     unknown: tuple[str, ...]  # the categories the taxonomy does not map, sorted
 
 
-@dataclass(frozen=True, slots=True)
-class IndicatorRow:
+class IndicatorRow(NamedTuple):
     publisher_id: str
     scope: Scope
     pbk: int

@@ -53,48 +53,45 @@ class RunMeta(NamedTuple):
     type_filter: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class RankingEntry:
-    publisher: CanonicalPublisher
-    row: IndicatorRow
-
-
 class RankingTable(NamedTuple):
     scope: Scope
-    entries: tuple[RankingEntry, ...]
+    entries: tuple[IndicatorRow, ...]  # the scope's ranked rows, in rank order
     meta: RunMeta
+    publishers: dict[str, CanonicalPublisher]  # the registry's, by id; shared, not copied
 
     def publisher_ids(self) -> tuple[str, ...]:
-        return tuple(e.publisher.publisher_id for e in self.entries)
+        return tuple(row.publisher_id for row in self.entries)
 
 
-def _order_entries(entries: Iterable[RankingEntry]) -> tuple[RankingEntry, ...]:
+def _order_entries(
+    rows: Iterable[IndicatorRow], publishers: dict[str, CanonicalPublisher]
+) -> tuple[IndicatorRow, ...]:
     # PBK descending, canonical name ascending (case-insensitive); names
     # are fold-unique across the registry, so this is a total order.
-    return tuple(
-        sorted(entries, key=lambda e: (-e.row.pbk, e.publisher.name.casefold(), e.publisher.name))
-    )
+    def key(row: IndicatorRow) -> tuple[int, str, str]:
+        name = publishers[row.publisher_id].name
+        return -row.pbk, name.casefold(), name
+    return tuple(sorted(rows, key=key))
 
 
 def _ranked(
     rows: Iterable[IndicatorRow],
-    registry: PublisherRegistry,
+    publishers: dict[str, CanonicalPublisher],
     totals: dict[str, list[int]],  # publisher id -> corpus-wide [books, chapters]
     policy: ThresholdPolicy,
     type_filter: str | None,
-) -> Iterator[RankingEntry]:
-    """An entry for each row a reader sees, in the rows' order: the rows
-    eligible on the policy's basis whose publisher is of the filtered type,
-    if there is a filter. Tables and profiles both take their rows here."""
+) -> Iterator[IndicatorRow]:
+    """The rows a reader sees, in the given order: those eligible on the
+    policy's basis whose publisher is of the filtered type, if there is a
+    filter. Tables and profiles both take their rows here."""
     for row in rows:
         pid = row.publisher_id
         pbk, pch = totals[pid] if policy.basis == BASIS_GLOBAL else (row.pbk, row.pch)
         if not check_eligibility(pbk, pch, policy):
             continue
-        publisher = registry.publisher(pid)
-        if type_filter is not None and publisher.publisher_type != type_filter:
+        if type_filter is not None and publishers[pid].publisher_type != type_filter:
             continue
-        yield RankingEntry(publisher, row)
+        yield row
 
 
 def build_all_rankings(
@@ -118,8 +115,7 @@ def build_all_rankings(
     meta = RunMeta(fingerprint, window, policy, type_filter=type_filter)
     del baselines  # its accumulators go before the tables grow, unless the caller keeps it
 
-    # rows bucketed by scope in one pass, keeping their order; a table's entries
-    # are made together, so the export, a table at a time, reads them close in memory
+    # rows bucketed by scope in one pass, keeping their order
     by_scope: dict[Scope, list[IndicatorRow]] = {}
     for row in rows:
         by_scope.setdefault(row.scope, []).append(row)
@@ -127,10 +123,11 @@ def build_all_rankings(
     scopes = [Scope(SCOPE_FIELD, f) for f in taxonomy.fields] + [
         Scope(SCOPE_DISCIPLINE, d) for d in taxonomy.disciplines
     ]
+    publishers = registry.publishers
     tables = []
     for scope in scopes:
-        entries = _ranked(by_scope.get(scope, []), registry, totals, policy, type_filter)
-        tables.append(RankingTable(scope, _order_entries(entries), meta))
+        ranked = _ranked(by_scope.get(scope, []), publishers, totals, policy, type_filter)
+        tables.append(RankingTable(scope, _order_entries(ranked, publishers), meta, publishers))
     return tables
 
 
@@ -152,7 +149,7 @@ def build_profile(
     that `_ranked` lets through, so no ranking table is built."""
     publisher = registry.publisher(publisher_id)  # raises UnknownPublisherError
     own = [row for row in compute_all_rows(table) if row.publisher_id == publisher_id]
-    rows = [e.row for e in _ranked(own, registry, table.totals, policy, type_filter)]
+    rows = list(_ranked(own, registry.publishers, table.totals, policy, type_filter))
     rows.sort(key=lambda r: (-r.pbk, r.scope))
     return PublisherProfile(
         publisher=publisher,

@@ -73,8 +73,8 @@ class RunConfig:
                 raise ConfigError(f"unknown format {fmt!r}, expected one of {FORMATS}")
             if self.formats.count(fmt) > 1:  # would write each of its files twice
                 raise ConfigError(f"format {fmt!r} given twice")
-        for name in ("corpus", "registry_dir", "taxonomy"):
-            if not str(getattr(self, name)):
+        for name in ("corpus", "registry_dir", "taxonomy", "out"):  # Path("") is "."
+            if getattr(self, name) is not None and not str(getattr(self, name)):
                 raise ConfigError(f"{name} path must be non-empty")
         if self.type_filter is not None and self.type_filter not in PUBLISHER_TYPES:
             raise ConfigError(f"unknown type {self.type_filter!r}, expected one of {PUBLISHER_TYPES}")
@@ -95,8 +95,12 @@ def scope_slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]", "-", name.lower())
 
 
+def _table_stem(table: RankingTable) -> str:  # a ranking file's name without its extension
+    return f"{table.scope.kind}_{scope_slug(table.scope.name)}"
+
+
 def table_filename(table: RankingTable, fmt: str) -> str:
-    return f"{table.scope.kind}_{scope_slug(table.scope.name)}.{fmt}"
+    return f"{_table_stem(table)}.{fmt}"
 
 
 def _atomic_write(path: Path, parts: Iterable[str]) -> None:
@@ -190,10 +194,11 @@ def _html_cells(rows: Iterable[tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
 def _table_cells(table: RankingTable) -> list[tuple[str, ...]]:
     """The table's display rows: rank, publisher, type and the indicator
     cells, as CSV and HTML both read them."""
-    return [
-        (str(rank), e.publisher.name, e.publisher.publisher_type, *_indicator_cells(e.row))
-        for rank, e in enumerate(table.entries, start=1)
-    ]
+    cells = []
+    for rank, row in enumerate(table.entries, start=1):
+        pub = table.publishers[row.publisher_id]
+        cells.append((str(rank), pub.name, pub.publisher_type, *_indicator_cells(row)))
+    return cells
 
 
 def _json_header(table: RankingTable) -> dict:
@@ -222,12 +227,12 @@ def _json_payload(table: RankingTable) -> dict:
         "rows": [
             {
                 "rank": rank,
-                "publisher_id": e.publisher.publisher_id,
-                "publisher": e.publisher.name,
-                "type": e.publisher.publisher_type,
-                **_indicator_json(e.row),
+                "publisher_id": row.publisher_id,
+                "publisher": table.publishers[row.publisher_id].name,
+                "type": table.publishers[row.publisher_id].publisher_type,
+                **_indicator_json(row),
             }
-            for rank, e in enumerate(table.entries, start=1)
+            for rank, row in enumerate(table.entries, start=1)
         ],
     }
 
@@ -236,12 +241,12 @@ def _json_rows(table: RankingTable) -> Iterator[str]:
     # json.dumps renders a str with encode_basestring_ascii, an int with
     # int.__repr__ and a finite float with float.__repr__
     enc = encode_basestring_ascii
-    for rank, e in enumerate(table.entries, start=1):
-        pub, row = e.publisher, e.row
+    for rank, row in enumerate(table.entries, start=1):
+        pub = table.publishers[row.publisher_id]
         yield (
             "    {\n"
             f'      "rank": {rank!r},\n'
-            f'      "publisher_id": {enc(pub.publisher_id)},\n'
+            f'      "publisher_id": {enc(row.publisher_id)},\n'
             f'      "publisher": {enc(pub.name)},\n'
             f'      "type": {enc(pub.publisher_type)},\n'
             f'      "pbk": {row.pbk!r},\n'
@@ -299,7 +304,7 @@ def export_all_rankings(
 ) -> list[Path]:
     slugs: dict[str, RankingTable] = {}
     for table in tables:
-        key = f"{table.scope.kind}_{scope_slug(table.scope.name)}"
+        key = _table_stem(table)
         if key in slugs:
             raise ExportError(
                 f"scopes {slugs[key].scope.name!r} and {table.scope.name!r} collide on slug {key!r}"

@@ -155,7 +155,7 @@ def test_criterion_5_humanities_ordering_fixture(registry, taxonomy):
             ThresholdPolicy(),
         )
         assert table.publisher_ids() == tuple(pid for _, pid, _ in column)
-        assert [e.row.pbk for e in table.entries] == [n for _, _, n in column]
+        assert [row.pbk for row in table.entries] == [n for _, _, n in column]
 
     _verdict(5, "PBK column 2108/1004/748/383/339 yields the reference row order", body)
 

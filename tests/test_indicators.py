@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 import tracemalloc
@@ -17,7 +16,7 @@ from pubrank.indicators import (
     compute_baselines,
     corpus_stats,
 )
-from pubrank.ranking import BASIS_GLOBAL, RankingEntry, ThresholdPolicy, build_all_rankings
+from pubrank.ranking import BASIS_GLOBAL, ThresholdPolicy, build_all_rankings
 from pubrank.testkit import SynthParams, generate_corpus, oracle_indicators
 from util import (
     ingest_and_resolve,
@@ -576,11 +575,10 @@ class TestRowsMemory:
         assert len(rows) > 5000
         assert (peak - kept) / len(rows) < self.TRANSIENT_PER_ROW
 
-    def test_rows_and_entries_are_slotted_and_frozen(self, registry):
+    def test_rows_and_entries_are_slotted_and_frozen(self):
+        # a table's entries are its rows
         row = IndicatorRow("springer", HIST, 1, 0, 3, 1.0, 1.0, 0.0)
-        entry = RankingEntry(registry.publisher("springer"), row)
-        for obj, name in ((row, "pbk"), (entry, "row")):
-            assert not hasattr(obj, "__dict__")
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, name, None)
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(row, "pbk", None)
         assert hash(row) == hash(IndicatorRow("springer", HIST, 1, 0, 3, 1.0, 1.0, 0.0))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pubrank import ranking as ranking_module
 from pubrank.errors import ConfigError, UnknownPublisherError
 from pubrank.indicators import Scope, compute_all_rows
 from pubrank.ranking import (
@@ -100,7 +101,7 @@ class TestTableMembership:
         table = ranking_table(HIST, registry, taxonomy, baselines, DEFAULT)
         rows = keyed_rows(compute_all_rows(baselines))
         assert len(table.entries) == 1
-        assert table.entries[0].row == rows[("springer", HIST)]
+        assert table.entries[0] == rows[("springer", HIST)]
 
     def test_type_filter_keeps_only_matching_publishers(self, registry, taxonomy):
         records = books("Cambridge University Press", 3) + books("Springer", 2)
@@ -117,13 +118,37 @@ class TestTableMembership:
         assert university.publisher_ids() == ("cambridge-university-press",)
 
 
+class TestTableRows:
+    @pytest.mark.parametrize("type_filter", [None, "commercial"])
+    def test_entries_are_the_rows_the_engine_made(self, registry, taxonomy, monkeypatch, type_filter):
+        """A table holds the engine's rows themselves, not copies or
+        wrappers, and shares the registry's publishers."""
+        made = []
+
+        def recording(baselines):
+            rows = compute_all_rows(baselines)
+            made.extend(rows)
+            return rows
+
+        monkeypatch.setattr(ranking_module, "compute_all_rows", recording)
+        corpus, baselines = pipeline_artifacts(
+            random_records(random.Random(13), taxonomy, 120), registry, taxonomy
+        )
+        tables = build_all_rankings(registry, taxonomy, baselines, OPEN, type_filter=type_filter)
+        made_ids = {id(row) for row in made}
+        entries = [row for table in tables for row in table.entries]
+        assert entries
+        assert all(id(row) in made_ids for row in entries)
+        assert all(table.publishers is registry.publishers for table in tables)
+
+
 class TestOrdering:
     def test_pbk_descending(self, registry, taxonomy):
         records = books("Springer", 1) + books("Routledge", 3) + books("Elsevier", 2)
         corpus, baselines = pipeline_artifacts(records, registry, taxonomy)
         table = ranking_table(HIST, registry, taxonomy, baselines, OPEN)
         assert table.publisher_ids() == ("routledge", "elsevier", "springer")
-        assert [e.row.pbk for e in table.entries] == [3, 2, 1]
+        assert [row.pbk for row in table.entries] == [3, 2, 1]
 
     def test_tie_broken_alphabetically_ignoring_case(self, tmp_path, taxonomy):
         registry_dir = write_registry(
@@ -145,11 +170,13 @@ class TestOrdering:
         corpus, baselines = pipeline_artifacts(
             random_records(rng, taxonomy, 120), registry, taxonomy
         )
+
+        def key(row):
+            name = registry.publisher(row.publisher_id).name
+            return -row.pbk, name.casefold(), name
+
         for table in build_all_rankings(registry, taxonomy, baselines, OPEN):
-            resorted = sorted(
-                table.entries,
-                key=lambda e: (-e.row.pbk, e.publisher.name.casefold(), e.publisher.name),
-            )
+            resorted = sorted(table.entries, key=key)
             assert list(table.entries) == resorted
 
     def test_rebuild_is_reproducible(self, registry, taxonomy):
@@ -252,7 +279,7 @@ class TestThresholdBasis:
         )
         assert law.publisher_ids() == ("springer",)
         # The row still reports the scoped counts, not the global ones.
-        assert law.entries[0].row.pbk == 1
+        assert law.entries[0].pbk == 1
         hist = ranking_table(HIST, registry, taxonomy, baselines, policy)
         assert hist.publisher_ids() == ("springer",)
 
@@ -312,7 +339,7 @@ class TestProfile:
         tables = build_all_rankings(registry, taxonomy, baselines, policy, type_filter=type_filter)
         assert "crc-press" not in corpus.publisher_ids  # one of the publishers with no items
         for pid in registry.publishers:
-            expected = [e.row for t in tables for e in t.entries if e.publisher.publisher_id == pid]
+            expected = [row for t in tables for row in t.entries if row.publisher_id == pid]
             expected.sort(key=lambda r: (-r.pbk, r.scope))
             profile = build_profile(pid, baselines, registry, policy, type_filter)
             assert profile.rows == tuple(expected)

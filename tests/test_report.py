@@ -15,7 +15,6 @@ from pubrank.errors import ConfigError, ExportError, UnresolvedPublisherError
 from pubrank.indicators import IndicatorRow, Scope, compute_baselines
 from pubrank.ranking import (
     PublisherProfile,
-    RankingEntry,
     RankingTable,
     RunMeta,
     ThresholdPolicy,
@@ -155,14 +154,14 @@ class TestJsonExport:
         assert payload["type_filter"] is None
         assert [row["rank"] for row in payload["rows"]] == [1, 2]
         for row, entry in zip(payload["rows"], history_table.entries):
-            assert row["publisher_id"] == entry.publisher.publisher_id
-            assert row["pbk"] == entry.row.pbk
-            assert row["pch"] == entry.row.pch
-            assert row["cit"] == entry.row.cit
+            assert row["publisher_id"] == entry.publisher_id
+            assert row["pbk"] == entry.pbk
+            assert row["pch"] == entry.pch
+            assert row["cit"] == entry.cit
             # bit-exact: JSON carries full float precision, not the 2dp display
-            assert row["fncs"] == entry.row.fncs
-            assert row["ai"] == entry.row.ai
-            assert row["ed"] == entry.row.ed
+            assert row["fncs"] == entry.fncs
+            assert row["ai"] == entry.ai
+            assert row["ed"] == entry.ed
 
 
 # names that exercise every escape json.dumps makes: non-ASCII, quotes,
@@ -182,17 +181,16 @@ _COUNTS = st.integers(min_value=0, max_value=10**20)
 def ranking_tables(draw):
     scope = Scope(draw(st.sampled_from(["field", "discipline"])), draw(_TEXT))
     entries = []
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        pid = draw(_TEXT)
-        publisher = CanonicalPublisher(pid, draw(_TEXT), draw(_TEXT))
-        row = IndicatorRow(pid, scope, draw(_COUNTS), draw(_COUNTS), draw(_COUNTS),
-                           draw(_FLOATS), draw(_FLOATS), draw(_FLOATS))
-        entries.append(RankingEntry(publisher, row))
+    publishers = {}
+    for pid in draw(st.lists(_TEXT, max_size=4, unique=True)):  # a registry's ids are unique
+        publishers[pid] = CanonicalPublisher(pid, draw(_TEXT), draw(_TEXT))
+        entries.append(IndicatorRow(pid, scope, draw(_COUNTS), draw(_COUNTS), draw(_COUNTS),
+                                    draw(_FLOATS), draw(_FLOATS), draw(_FLOATS)))
     basis = draw(st.sampled_from(["scope", "global"]))
     policy = ThresholdPolicy(draw(_COUNTS), draw(_COUNTS), basis)
     window = (draw(st.integers(1900, 2100)), draw(st.integers(1900, 2100)))
     meta = RunMeta(draw(_TEXT), window, policy, type_filter=draw(st.none() | _TEXT))
-    return RankingTable(scope=scope, entries=tuple(entries), meta=meta)
+    return RankingTable(scope=scope, entries=tuple(entries), meta=meta, publishers=publishers)
 
 
 class TestJsonWriter:
@@ -207,7 +205,7 @@ class TestJsonWriter:
     @pytest.mark.parametrize("type_filter", [None, "university_press"])
     def test_empty_table(self, type_filter):
         meta = RunMeta("f" * 64, (2009, 2013), OPEN, type_filter=type_filter)
-        table = RankingTable(scope=HIST, entries=(), meta=meta)
+        table = RankingTable(scope=HIST, entries=(), meta=meta, publishers={})
         text = "".join(_ranking_json(table))
         assert text == json.dumps(_json_payload(table), indent=2) + "\n"
         assert text.endswith('  "rows": []\n}\n')
@@ -269,7 +267,7 @@ class TestWriterBytes:
         return export(obj, fmt, tmp_path).read_text(encoding="utf-8")
 
     def test_empty_ranking_table(self, tmp_path):
-        table = RankingTable(Scope("discipline", "Law"), (), self.META)
+        table = RankingTable(Scope("discipline", "Law"), (), self.META, {})
         assert self.written(table, "csv", tmp_path) == CSV_HEADER + "\n"
         # the empty row block leaves a blank line before </table>
         assert self.written(table, "html", tmp_path) == (
@@ -284,7 +282,7 @@ class TestWriterBytes:
         scope = Scope("field", "Humanities & Arts")
         publisher = CanonicalPublisher("odd", 'Smith, "Jones" <&> Co', "commercial")
         row = IndicatorRow("odd", scope, 3, 7, 12, 1.23456, 0.5, 42.857142857142854)
-        table = RankingTable(scope, (RankingEntry(publisher, row),), self.META)
+        table = RankingTable(scope, (row,), self.META, {"odd": publisher})
         assert self.written(table, "csv", tmp_path) == (
             CSV_HEADER + '\n1,"Smith, ""Jones"" <&> Co",commercial,3,7,12,1.23,0.50,43\n'
         )
@@ -369,8 +367,8 @@ class TestExportAll:
     def test_colliding_slugs_are_fatal(self, tmp_path):
         meta = RunMeta("f" * 64, (2009, 2013), OPEN)
         tables = [
-            RankingTable(Scope("discipline", "Law!"), (), meta),
-            RankingTable(Scope("discipline", "Law?"), (), meta),
+            RankingTable(Scope("discipline", "Law!"), (), meta, {}),
+            RankingTable(Scope("discipline", "Law?"), (), meta, {}),
         ]
         with pytest.raises(ExportError, match="collide"):
             export_all_rankings(tables, ("csv",), tmp_path)
@@ -385,11 +383,11 @@ def _long_table(n: int) -> RankingTable:
     """A table of n hand-built entries whose names need quoting and escaping."""
     scope = Scope("field", "Humanities & Arts")
     entries = []
+    publishers = {}
     for i in range(n):
-        publisher = CanonicalPublisher(f"p{i}", f'Press {i}, "<&>"', "commercial")
-        row = IndicatorRow(f"p{i}", scope, n - i, i, 3 * i, i / 7, i / 3, 100 * i / (i + 1))
-        entries.append(RankingEntry(publisher, row))
-    return RankingTable(scope, tuple(entries), TestWriterBytes.META)
+        publishers[f"p{i}"] = CanonicalPublisher(f"p{i}", f'Press {i}, "<&>"', "commercial")
+        entries.append(IndicatorRow(f"p{i}", scope, n - i, i, 3 * i, i / 7, i / 3, 100 * i / (i + 1)))
+    return RankingTable(scope, tuple(entries), TestWriterBytes.META, publishers)
 
 
 class TestWritingInParts:
@@ -401,8 +399,8 @@ class TestWritingInParts:
         table = _long_table(7)
         publisher = CanonicalPublisher("p0", "Press <0>", "commercial", "https://p0.example")
         variants = tuple(NameVariant(f"Press {i}", "p0", city=f"City {i}") for i in range(5))
-        profile = PublisherProfile(publisher, variants, tuple(e.row for e in table.entries))
-        empty = RankingTable(Scope("discipline", "Law"), (), TestWriterBytes.META)
+        profile = PublisherProfile(publisher, variants, table.entries)
+        empty = RankingTable(Scope("discipline", "Law"), (), TestWriterBytes.META, {})
 
         def write_all(directory):
             paths = [export_ranking(t, fmt, directory) for t in (table, empty) for fmt in FORMATS]
@@ -514,6 +512,15 @@ class TestRunConfig:
         assert self.base(type_filter="university_press").type_filter == "university_press"
         with pytest.raises(ConfigError, match="comercial"):
             self.base(type_filter="comercial")
+
+    def test_empty_out_rejected(self, tmp_path, monkeypatch):
+        # Path("") is ".": run_rank and run_profile would write into the current directory
+        monkeypatch.chdir(tmp_path)
+        assert self.base().out is None
+        with pytest.raises(ConfigError) as raised:
+            self.base(out="")
+        assert str(raised.value) == "out path must be non-empty"
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_must_be_or_become_a_directory(self, tmp_path):
         taken = tmp_path / "taken"
