@@ -63,14 +63,6 @@ class ItemRecord(NamedTuple):
     parent_book_id: str | None = None
     book_is_edited: bool | None = None
 
-    @property
-    def is_book(self) -> bool:
-        return self.doc_type == DOC_BOOK
-
-    @property
-    def is_chapter(self) -> bool:
-        return self.doc_type == DOC_CHAPTER
-
 
 _item_id = attrgetter("item_id")
 
@@ -921,5 +913,5 @@ def _resolve_names(
 def unknown_parent_chapters(items: Iterable[ItemRecord]) -> list[str]:
     """Chapters whose parent book is not in the corpus. They stay in the
     analysis but count as not-edited."""
-    books = {i.item_id for i in items if i.is_book}
-    return [i.item_id for i in items if i.is_chapter and i.parent_book_id not in books]
+    books = {i.item_id for i in items if i.doc_type == DOC_BOOK}
+    return [i.item_id for i in items if i.doc_type == DOC_CHAPTER and i.parent_book_id not in books]

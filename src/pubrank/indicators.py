@@ -61,6 +61,7 @@ class BaselineTable(NamedTuple):
     cell_keys: list[tuple[str, str, int, int]]  # (discipline, doc_type, year, k) by cell id
     coverage: dict[tuple[str | None, str], list[int]]  # (field or None for all, doc_type) -> [items, cit]
     unknown: tuple[str, ...]  # the categories the taxonomy does not map, sorted
+    scope_books: list[int]  # books over all publishers, by scope id
 
 
 class IndicatorRow(NamedTuple):
@@ -162,10 +163,11 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
                 acc.cit += cit
                 acc.cells.extend(ids)
 
-    # one pass over the shapes: [items, citations] by baseline cell and by coverage key
+    # one pass over the shapes: [items, citations] by cell and by coverage key; books by scope
     cell_counts: dict[tuple[str, str, int], list[int]] = {}
     coverage: dict[tuple[str | None, str], list[int]] = {}
-    for (categories, dt, year), (_, n) in parts_of.items():
+    scope_books = [0] * len(scope_ids)
+    for (categories, dt, year), (parts, n) in parts_of.items():
         sums = [coverage.setdefault((None, dt), [0, 0])]
         for kind, name, _, _ in plans[categories]:
             if kind == SCOPE_DISCIPLINE:
@@ -175,29 +177,27 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
         for pair in sums:
             pair[0] += counts[n]
             pair[1] += counts[n + 1]
+        if dt == DOC_BOOK:
+            for sid, _ in parts:
+                scope_books[sid] += counts[n]
     cells = {key: BaselineCell(*key, n, s) for key, (n, s) in cell_counts.items()}
     unknown = taxonomy.unknown_categories(categories for categories, _, _ in parts_of)
-    return BaselineTable(cells, accs, totals, list(scope_ids), list(cell_ids), coverage, unknown)
+    scopes = list(scope_ids)
+    return BaselineTable(cells, accs, totals, scopes, list(cell_ids), coverage, unknown, scope_books)
 
 
 def compute_all_rows(baselines: BaselineTable) -> list[IndicatorRow]:
-    """All indicator rows, finalised from the baselines' accumulators,
-    which stay as they are.
-
-    A list of one row per occupied (publisher, scope) pair, by publisher in
-    the order the walk first met them, then by scope id; each row carries
-    its pair, so no pair keys it twice. Pairs with no items have all-zero
-    indicators and no row. Every row equals the brute-force
-    `testkit.oracle_indicators` exactly.
+    """One row per accumulator the table holds, that is per occupied
+    (publisher, scope) pair, by publisher in `accs` order then by scope id;
+    the accumulators stay as they are. Every other input it reads (totals,
+    cells, scope books) is corpus-wide, so a table holding one publisher's
+    accumulators alone gives exactly that publisher's rows. Each row carries
+    its pair; pairs with no items have no row. Every row equals the
+    brute-force `testkit.oracle_indicators` exactly.
     """
     accs, totals, scopes = baselines.accs, baselines.totals, baselines.scopes
-
-    # books over all publishers, and by scope id
+    scope_books = baselines.scope_books  # books over all publishers, by scope id
     total_books = sum(books for books, _ in totals.values())
-    books_by_scope = [0] * len(scopes)
-    for own in accs.values():
-        for sid, acc in own.items():
-            books_by_scope[sid] += acc.pbk
 
     # by cell id: the cell mean over k as a reduced fraction p/q
     cells = baselines.cells
@@ -226,7 +226,7 @@ def compute_all_rows(baselines: BaselineTable) -> list[IndicatorRow]:
                     num += p * (den // q)
             fncs = acc.cit * den / num if num else 0.0
 
-            all_scope = books_by_scope[sid]
+            all_scope = scope_books[sid]
             if acc.pbk and own_total and all_scope:
                 ai = acc.pbk * total_books / (own_total * all_scope)
             else:

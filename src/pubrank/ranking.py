@@ -145,11 +145,12 @@ def build_profile(
     type_filter: str | None = None,
 ) -> PublisherProfile:
     """Registry data, name variants, and the publisher's row in every scope
-    where it ranks, sorted by PBK descending: its rows of the walk's table
-    that `_ranked` lets through, so no ranking table is built."""
+    where it ranks, sorted by PBK descending: the rows `_ranked` lets through
+    of those finalised from its accumulators alone, so no other row is made."""
     publisher = registry.publisher(publisher_id)  # raises UnknownPublisherError
-    own = [row for row in compute_all_rows(table) if row.publisher_id == publisher_id]
-    rows = list(_ranked(own, registry.publishers, table.totals, policy, type_filter))
+    own = {publisher_id: table.accs[publisher_id]} if publisher_id in table.accs else {}
+    own_rows = compute_all_rows(table._replace(accs=own))
+    rows = list(_ranked(own_rows, registry.publishers, table.totals, policy, type_filter))
     rows.sort(key=lambda r: (-r.pbk, r.scope))
     return PublisherProfile(
         publisher=publisher,

@@ -386,11 +386,15 @@ class PipelineResult(PreparedInputs):
     tables: list[RankingTable]
 
 
-def _prepare_inputs(config: RunConfig) -> tuple[PreparedInputs, ResolvedCorpus]:
-    """Load registry and taxonomy, then ingest, filter and resolve the
-    corpus. Raises PubrankError subclasses on fatal problems. The ingested
-    list goes once filter has returned, so resolve never holds what filter drops."""
-    registry = load_registry_dir(config.registry_dir)
+def _prepare_inputs(
+    config: RunConfig, registry: PublisherRegistry | None = None
+) -> tuple[PreparedInputs, ResolvedCorpus]:
+    """Load registry (unless the caller loaded it from `config.registry_dir`)
+    and taxonomy, then ingest, filter and resolve the corpus. Raises
+    PubrankError subclasses on fatal problems. The ingested list goes once
+    filter has returned, so resolve never holds what filter drops."""
+    if registry is None:
+        registry = load_registry_dir(config.registry_dir)
     taxonomy = load_taxonomy(config.taxonomy)
     records, diagnostics = ingest_corpus(config.corpus)
     ingested = len(records)
@@ -439,9 +443,10 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
     terminal owner, the publisher the rankings count the items under."""
     if config.out is None:
         raise ConfigError("profile requires an output directory")
-    inputs, corpus = _prepare_inputs(config)
+    registry = load_registry_dir(config.registry_dir)
+    pid = registry.resolve(publisher)  # an unknown name fails before the corpus is read
+    inputs, corpus = _prepare_inputs(config, registry)
     baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
-    pid = inputs.registry.resolve(publisher)
     profile = build_profile(pid, baselines, inputs.registry, config.policy(), config.type_filter)
     written = [export_profile(profile, fmt, config.out) for fmt in config.formats]
     return profile, written

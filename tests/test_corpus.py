@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pubrank import corpus
 from pubrank.cli import run_cli
 from pubrank.corpus import (
+    DOC_BOOK,
     Diagnostic,
     ItemRecord,
     ResolvedCorpus,
@@ -41,7 +42,7 @@ class TestIngest:
         assert len(records) == 1 and not diagnostics
         item = records[0]
         assert item.item_id == "b1"
-        assert item.is_book and not item.is_chapter
+        assert item.doc_type == DOC_BOOK  # a book, so not a chapter
         assert item.citations == 3
         assert item.categories == ("History",)
 
@@ -804,14 +805,19 @@ class TestIngestCache:
         path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
         parse = corpus._parse
 
-        def rewritten(*args):
-            result = parse(*args)
+        def rewrite():
             path.write_bytes(path.read_bytes().replace(b"r1", b"x1"))
-            return result
 
-        monkeypatch.setattr(corpus, "_parse", rewritten)
-        ingest_corpus(path)
-        assert entries(cached) == []
+        for change in (rewrite, path.unlink):  # a removed file has no status to compare
+
+            def changed(*args):
+                result = parse(*args)
+                change()
+                return result
+
+            monkeypatch.setattr(corpus, "_parse", changed)
+            ingest_corpus(path)
+            assert entries(cached) == []
 
     def test_a_failing_run_writes_nothing(self, tmp_path, cached):
         duplicate = write_lines(tmp_path / "duplicate.jsonl", jsonl([record("a"), record("a")]))
@@ -854,12 +860,16 @@ class TestIngestCache:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
     def test_a_full_disk_leaves_no_entry_and_no_temporary_file(self, tmp_path, cached):
-        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i}") for i in range(20)]))
-        entry = corpus._cache_key(path)
-        # the temporary file's name, as a link to a device that is always full
-        (cached / f".{entry.name}.{os.getpid()}").symlink_to("/dev/full")
-        assert ingest_corpus(path) == serial_ingest(path)
-        assert entries(cached) == []
+        # 20 records fit the file's write buffer, so the disk is found full
+        # only at commit; 3,000 overflow it, so the frames' write fails
+        for size in (20, 3000):
+            path = write_lines(tmp_path / f"corpus{size}.jsonl",
+                               jsonl([record(f"r{i}") for i in range(size)]))
+            entry = corpus._cache_key(path)
+            # the temporary file's name, as a link to a device that is always full
+            (cached / f".{entry.name}.{os.getpid()}").symlink_to("/dev/full")
+            assert ingest_corpus(path) == serial_ingest(path)
+            assert entries(cached) == []  # the link went with the temporary file
 
     @pytest.mark.parametrize("mode", [0o770, 0o705], ids=["group-writable", "other-readable"])
     def test_a_directory_others_may_use_is_not_trusted(self, tmp_path, cached, mode):

@@ -309,6 +309,22 @@ class TestSinglePassAggregation:
         assert set(rows) == {("springer", HIST), ("springer", HUM)}
 
 
+class TestFinaliseOnePublisher:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 60))
+    def test_a_table_of_one_publisher_gives_its_rows(self, registry, taxonomy, seed, size):
+        """Every input of compute_all_rows but the accumulators is
+        corpus-wide, so a table holding one publisher's accumulators alone
+        gives exactly that publisher's rows of the whole table, floats equal."""
+        records = random_records(random.Random(seed), taxonomy, size)
+        _, baselines = pipeline_artifacts(records, registry, taxonomy)
+        rows = compute_all_rows(baselines)
+        for pid, own in baselines.accs.items():
+            alone = compute_all_rows(baselines._replace(accs={pid: own}))
+            assert alone == [row for row in rows if row.publisher_id == pid]
+        assert compute_all_rows(baselines._replace(accs={})) == []
+
+
 EDGE_SHAPES = ("single_publisher", "zero_citations", "several_disciplines_of_one_field",
                "chapter_only_publisher")
 

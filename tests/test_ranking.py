@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pubrank import ranking as ranking_module
+from pubrank import indicators as indicators_module, ranking as ranking_module
 from pubrank.errors import ConfigError, UnknownPublisherError
 from pubrank.indicators import Scope, compute_all_rows
 from pubrank.ranking import (
@@ -315,6 +315,26 @@ class TestProfile:
         corpus, baselines = pipeline_artifacts(books("Springer", 1), registry, taxonomy)
         with pytest.raises(UnknownPublisherError):
             build_profile("penguin", baselines, registry, OPEN)
+
+    def test_only_the_publishers_own_rows_are_made(self, registry, taxonomy, monkeypatch):
+        """A profile finalises its publisher's accumulators and no other's:
+        one IndicatorRow per accumulator, none for a publisher with no items."""
+        corpus, baselines = pipeline_artifacts(
+            random_records(random.Random(5), taxonomy, 60), registry, taxonomy
+        )
+        assert len(baselines.accs) > 1
+        made = []
+        make_row = indicators_module.IndicatorRow
+
+        def counted(*fields):
+            made.append(fields[0])
+            return make_row(*fields)
+
+        monkeypatch.setattr(indicators_module, "IndicatorRow", counted)
+        for pid in registry.publishers:
+            made.clear()
+            build_profile(pid, baselines, registry, OPEN)
+            assert made == [pid] * len(baselines.accs.get(pid, {}))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -651,6 +651,10 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match="output"):
             run_rank(config)
 
+    def test_profile_requires_out(self, run_inputs):
+        with pytest.raises(ConfigError, match="output"):
+            run_profile(dataclasses.replace(run_inputs, out=None), "springer")
+
     def test_rank_writes_every_table(self, run_inputs):
         result, written = run_rank(run_inputs)
         assert len(written) == 42 * 2
@@ -726,7 +730,15 @@ class TestRunProfile:
         assert tree("without_tables") == expected
         assert len(expected) == 3
 
-    def test_unknown_name_is_fatal(self, run_inputs):
+    def test_unknown_name_is_fatal(self, run_inputs, monkeypatch):
+        with pytest.raises(UnresolvedPublisherError):
+            run_profile(run_inputs, "No Such House")
+
+        def unread(*args):
+            raise AssertionError("the corpus was read")
+
+        # the name is resolved once the registry is loaded, before any ingest
+        monkeypatch.setattr(report_module, "ingest_corpus", unread)
         with pytest.raises(UnresolvedPublisherError):
             run_profile(run_inputs, "No Such House")
 

@@ -114,6 +114,17 @@ class TestLedgerAgainstEngine:
             truth = result.ledger.scope_truth(pid, scope)
             assert (row.pbk, row.pch, row.cit) == (truth.pbk, truth.pch, truth.cit)
 
+    def test_scope_books_match(self, taxonomy, tmp_path):
+        """The walk's books by scope are the ledger's PBK summed over publishers."""
+        result = generate_corpus(SynthParams(seed=5, **SMALL), taxonomy, tmp_path)
+        _, tax, corpus = load_bundle(result)
+        baselines = compute_baselines(corpus, tax)
+        expected = dict.fromkeys(baselines.scopes, 0)
+        for (_, kind, name), truth in result.ledger.scopes.items():
+            expected[Scope(kind, name)] += truth.pbk
+        assert dict(zip(baselines.scopes, baselines.scope_books)) == expected
+        assert any(baselines.scope_books)
+
     def test_citation_cells_match_baselines(self, taxonomy, tmp_path):
         result = generate_corpus(SynthParams(seed=8, **SMALL), taxonomy, tmp_path)
         _, tax, corpus = load_bundle(result)
