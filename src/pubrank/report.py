@@ -387,14 +387,12 @@ class PipelineResult(PreparedInputs):
 
 
 def _prepare_inputs(
-    config: RunConfig, registry: PublisherRegistry | None = None
+    config: RunConfig, registry: PublisherRegistry
 ) -> tuple[PreparedInputs, ResolvedCorpus]:
-    """Load registry (unless the caller loaded it from `config.registry_dir`)
-    and taxonomy, then ingest, filter and resolve the corpus. Raises
-    PubrankError subclasses on fatal problems. The ingested list goes once
-    filter has returned, so resolve never holds what filter drops."""
-    if registry is None:
-        registry = load_registry_dir(config.registry_dir)
+    """Load the taxonomy, then ingest, filter and resolve the corpus against
+    `registry`. Raises PubrankError subclasses on fatal problems. The
+    ingested list goes once filter has returned, so resolve never holds
+    what filter drops."""
     taxonomy = load_taxonomy(config.taxonomy)
     records, diagnostics = ingest_corpus(config.corpus)
     ingested = len(records)
@@ -412,7 +410,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     The walk is the corpus's last reader, so the records go as it passes
     them. The tables carry the corpus fingerprint if `config.formats` names
     json, the one format that writes it, else None."""
-    inputs, corpus = _prepare_inputs(config)
+    inputs, corpus = _prepare_inputs(config, load_registry_dir(config.registry_dir))
     fingerprint = None
     if "json" in config.formats:  # taken before the walk releases any record
         fingerprint = corpus_module.corpus_fingerprint(corpus.items, corpus.publisher_ids)
@@ -453,7 +451,7 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
 
 
 def run_stats(config: RunConfig) -> CorpusStats:
-    inputs, corpus = _prepare_inputs(config)
+    inputs, corpus = _prepare_inputs(config, load_registry_dir(config.registry_dir))
     baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
     return corpus_stats(baselines, inputs.registry, inputs.taxonomy)
 
@@ -469,7 +467,7 @@ def run_validate(config: RunConfig) -> ValidationReport:
     """Load and cross-check every input, collecting per-line diagnostics
     and resolution gaps instead of failing on them (load errors and, in
     strict mode, unresolved publishers stay fatal)."""
-    inputs, corpus = _prepare_inputs(config)
+    inputs, corpus = _prepare_inputs(config, load_registry_dir(config.registry_dir))
     category_tuples = {item.categories for item in corpus.items}
     return ValidationReport(
         **vars(inputs),
