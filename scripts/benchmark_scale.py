@@ -11,21 +11,26 @@ the per-run analysis cost.
 
 Then runs the CLI path on the same corpus, `pubrank rank --format
 csv,json,html` in a child process, from JSONL on disk to written tables,
-and reports its own wall time and peak RSS. The child is spawned through
+and reports its own wall time and peak RSS; then `pubrank validate` in a
+child process, which reads the ingest cache entry that the CLI `rank`
+wrote, and reports the same two figures. Each child is spawned through
 perfbench/launcher.py, started before generation: on exec, Linux folds the
 parent's resident-set high-water mark into the child's ru_maxrss.
 
 Prints one JSON object, e.g.:
 
     {"records": 500123, "tables": 42, "elapsed": 31.4, "maxrss_mb": 1210.5,
-     "cli_wall_s": 10.4, "cli_maxrss_mb": 276.0}
+     "cli_wall_s": 10.4, "cli_maxrss_mb": 276.0,
+     "cli_validate_wall_s": 0.9, "cli_validate_maxrss_mb": 60.7}
 
 ru_maxrss covers the whole process (generation included), so the memory
 figure is an upper bound on what the pipeline itself needs.
 
-Both runs parse the corpus cold: ingest's cache (see README) points at an
-empty directory of its own for each run, inside the temporary directory,
-so neither run reads the other's entry and nothing is left behind.
+The in-process run and the CLI `rank` parse the corpus cold: ingest's
+cache (see README) points at an empty directory of its own for each,
+inside the temporary directory, so neither reads the other's entry and
+nothing is left behind. The CLI `validate` is warm: it shares the CLI
+`rank`'s directory, as a user's next command over the same corpus would.
 """
 
 from __future__ import annotations
@@ -73,7 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     with launcher, tempfile.TemporaryDirectory(prefix="pubrank-bench-") as tmp:
         taxonomy = load_taxonomy(sample_taxonomy_path())
         result = generate_corpus(params, taxonomy, tmp)
-        cli = _run_cli_rank(launcher, result, Path(tmp))
+        cli = _run_cli(launcher, result, Path(tmp), "rank", "--out", str(Path(tmp, "tables")),
+                       "--format", "csv,json,html")
+        cli_validate = _run_cli(launcher, result, Path(tmp), "validate")
         os.environ["XDG_CACHE_HOME"] = str(Path(tmp, "cache"))
         # the CLI child's formats, so that this run hashes the corpus as that one does
         config = RunConfig(corpus=result.corpus_path, registry_dir=result.registry_dir,
@@ -92,27 +99,29 @@ def main(argv: list[str] | None = None) -> int:
         "maxrss_mb": round(maxrss_mb, 1),
         "cli_wall_s": round(cli["wall_s"], 3),
         "cli_maxrss_mb": round(cli["maxrss_kb"] / 1024, 1),
+        "cli_validate_wall_s": round(cli_validate["wall_s"], 3),
+        "cli_validate_maxrss_mb": round(cli_validate["maxrss_kb"] / 1024, 1),
     }))
     return 0
 
 
-def _run_cli_rank(launcher: subprocess.Popen, result, tmp: Path) -> dict:
-    """`pubrank rank --format csv,json,html` on the generated bundle, run by
-    the launcher; returns its reply (wall_s, cpu_s, maxrss_kb)."""
-    argv = [sys.executable, "-m", "pubrank.cli", "rank",
+def _run_cli(launcher: subprocess.Popen, result, tmp: Path, command: str, *flags: str) -> dict:
+    """`pubrank <command> <flags>` on the generated bundle, run by the
+    launcher with the ingest cache in tmp/cli-cache; returns its reply
+    (wall_s, cpu_s, maxrss_kb)."""
+    argv = [sys.executable, "-m", "pubrank.cli", command,
             "--corpus", str(result.corpus_path), "--registry-dir", str(result.registry_dir),
-            "--taxonomy", str(result.taxonomy_path), "--out", str(tmp / "tables"),
-            "--format", "csv,json,html"]
+            "--taxonomy", str(result.taxonomy_path), *flags]
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath, XDG_CACHE_HOME=str(tmp / "cli-cache"))
     request = {"argv": argv, "env": env, "cwd": str(ROOT),
-               "stdout": str(tmp / "cli.out"), "stderr": str(tmp / "cli.err")}
+               "stdout": str(tmp / f"{command}.out"), "stderr": str(tmp / f"{command}.err")}
     launcher.stdin.write(json.dumps(request) + "\n")
     launcher.stdin.flush()
     reply = json.loads(launcher.stdout.readline())
     if reply["returncode"] != 0:
-        raise SystemExit(f"pubrank rank exited {reply['returncode']}: "
-                         + (tmp / "cli.err").read_text(encoding="utf-8"))
+        raise SystemExit(f"pubrank {command} exited {reply['returncode']}: "
+                         + (tmp / f"{command}.err").read_text(encoding="utf-8"))
     return reply
 
 

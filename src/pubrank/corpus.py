@@ -2,9 +2,12 @@
 
 The input format is UTF-8 line-delimited JSON, one item per line. Ingest
 is tolerant: a malformed line becomes a diagnostic and the run continues;
-only unreadable sources and duplicate item ids are fatal. Filtering is a
-pure function over the ingested records. The summary statistics are
-folded from the indicators' one walk (`indicators.corpus_stats`).
+only unreadable sources and duplicate item ids are fatal. Ingest reads a
+file a chunk of lines at a time (`ingest_chunks`), and `ingest_corpus`
+joins the chunks into one record list. Filtering and resolution are pure
+functions over records, which `validate` applies to each chunk in turn.
+The summary statistics are folded from the indicators' one walk
+(`indicators.corpus_stats`).
 """
 
 from __future__ import annotations
@@ -224,12 +227,12 @@ def _open_lines(source) -> Iterator[str]:
 
 
 class _Ingest:
-    """The state of one ingest_corpus call's line loop: records and
-    diagnostics so far, the ids seen, the blank lines, and the table that
-    shares category tuples, publisher strings, years and book ids between
-    records (see _parse_line), and each reason between diagnostics.
-    The table is its own, not sys.intern's, so that it goes with the
-    call: a long-tail corpus has 17k distinct publisher strings."""
+    """The state of one scan's line loop: the records and diagnostics not
+    yet taken, the ids seen, the blank lines, and the table that shares
+    category tuples, publisher strings, years and book ids between records
+    (see _parse_line), and each reason between diagnostics. The table is
+    its own, not sys.intern's, so that it goes with the scan: a long-tail
+    corpus has 17k distinct publisher strings."""
 
     def __init__(self) -> None:
         self.records: list[ItemRecord] = []
@@ -240,7 +243,17 @@ class _Ingest:
         self.lines = 0  # lines scanned so far
 
     def scan(self, lines: Iterable[str]) -> bool:
-        """Run the line loop over `lines`, which follow those scanned so far; True if any."""
+        """Run the line loop over `lines`, which follow those scanned so far;
+        True if any. Integers are read under _INT_MAX_DIGITS, whatever the
+        caller's limit."""
+        digits_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(_INT_MAX_DIGITS)
+        try:
+            return self._loop(lines)
+        finally:
+            sys.set_int_max_str_digits(digits_limit)
+
+    def _loop(self, lines: Iterable[str]) -> bool:
         records = self.records
         seen = self.seen
         shared = self.shared
@@ -304,11 +317,21 @@ class _Ingest:
         reason = self.shared.setdefault(reason, reason)
         self.diagnostics.append(Diagnostic(line_no, reason, severity))
 
+    def take(self) -> tuple[list[ItemRecord], list[Diagnostic]]:
+        """The records and diagnostics noted since the last take, which this
+        state lets go of."""
+        taken = self.records, self.diagnostics
+        self.records, self.diagnostics = [], []
+        return taken
+
     def _first_line(self, item_id: str) -> int:
         """The line of the first record with this id, for a scan that began
-        at line 1: the records fill, in order, the lines that are neither
-        blank nor rejected."""
-        index = next(i for i, r in enumerate(self.records) if r.item_id == item_id)
+        at line 1 and took nothing: the records fill, in order, the lines
+        that are neither blank nor rejected. Any other scan reads its file
+        again for the line, and gets 0 when the record is not held here."""
+        index = next((i for i, r in enumerate(self.records) if r.item_id == item_id), None)
+        if index is None:
+            return 0
         skipped = set(self.blank)
         skipped.update(d.line for d in self.diagnostics if d.severity == "error")
         record_lines = (n for n in count(1) if n not in skipped)
@@ -323,8 +346,8 @@ class _Ingest:
 # as one length-prefixed frame to a pipe. After each chunk of its own, this
 # process reads the worker's whole frames for as long as the pipe has data,
 # and at the end it reads them up to the pipe's end. The worker's range starts
-# the file, so its frames, line numbers and all, are also the start of the
-# file's cache entry.
+# the file, so its frames' line numbers stand as they are, and the frames go
+# into the file's cache entry as they arrive.
 #
 # Measured with the worker on the second range (2 vCPU, CPython 3.11.7;
 # ingest_corpus alone, one fresh process per run, medians of 12 alternating
@@ -342,6 +365,11 @@ _FRAME_HEADER = 8  # bytes of the little-endian payload length
 # 17 chunks, so the worker, which does not decode, seldom waits for this
 # process to read them.
 _PIPE_BYTES = 1 << 20
+
+# One chunk of ingest's result: its part (0 for the file's first or only
+# range, 1 for a split's second range), its records, and its diagnostics
+# with their lines counted from the start of the file.
+Chunk = tuple[int, list[ItemRecord], list[Diagnostic]]
 
 
 class _ByteRange(io.RawIOBase):
@@ -401,10 +429,13 @@ def _split_at(source, size: int) -> int | None:
     return None
 
 
-def _frame(records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic], lines: int) -> bytes:
-    """One length-prefixed frame: the records and the diagnostics as
-    marshalled columns, and the number of lines scanned when it was written."""
-    payload = marshal.dumps((tuple(zip(*records)), tuple(zip(*diagnostics)), lines))
+def _frame(
+    part: int, records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic], lines: int
+) -> bytes:
+    """One length-prefixed frame: the chunk's part, its records and its
+    diagnostics as marshalled columns, and the number of lines scanned when
+    it was written."""
+    payload = marshal.dumps((part, tuple(zip(*records)), tuple(zip(*diagnostics)), lines))
     return len(payload).to_bytes(_FRAME_HEADER, "little") + payload
 
 
@@ -415,21 +446,21 @@ def _send_chunks(path, end: int, out) -> None:
     state = _Ingest()
     with _range_lines(path, 0, end) as lines:
         while state.scan(islice(lines, _CHUNK_LINES)):
-            out.write(_frame(state.records, state.diagnostics, state.lines))
-            state.records.clear()
-            state.diagnostics.clear()
+            out.write(_frame(0, *state.take(), state.lines))
 
 
-def _read_frames(frames: io.BufferedReader, into: _Ingest, to_end: bool, entry: _Entry) -> None:
-    """Read whole frames, from the worker's pipe or a cache entry, into
-    `into`: its records, whose values go through its shared table, its
-    diagnostics, whose reasons do too, and, as its line count, the last
-    frame's. Read for as long as the pipe has data or, if `to_end`, up to
-    the end, and pass each frame on to `entry` as it stands. A frame that has begun is read to its end,
-    as the worker is writing it. A short header or payload raises EOFError.
-    Each book's id joins the table before the frame's parent ids are looked
-    up in it, so a chapter holds its book's id string whichever frame the
-    book is in."""
+def _read_frames(
+    frames: io.BufferedReader, into: _Ingest, to_end: bool, entry: _Entry
+) -> Iterator[Chunk]:
+    """Read whole frames, from the worker's pipe or a cache entry, and yield
+    each as a chunk: its part, its records, whose values go through `into`'s
+    shared table, and its diagnostics, whose reasons do too; `into`'s line
+    count becomes the last frame's. Read for as long as the pipe has data
+    or, if `to_end`, up to the end, and pass each frame on to `entry` as it
+    stands. A frame that has begun is read to its end, as the worker is
+    writing it. A short header or payload raises EOFError. Each book's id
+    joins the table before the frame's parent ids are looked up in it, so a
+    chapter holds its book's id string whichever frame the book is in."""
     shared = into.shared
     share = shared.setdefault
     while to_end or select.select((frames,), (), (), 0)[0]:
@@ -441,37 +472,37 @@ def _read_frames(frames: io.BufferedReader, into: _Ingest, to_end: bool, entry: 
         if len(header) < _FRAME_HEADER or len(payload) < size:
             raise EOFError("truncated frame")
         entry.write(header, payload)
-        columns, diagnostic_columns, into.lines = marshal.loads(payload)
+        part, columns, diagnostic_columns, into.lines = marshal.loads(payload)
+        records, diagnostics = [], []
         if diagnostic_columns:
             line_nos, reasons, severities = diagnostic_columns
-            into.diagnostics += map(tuple.__new__, repeat(Diagnostic),
-                                    zip(line_nos, map(share, reasons, reasons), severities))
-        if not columns:
-            continue
-        ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns
-        books = [item_id for item_id, doc_type in zip(ids, doc_types) if doc_type == DOC_BOOK]
-        shared.update(zip(books, books))
-        # tuple.__new__ builds each record in C; ItemRecord(...) would
-        # run the NamedTuple's Python __new__
-        into.records += map(tuple.__new__, repeat(ItemRecord), zip(
-            ids,
-            doc_types,  # interned when written, so marshal interns them here
-            map(share, publishers, publishers),
-            map(share, years, years),
-            map(share, categories, categories),
-            citations,
-            serial,
-            map(shared.get, parents, parents),
-            edited,
-        ))
+            diagnostics += map(tuple.__new__, repeat(Diagnostic),
+                               zip(line_nos, map(share, reasons, reasons), severities))
+        if columns:
+            ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns
+            books = [item_id for item_id, doc_type in zip(ids, doc_types) if doc_type == DOC_BOOK]
+            shared.update(zip(books, books))
+            # tuple.__new__ builds each record in C; ItemRecord(...) would
+            # run the NamedTuple's Python __new__
+            records += map(tuple.__new__, repeat(ItemRecord), zip(
+                ids,
+                doc_types,  # interned when written, so marshal interns them here
+                map(share, publishers, publishers),
+                map(share, years, years),
+                map(share, categories, categories),
+                citations,
+                serial,
+                map(shared.get, parents, parents),
+                edited,
+            ))
+        yield part, records, diagnostics
 
 
-def _ingest_split(
-    path, split: int, size: int, entry: _Entry
-) -> tuple[list[ItemRecord], list[Diagnostic]]:
-    """Ingest bytes 0..split in a forked worker and split..size here, and
-    write the result's frames to `entry`: the worker's as they arrive, then
-    this range's.
+def _ingest_split(path, split: int, size: int, entry: _Entry) -> Iterator[Chunk]:
+    """Ingest bytes 0..split in a forked worker and split..size here, as
+    chunks: the worker's as part 0, as they arrive, and this range's as
+    part 1, whose diagnostics come last, once the worker's line count is
+    known. Write each chunk's frame to `entry` as it is yielded.
 
     Raises when either range fails, when the worker's status is not 0 and
     when an id is in both ranges; the caller then runs the serial loop,
@@ -501,13 +532,23 @@ def _ingest_split(
         state = _Ingest()  # this process's range, lines counted from its start
         first = _Ingest()  # the worker's range, from its frames
         first.shared = state.shared  # one table shares values across both
+        worker_ids: list[str] = []  # to check against this range's at the end
+
+        def worker_chunks(to_end: bool) -> Iterator[Chunk]:
+            for chunk in _read_frames(frames, first, to_end, entry):
+                worker_ids.extend(map(_item_id, chunk[1]))
+                yield chunk
+
         try:
             out.close()
             os.sched_setaffinity(0, cpus[-1:])
             with _range_lines(path, split, size) as lines:
                 while state.scan(islice(lines, _CHUNK_LINES)):
-                    _read_frames(frames, first, False, entry)
-            _read_frames(frames, first, True, entry)
+                    records, state.records = state.records, []  # its diagnostics wait for the shift
+                    entry.write_frame(1, records, (), state.lines)
+                    yield 1, records, []
+                    yield from worker_chunks(False)
+            yield from worker_chunks(True)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
@@ -516,14 +557,12 @@ def _ingest_split(
             _, wait_status = os.waitpid(pid, 0)
     if wait_status != 0:
         raise RuntimeError(f"ingest worker ended with wait status {wait_status}")
-    if not state.seen.isdisjoint(map(_item_id, first.records)):
+    if not state.seen.isdisjoint(worker_ids):
         raise ValueError("an item id is in both ranges")
     offset = first.lines
     diagnostics = [Diagnostic(d.line + offset, d.reason, d.severity) for d in state.diagnostics]
-    entry.write_result(state.records, diagnostics, offset + state.lines)
-    first.records += state.records
-    first.diagnostics += diagnostics
-    return first.records, first.diagnostics
+    entry.write_frame(1, [], diagnostics, offset + state.lines)
+    yield 1, [], diagnostics
 
 
 # A cache of ingest's own result. A large corpus file (see _large_file) is
@@ -532,12 +571,14 @@ def _ingest_split(
 # must belong to this user and be closed to everyone else: an entry is
 # trusted once its digest checks, and marshal is not safe against crafted
 # data. An entry is the SHA-256 of its body, then the body: frames as the
-# ingest worker writes them, _CHUNK_LINES records and diagnostics each, with
-# absolute line numbers. The body is checked before any frame is decoded,
-# and an entry that is missing or fails the check is parsed again. Reads and
-# writes stream a frame at a time, so neither holds the body in memory; a
-# split parse passes the worker's frames on as they arrive, so only this
-# process's range is marshalled for the entry.
+# ingest worker writes them, a chunk's part, records and diagnostics each,
+# with absolute line numbers. A split parse writes each range's frames as
+# they come, interleaved, and this process's range's diagnostics last, in
+# one frame, as their line numbers are known only once the worker's range
+# is read; a reader joins the records part by part. The body is checked
+# before any frame is decoded, and an entry that is missing or fails the
+# check is parsed again. Reads and writes stream a frame at a time, so
+# neither holds the body in memory.
 _CACHE_ENTRIES = 8  # the most recently used entries kept
 _DIGEST_BYTES = 32
 _BLOCK_BYTES = 1 << 16
@@ -609,24 +650,18 @@ def _cache_key(source) -> Path | None:
     return directory / key.hex()
 
 
-def _cache_read(entry: Path) -> tuple[list[ItemRecord], list[Diagnostic]] | None:
-    """The records and diagnostics of a cache entry that passes its digest,
-    else None. A hit makes the entry the most recently used."""
-    result = _Ingest()
-    # Whatever fails here, a missing or unreadable entry or one whose
-    # frames do not decode, the parse gives the result instead.
-    try:
-        with open(entry, "rb") as fh:
-            digest = fh.read(_DIGEST_BYTES)
-            if _hash_rest(fh, _sha256()) != digest:
-                return None
-            fh.seek(_DIGEST_BYTES)
-            _read_frames(fh, result, True, _Entry(None))
-    except Exception:
-        return None
+def _cache_read(entry: Path) -> Iterator[Chunk]:
+    """The chunks of a cache entry whose body passes its digest; raises if
+    the entry is missing, unreadable or damaged. A hit makes the entry the
+    most recently used."""
+    with open(entry, "rb") as fh:
+        digest = fh.read(_DIGEST_BYTES)
+        if _hash_rest(fh, _sha256()) != digest:
+            raise ValueError("cache entry fails its digest")
+        fh.seek(_DIGEST_BYTES)
+        yield from _read_frames(fh, _Ingest(), True, _Entry(None))
     with contextlib.suppress(OSError):  # a read-only cache still serves hits
         _touch(entry)
-    return result.records, result.diagnostics
 
 
 class _Entry:
@@ -657,15 +692,10 @@ class _Entry:
         except OSError:
             self.discard()
 
-    def write_result(
-        self, records: list[ItemRecord], diagnostics: list[Diagnostic], lines: int
-    ) -> None:
-        """Frames of records and diagnostics, _CHUNK_LINES of each at a time."""
-        for start in range(0, max(len(records), len(diagnostics)), _CHUNK_LINES):
-            if self.file is None:  # never opened, or failed: no frame is needed
-                return
-            self.write(_frame(records[start:start + _CHUNK_LINES],
-                              diagnostics[start:start + _CHUNK_LINES], lines))
+    def write_frame(self, part: int, records: Sequence[ItemRecord],
+                    diagnostics: Iterable[Diagnostic], lines: int) -> None:
+        if self.file is not None:  # never opened, or failed: no frame is needed
+            self.write(_frame(part, records, diagnostics, lines))
 
     def commit(self) -> None:
         if self.file is None:
@@ -695,22 +725,34 @@ class _Entry:
         self.file = None
 
 
-def _parse(
-    source, info: os.stat_result | None, entry: _Entry
-) -> tuple[list[ItemRecord], list[Diagnostic]]:
+def _parse(source, info: os.stat_result | None, entry: _Entry) -> Iterator[Chunk | None]:
     """Scan a large corpus file, of status `info`, in two ranges at once,
-    else serially, and write the result's frames to `entry`."""
+    else serially, a chunk at a time, and write the chunks' frames to
+    `entry`. If the split fails, None voids the chunks it gave and the
+    serial loop follows. That loop reads a file _CHUNK_LINES lines at a
+    time, and any other iterable of lines, which may be read once only, in
+    one chunk; after a duplicate id in a file, it scans the file again
+    whole, for the serial error and its first line."""
     split = None if info is None else _split_at(source, info.st_size)
     if split is not None:
-        # whatever goes wrong, the serial loop below gives the serial
-        # result or raises the serial error
-        with contextlib.suppress(Exception):
-            return _ingest_split(source, split, info.st_size, entry)
-        entry.discard()  # it may hold some of the worker's frames
+        try:
+            yield from _ingest_split(source, split, info.st_size, entry)
+            return
+        except Exception:  # the serial loop gives the serial result or raises the serial error
+            entry.discard()  # it may hold some of the worker's frames
+            yield None
     state = _Ingest()
-    state.scan(_open_lines(source))
-    entry.write_result(state.records, state.diagnostics, state.lines)
-    return state.records, state.diagnostics
+    lines = _open_lines(source)
+    chunk_lines = _CHUNK_LINES if isinstance(source, (str, Path)) else None
+    try:
+        while state.scan(islice(lines, chunk_lines)):
+            records, diagnostics = state.take()
+            entry.write_frame(0, records, diagnostics, state.lines)
+            yield 0, records, diagnostics
+    except DuplicateItemError:
+        if chunk_lines is not None:  # the first line may be in a chunk already taken
+            _Ingest().scan(_open_lines(source))
+        raise
 
 
 def _unchanged(path, info: os.stat_result) -> bool:
@@ -719,6 +761,31 @@ def _unchanged(path, info: os.stat_result) -> bool:
         return _file_version(os.stat(path)) == _file_version(info)
     except OSError:
         return False
+
+
+def ingest_chunks(source) -> Iterator[Chunk | None]:
+    """Ingest a corpus a chunk at a time, from a cache entry's frames, the
+    split's two ranges or the serial loop, holding no chunk once it is
+    yielded. Records come in input order within each part, and diagnostics
+    in line order. A None voids every chunk before it: the chunks start
+    over on another path, after a missing or damaged cache entry or a
+    failed split. The chunks after the last None, joined part by part, are
+    ingest_corpus's result, errors and cache entry included."""
+    info = _large_file(source)
+    path = None if info is None else _cache_key(source)
+    if path is not None:
+        try:
+            yield from _cache_read(path)
+            return
+        except Exception:  # whatever fails, the parse gives the result instead
+            yield None
+    entry = _Entry(path)
+    try:
+        yield from _parse(source, info, entry)
+        if path is not None and _unchanged(source, info):
+            entry.commit()
+    finally:
+        entry.discard()  # after a commit, there is nothing left to discard
 
 
 def ingest_corpus(
@@ -738,21 +805,17 @@ def ingest_corpus(
     the benchmark's output checks still pass it; filter_corpus applies it.
     """
     _check_window(window)
-    info = _large_file(source)
-    path = None if info is None else _cache_key(source)
-    if path is not None and (cached := _cache_read(path)) is not None:
-        return cached
-    entry = _Entry(path)
-    digits_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(_INT_MAX_DIGITS)
-    try:
-        result = _parse(source, info, entry)
-        if path is not None and _unchanged(source, info):
-            entry.commit()
-    finally:
-        sys.set_int_max_str_digits(digits_limit)
-        entry.discard()  # after a commit, there is nothing left to discard
-    return result
+    parts: tuple[list[ItemRecord], list[ItemRecord]] = ([], [])
+    diagnostics: list[Diagnostic] = []
+    for chunk in ingest_chunks(source):
+        if chunk is None:
+            parts, diagnostics = ([], []), []
+        else:
+            parts[chunk[0]].extend(chunk[1])
+            diagnostics += chunk[2]
+    records, second = parts
+    records += second
+    return records, diagnostics
 
 
 def filter_corpus(
@@ -908,10 +971,3 @@ def _resolve_names(
         else:
             resolved[raw] = publisher_id
     return resolved, unresolved
-
-
-def unknown_parent_chapters(items: Iterable[ItemRecord]) -> list[str]:
-    """Chapters whose parent book is not in the corpus. They stay in the
-    analysis but count as not-edited."""
-    books = {i.item_id for i in items if i.doc_type == DOC_BOOK}
-    return [i.item_id for i in items if i.doc_type == DOC_CHAPTER and i.parent_book_id not in books]

@@ -6,7 +6,9 @@ in-memory rows bit for bit. Each file is written atomically: its text,
 rendered in parts of at most `_PART_ROWS` rows so that no whole text is
 held at once, goes into a temp file that is then renamed over the target.
 Files contain nothing run-dependent, so identical inputs and
-configuration give byte-identical output trees.
+configuration give byte-identical output trees. `rank`, `profile` and
+`stats` prepare the whole corpus (`_prepare_inputs`); `validate` filters
+and resolves it a chunk at a time and keeps only what its report prints.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import contextlib
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -25,14 +28,17 @@ from typing import Iterable, Iterator
 from . import corpus as corpus_module  # for corpus_fingerprint, looked up at call time
 from .corpus import (
     DEFAULT_WINDOW,
+    DOC_BOOK,
+    DOC_CHAPTER,
+    Chunk,
     Diagnostic,
     ResolvedCorpus,
     filter_corpus,
+    ingest_chunks,
     ingest_corpus,
     resolve_corpus,
-    unknown_parent_chapters,
 )
-from .errors import ConfigError, ExportError
+from .errors import ConfigError, ExportError, UnresolvedPublisherError
 from .indicators import CorpusStats, IndicatorRow, compute_baselines, corpus_stats
 from .ranking import PublisherProfile, RankingTable, ThresholdPolicy, build_all_rankings, build_profile
 from .registry import PUBLISHER_TYPES, PublisherRegistry, load_registry_dir
@@ -216,24 +222,6 @@ def _json_header(table: RankingTable) -> dict:
         "sort_key": "pbk",
         "type_filter": meta.type_filter,
         "rows": [],
-    }
-
-
-def _json_payload(table: RankingTable) -> dict:
-    """The ranking JSON document as plain data; `_ranking_json`'s parts
-    join to exactly `json.dumps(_json_payload(table), indent=2) + "\n"`."""
-    return {
-        **_json_header(table),
-        "rows": [
-            {
-                "rank": rank,
-                "publisher_id": row.publisher_id,
-                "publisher": table.publishers[row.publisher_id].name,
-                "type": table.publishers[row.publisher_id].publisher_type,
-                **_indicator_json(row),
-            }
-            for rank, row in enumerate(table.entries, start=1)
-        ],
     }
 
 
@@ -466,11 +454,56 @@ class ValidationReport(PreparedInputs):
 def run_validate(config: RunConfig) -> ValidationReport:
     """Load and cross-check every input, collecting per-line diagnostics
     and resolution gaps instead of failing on them (load errors and, in
-    strict mode, unresolved publishers stay fatal)."""
-    inputs, corpus = _prepare_inputs(config, load_registry_dir(config.registry_dir))
-    category_tuples = {item.categories for item in corpus.items}
+    strict mode, unresolved publishers stay fatal). Each chunk of the
+    corpus is filtered and resolved as `_prepare_inputs` does the whole
+    corpus, then folded into the report and dropped."""
+    registry = load_registry_dir(config.registry_dir)
+    taxonomy = load_taxonomy(config.taxonomy)
+    with contextlib.closing(ingest_chunks(config.corpus)) as chunks:
+        return _fold_chunks(chunks, registry, taxonomy, config)
+
+
+def _fold_chunks(
+    chunks: Iterator[Chunk | None], registry: PublisherRegistry, taxonomy: TaxonomyMap, config: RunConfig
+) -> ValidationReport:
+    """The report of the chunks. It keeps the counts, the diagnostics, the
+    unresolved names, the distinct category tuples, the resolved book ids,
+    and the parent ids of chapters folded before any resolved book of that
+    id; an orphan chapter's parent is among the last at the end. A None
+    chunk voids what came before it: the rest is folded afresh."""
+    ingested = filtered = resolved = 0
+    diagnostics: list[Diagnostic] = []
+    unresolved: set[str] = set()
+    category_tuples: set[tuple[str, ...]] = set()
+    books: set[str] = set()
+    parents: Counter[str] = Counter()
+    # strict mode: the error of each part's first unresolved name, raised
+    # once every chunk is read, so that a duplicate id is reported first
+    first_unresolved: dict[int, UnresolvedPublisherError] = {}
+    for chunk in chunks:
+        if chunk is None:
+            return _fold_chunks(chunks, registry, taxonomy, config)
+        part, records, chunk_diagnostics = chunk
+        diagnostics += chunk_diagnostics
+        ingested += len(records)
+        records = filter_corpus(records, registry, config.window)
+        filtered += len(records)
+        try:
+            corpus, names = resolve_corpus(records, registry, strict=config.strict)
+        except UnresolvedPublisherError as exc:
+            first_unresolved.setdefault(part, exc)
+            continue
+        resolved += len(corpus)
+        unresolved |= names
+        category_tuples.update(item.categories for item in corpus.items)
+        books.update(item.item_id for item in corpus.items if item.doc_type == DOC_BOOK)
+        parents.update(item.parent_book_id for item in corpus.items
+                       if item.doc_type == DOC_CHAPTER and item.parent_book_id not in books)
+    if first_unresolved:
+        raise first_unresolved[min(first_unresolved)]
     return ValidationReport(
-        **vars(inputs),
-        unknown_categories=inputs.taxonomy.unknown_categories(category_tuples),
-        orphan_chapters=len(unknown_parent_chapters(corpus.items)),
+        registry=registry, taxonomy=taxonomy, diagnostics=diagnostics, unresolved=unresolved,
+        ingested=ingested, filtered=filtered, resolved=resolved,
+        unknown_categories=taxonomy.unknown_categories(category_tuples),
+        orphan_chapters=sum(n for parent, n in parents.items() if parent not in books),
     )

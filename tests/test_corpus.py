@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -24,7 +25,6 @@ from pubrank.corpus import (
     filter_corpus,
     ingest_corpus,
     resolve_corpus,
-    unknown_parent_chapters,
 )
 from pubrank.errors import (
     CorpusError,
@@ -33,6 +33,10 @@ from pubrank.errors import (
     UnresolvedPublisherError,
 )
 from pubrank.indicators import compute_baselines, corpus_stats
+from pubrank.report import RunConfig, run_validate
+from pubrank.samples import sample_registry_dir, sample_taxonomy_path
+from pubrank.taxonomy import load_taxonomy
+from pubrank.testkit import SynthParams, generate_corpus
 from util import ingest_and_resolve, jsonl, record
 
 
@@ -465,7 +469,7 @@ class TestIngestFuzz:
 @pytest.fixture
 def split_calls(monkeypatch):
     """Split every corpus file, whatever its size, and record what each
-    split returned (None when it raised and the serial loop ran)."""
+    split gave: its chunks, or None when it raised and the serial loop ran."""
     if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("ingest splits only on Linux with two CPUs allowed")
     monkeypatch.setattr(corpus, "_SPLIT_MIN_BYTES", 0)
@@ -474,8 +478,11 @@ def split_calls(monkeypatch):
 
     def recorded(*args):
         calls.append(None)
-        calls[-1] = split(*args)
-        return calls[-1]
+        chunks = []
+        for chunk in split(*args):  # passed on as they come, as a failing split passes them
+            chunks.append(chunk)
+            yield chunk
+        calls[-1] = chunks
 
     monkeypatch.setattr(corpus, "_ingest_split", recorded)
     return calls
@@ -811,9 +818,8 @@ class TestIngestCache:
         for change in (rewrite, path.unlink):  # a removed file has no status to compare
 
             def changed(*args):
-                result = parse(*args)
+                yield from parse(*args)
                 change()
-                return result
 
             monkeypatch.setattr(corpus, "_parse", changed)
             ingest_corpus(path)
@@ -892,6 +898,97 @@ class TestIngestCache:
         records, _ = ingest_corpus(path)
         assert split_calls[0] is not None
         assert records[7].parent_book_id is records[2].item_id  # the worker's half, two frames on
+
+
+def validate_corpus(kind: str, bundle, directory: Path) -> Path:
+    """A corpus of the given kind, built from a generated bundle's lines."""
+    lines = bundle.corpus_path.read_text(encoding="utf-8").splitlines()
+    path = directory / f"{kind}.jsonl"
+    if kind == "dirty":  # the benchmark's seeded faults
+        workloads = importlib.import_module("workloads")
+        log = directory / "log.json"
+        expected = workloads.inject_faults(bundle.corpus_path, path, log, 3, bundle.ledger)
+        assert expected["malformed"] > 0
+        return path
+    if kind == "empty":
+        lines = []
+
+    elif kind.startswith("duplicate"):  # a first-half id again, in the second half or right after
+        again = json.loads(lines[len(lines) - 10 if kind == "duplicate across halves" else 4])
+        again["id"] = json.loads(lines[3])["id"]
+        lines.insert(len(lines) - 5 if kind == "duplicate across halves" else 5, json.dumps(again))
+    elif kind == "unresolved in both halves":
+        lines.insert(len(lines) - 5, json.dumps(record("x-late", publisher="Nowhere Press B")))
+        lines.insert(5, json.dumps(record("x-early", publisher="Nowhere Press A")))
+    return write_lines(path, lines)
+
+
+class TestValidatePaths:
+    """`validate` prints the same bytes, and exits with the same code, on
+    every ingest path: the serial loop, the split, a split that writes the
+    cache, and a cache hit. Chunks of 8 lines make each fold span many."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        return generate_corpus(
+            SynthParams(seed=3, publisher_count=8, items_per_publisher=(25, 45)),
+            load_taxonomy(sample_taxonomy_path()),
+            tmp_path / "bundle",
+        )
+
+    @pytest.mark.parametrize("kind", ["clean", "dirty", "empty", "duplicate across halves",
+                                      "duplicate in a half", "unresolved in both halves",
+                                      "a failing worker"])
+    def test_every_path_prints_the_serial_report(self, kind, bundle, tmp_path, split_calls,
+                                                  ingest_cache, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        path = validate_corpus(kind, bundle, tmp_path)
+        argv = ["validate", "--corpus", str(path), "--registry-dir", str(bundle.registry_dir),
+                "--taxonomy", str(bundle.taxonomy_path)]
+        if kind == "unresolved in both halves":
+            argv.append("--strict")
+        if kind == "a failing worker":  # a clean corpus; the worker sends its frames, then exits 1
+            send = corpus._send_chunks
+
+            def send_then_fail(path, end, out):
+                send(path, end, out)
+                out.flush()
+                os._exit(1)
+
+            monkeypatch.setattr(corpus, "_send_chunks", send_then_fail)
+        monkeypatch.setattr(corpus, "_CHUNK_LINES", 8)
+        outputs = []
+
+        def validate():
+            code = run_cli(argv)
+            outputs.append((code, *capsys.readouterr()))
+
+        with mock.patch.object(corpus, "_SPLIT_MIN_BYTES", 1 << 62):
+            validate()  # serial, and never cached
+        with mock.patch.object(corpus, "_cache_key", lambda source: None):
+            validate()  # split, and not cached
+        validate()  # split, and written to the cache
+        if entries(ingest_cache):
+            no_parse(monkeypatch)
+        validate()  # a hit, when the parse wrote an entry
+
+        serial = outputs[0]
+        assert outputs == [serial] * 4
+        code, out, err = serial
+        if kind.startswith("duplicate"):
+            assert code == 2 and out == "" and err.startswith("error: duplicate item_id ")
+            assert " on lines 4 and " in err  # the first copy's line, whatever the path
+            assert split_calls == [None] * 3 and entries(ingest_cache) == []  # no hit: a parse each time
+        elif kind == "a failing worker":
+            assert code == 0 and err == "" and "validation ok" in out
+            assert split_calls == [None] * 3 and entries(ingest_cache) == []
+        elif kind == "unresolved in both halves":
+            assert code == 2 and "nowhere press a" in err and "nowhere press b" not in err
+            assert len(split_calls) == 2 and None not in split_calls
+        else:
+            assert code == (1 if kind == "dirty" else 0) and err == ""
+            assert len(split_calls) == (0 if kind == "empty" else 2) and None not in split_calls
+            assert len(entries(ingest_cache)) == 1
 
 
 class TestFilter:
@@ -1136,19 +1233,24 @@ class TestFingerprint:
         assert streamed < sorted_keys / 3, peaks
 
 
-def test_orphan_chapters(registry):
-    records, _ = ingest_corpus(
-        jsonl(
-            [
-                record("b1", edited=True),
-                record("b2", edited=False),
-                record("b3"),
-                record("c1", doc_type="chapter", parent_book_id="b1"),
-                record("c2", doc_type="chapter", parent_book_id="gone"),
-            ]
-        )
-    )
-    assert unknown_parent_chapters(records) == ["c2"]
+def test_orphan_chapters(tmp_path, monkeypatch):
+    """A chapter whose book is not in the corpus is an orphan; one that
+    comes before its book, in an earlier chunk, is not."""
+    monkeypatch.setattr(corpus, "_CHUNK_LINES", 2)
+    records = [
+        record("c0", doc_type="chapter", parent_book_id="b3"),
+        record("b1", edited=True),
+        record("b2", edited=False),
+        record("b3"),
+        record("c1", doc_type="chapter", parent_book_id="b1"),
+        record("c2", doc_type="chapter", parent_book_id="gone"),
+    ]
+    orphans = []
+    for kept in (records, records[:-1]):  # and without c2, none
+        config = RunConfig(corpus=write_lines(tmp_path / "corpus.jsonl", jsonl(kept)),
+                           registry_dir=sample_registry_dir(), taxonomy=sample_taxonomy_path())
+        orphans.append(run_validate(config).orphan_chapters)
+    assert orphans == [1, 0]
 
 
 class TestStats:
