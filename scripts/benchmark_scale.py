@@ -13,7 +13,8 @@ Then runs the CLI path on the same corpus, `pubrank rank --format
 csv,json,html` in a child process, from JSONL on disk to written tables,
 and reports its own wall time and peak RSS; then `pubrank validate` in a
 child process, which reads the ingest cache entry that the CLI `rank`
-wrote, and reports the same two figures. Each child is spawned through
+wrote, and then the same `pubrank rank` again over that entry (warm), and
+reports the same two figures for each. Each child is spawned through
 perfbench/launcher.py, started before generation: on exec, Linux folds the
 parent's resident-set high-water mark into the child's ru_maxrss.
 
@@ -21,7 +22,8 @@ Prints one JSON object, e.g.:
 
     {"records": 500123, "tables": 42, "elapsed": 31.4, "maxrss_mb": 1210.5,
      "cli_wall_s": 10.4, "cli_maxrss_mb": 276.0,
-     "cli_validate_wall_s": 0.9, "cli_validate_maxrss_mb": 60.7}
+     "cli_validate_wall_s": 0.9, "cli_validate_maxrss_mb": 51.8,
+     "cli_warm_wall_s": 4.3, "cli_warm_maxrss_mb": 82.8}
 
 ru_maxrss covers the whole process (generation included), so the memory
 figure is an upper bound on what the pipeline itself needs.
@@ -29,8 +31,9 @@ figure is an upper bound on what the pipeline itself needs.
 The in-process run and the CLI `rank` parse the corpus cold: ingest's
 cache (see README) points at an empty directory of its own for each,
 inside the temporary directory, so neither reads the other's entry and
-nothing is left behind. The CLI `validate` is warm: it shares the CLI
-`rank`'s directory, as a user's next command over the same corpus would.
+nothing is left behind. The CLI `validate` and the second CLI `rank` are
+warm: they share the first CLI `rank`'s directory, as a user's next
+commands over the same corpus would.
 """
 
 from __future__ import annotations
@@ -78,9 +81,10 @@ def main(argv: list[str] | None = None) -> int:
     with launcher, tempfile.TemporaryDirectory(prefix="pubrank-bench-") as tmp:
         taxonomy = load_taxonomy(sample_taxonomy_path())
         result = generate_corpus(params, taxonomy, tmp)
-        cli = _run_cli(launcher, result, Path(tmp), "rank", "--out", str(Path(tmp, "tables")),
-                       "--format", "csv,json,html")
+        rank = ("rank", "--out", str(Path(tmp, "tables")), "--format", "csv,json,html")
+        cli = _run_cli(launcher, result, Path(tmp), *rank)
         cli_validate = _run_cli(launcher, result, Path(tmp), "validate")
+        cli_warm = _run_cli(launcher, result, Path(tmp), *rank)
         os.environ["XDG_CACHE_HOME"] = str(Path(tmp, "cache"))
         # the CLI child's formats, so that this run hashes the corpus as that one does
         config = RunConfig(corpus=result.corpus_path, registry_dir=result.registry_dir,
@@ -101,6 +105,8 @@ def main(argv: list[str] | None = None) -> int:
         "cli_maxrss_mb": round(cli["maxrss_kb"] / 1024, 1),
         "cli_validate_wall_s": round(cli_validate["wall_s"], 3),
         "cli_validate_maxrss_mb": round(cli_validate["maxrss_kb"] / 1024, 1),
+        "cli_warm_wall_s": round(cli_warm["wall_s"], 3),
+        "cli_warm_maxrss_mb": round(cli_warm["maxrss_kb"] / 1024, 1),
     }))
     return 0
 

@@ -5,8 +5,11 @@ is tolerant: a malformed line becomes a diagnostic and the run continues;
 only unreadable sources and duplicate item ids are fatal. Ingest reads a
 file a chunk of lines at a time (`ingest_chunks`), and `ingest_corpus`
 joins the chunks into one record list. Filtering and resolution are pure
-functions over records, which `validate` applies to each chunk in turn.
-The summary statistics are folded from the indicators' one walk
+functions over records, which every command applies to each chunk in turn
+(`report._CorpusPass`), so no command holds a list of the corpus's
+records. The corpus fingerprint hashes the resolved records' keys as the
+chunks pass, while they come out sorted (`KeyDigest`). The summary
+statistics are folded from the indicators' one walk
 (`indicators.corpus_stats`).
 """
 
@@ -104,10 +107,9 @@ def _parse_line(obj: dict, shared: dict) -> tuple[ItemRecord, list[str]]:
     list that passed the check, as a tuple, to its normalised tuple, so
     records with the same list share one tuple (a str, an int and a tuple
     are never equal, and a raw tuple equal to a normalised one is already
-    normalised, so one table serves them all). The line loop adds each
-    book's id to it, so a chapter after its book holds the book's id string
-    as its parent id.
-    Values come from `json.loads`, so exact-type checks
+    normalised, so one table serves them all). Ids, parent ids included,
+    are each record's own: no record list outlives its chunk, so sharing
+    them would save nothing. Values come from `json.loads`, so exact-type checks
     (bool is an int subclass and must not pass as one) and identity on the
     two bools are the same tests as isinstance.
     """
@@ -177,7 +179,7 @@ def _parse_line(obj: dict, shared: dict) -> tuple[ItemRecord, list[str]]:
         categories,
         citations,
         serial,
-        shared.get(parent_book_id, parent_book_id),
+        parent_book_id,
         edited,
     )
     return record, warnings
@@ -229,8 +231,8 @@ def _open_lines(source) -> Iterator[str]:
 class _Ingest:
     """The state of one scan's line loop: the records and diagnostics not
     yet taken, the ids seen, the blank lines, and the table that shares
-    category tuples, publisher strings, years and book ids between records
-    (see _parse_line), and each reason between diagnostics. The table is
+    category tuples, publisher strings and years between records (see
+    _parse_line), and each reason between diagnostics. The table is
     its own, not sys.intern's, so that it goes with the scan: a long-tail
     corpus has 17k distinct publisher strings."""
 
@@ -305,8 +307,6 @@ class _Ingest:
             if item_id in seen:
                 raise DuplicateItemError(item_id, self._first_line(item_id), line_no)
             seen.add(item_id)
-            if record.doc_type == DOC_BOOK:
-                shared[item_id] = item_id
             records.append(record)
             for message in warnings:
                 self.note(line_no, message, "warning")
@@ -343,9 +343,10 @@ class _Ingest:
 # midpoint: a forked worker scans the first range while this process scans the
 # second. Each _CHUNK_LINES lines, the worker writes that chunk's records, as
 # marshalled columns, its diagnostics and the number of lines it has scanned
-# as one length-prefixed frame to a pipe. After each chunk of its own, this
-# process reads the worker's whole frames for as long as the pipe has data,
-# and at the end it reads them up to the pipe's end. The worker's range starts
+# as one frame to a pipe, behind a header of the chunk's part and length.
+# After each chunk of its own, this process reads the worker's whole frames
+# for as long as the pipe has data, and at the end it reads them up to the
+# pipe's end. The worker's range starts
 # the file, so its frames' line numbers stand as they are, and the frames go
 # into the file's cache entry as they arrive.
 #
@@ -360,7 +361,7 @@ class _Ingest:
 # 10 ms: files under 1 MiB stay serial.
 _SPLIT_MIN_BYTES = 1 << 20
 _CHUNK_LINES = 1024
-_FRAME_HEADER = 8  # bytes of the little-endian payload length
+_FRAME_HEADER = 9  # bytes: the chunk's part, then the little-endian payload length
 # A 1 MiB pipe (the default limit for unprivileged processes) holds about
 # 17 chunks, so the worker, which does not decode, seldom waits for this
 # process to read them.
@@ -432,11 +433,11 @@ def _split_at(source, size: int) -> int | None:
 def _frame(
     part: int, records: Sequence[ItemRecord], diagnostics: Iterable[Diagnostic], lines: int
 ) -> bytes:
-    """One length-prefixed frame: the chunk's part, its records and its
-    diagnostics as marshalled columns, and the number of lines scanned when
-    it was written."""
-    payload = marshal.dumps((part, tuple(zip(*records)), tuple(zip(*diagnostics)), lines))
-    return len(payload).to_bytes(_FRAME_HEADER, "little") + payload
+    """One frame: a header of the chunk's part and the payload's length,
+    then the payload, the chunk's records and diagnostics as marshalled
+    columns and the number of lines scanned when it was written."""
+    payload = marshal.dumps((tuple(zip(*records)), tuple(zip(*diagnostics)), lines))
+    return bytes((part,)) + len(payload).to_bytes(_FRAME_HEADER - 1, "little") + payload
 
 
 def _send_chunks(path, end: int, out) -> None:
@@ -450,29 +451,31 @@ def _send_chunks(path, end: int, out) -> None:
 
 
 def _read_frames(
-    frames: io.BufferedReader, into: _Ingest, to_end: bool, entry: _Entry
+    frames: io.BufferedReader, into: _Ingest, to_end: bool, entry: _Entry, only: int | None = None
 ) -> Iterator[Chunk]:
     """Read whole frames, from the worker's pipe or a cache entry, and yield
     each as a chunk: its part, its records, whose values go through `into`'s
     shared table, and its diagnostics, whose reasons do too; `into`'s line
     count becomes the last frame's. Read for as long as the pipe has data
     or, if `to_end`, up to the end, and pass each frame on to `entry` as it
-    stands. A frame that has begun is read to its end, as the worker is
-    writing it. A short header or payload raises EOFError. Each book's id
-    joins the table before the frame's parent ids are looked up in it, so a
-    chapter holds its book's id string whichever frame the book is in."""
-    shared = into.shared
-    share = shared.setdefault
+    stands. Given a part `only`, skip the payloads of the other part's
+    frames, which needs a file that can seek. A frame that has begun is
+    read to its end, as the worker is writing it. A short header or payload
+    raises EOFError."""
+    share = into.shared.setdefault
     while to_end or select.select((frames,), (), (), 0)[0]:
         header = frames.read(_FRAME_HEADER)
         if not header:
             return
-        size = int.from_bytes(header, "little")
+        part, size = header[0], int.from_bytes(header[1:], "little")
+        if only is not None and part != only and len(header) == _FRAME_HEADER:
+            frames.seek(size, io.SEEK_CUR)
+            continue
         payload = frames.read(size)
         if len(header) < _FRAME_HEADER or len(payload) < size:
             raise EOFError("truncated frame")
         entry.write(header, payload)
-        part, columns, diagnostic_columns, into.lines = marshal.loads(payload)
+        columns, diagnostic_columns, into.lines = marshal.loads(payload)
         records, diagnostics = [], []
         if diagnostic_columns:
             line_nos, reasons, severities = diagnostic_columns
@@ -480,8 +483,6 @@ def _read_frames(
                                zip(line_nos, map(share, reasons, reasons), severities))
         if columns:
             ids, doc_types, publishers, years, categories, citations, serial, parents, edited = columns
-            books = [item_id for item_id, doc_type in zip(ids, doc_types) if doc_type == DOC_BOOK]
-            shared.update(zip(books, books))
             # tuple.__new__ builds each record in C; ItemRecord(...) would
             # run the NamedTuple's Python __new__
             records += map(tuple.__new__, repeat(ItemRecord), zip(
@@ -492,7 +493,7 @@ def _read_frames(
                 map(share, categories, categories),
                 citations,
                 serial,
-                map(shared.get, parents, parents),
+                parents,
                 edited,
             ))
         yield part, records, diagnostics
@@ -575,7 +576,8 @@ def _ingest_split(path, split: int, size: int, entry: _Entry) -> Iterator[Chunk]
 # with absolute line numbers. A split parse writes each range's frames as
 # they come, interleaved, and this process's range's diagnostics last, in
 # one frame, as their line numbers are known only once the worker's range
-# is read; a reader joins the records part by part. The body is checked
+# is read; a reader reads part 0's frames, then seeks back for part 1's, so
+# that it gives the records in file order. The body is checked
 # before any frame is decoded, and an entry that is missing or fails the
 # check is parsed again. Reads and writes stream a frame at a time, so
 # neither holds the body in memory.
@@ -651,15 +653,18 @@ def _cache_key(source) -> Path | None:
 
 
 def _cache_read(entry: Path) -> Iterator[Chunk]:
-    """The chunks of a cache entry whose body passes its digest; raises if
-    the entry is missing, unreadable or damaged. A hit makes the entry the
-    most recently used."""
+    """The chunks of a cache entry whose body passes its digest, part 0's
+    before part 1's, so that the records come in file order; raises if the
+    entry is missing, unreadable or damaged. A hit makes the entry the most
+    recently used."""
     with open(entry, "rb") as fh:
         digest = fh.read(_DIGEST_BYTES)
         if _hash_rest(fh, _sha256()) != digest:
             raise ValueError("cache entry fails its digest")
-        fh.seek(_DIGEST_BYTES)
-        yield from _read_frames(fh, _Ingest(), True, _Entry(None))
+        into = _Ingest()
+        for part in (0, 1):
+            fh.seek(_DIGEST_BYTES)
+            yield from _read_frames(fh, into, True, _Entry(None), part)
     with contextlib.suppress(OSError):  # a read-only cache still serves hits
         _touch(entry)
 
@@ -766,8 +771,9 @@ def _unchanged(path, info: os.stat_result) -> bool:
 def ingest_chunks(source) -> Iterator[Chunk | None]:
     """Ingest a corpus a chunk at a time, from a cache entry's frames, the
     split's two ranges or the serial loop, holding no chunk once it is
-    yielded. Records come in input order within each part, and diagnostics
-    in line order. A None voids every chunk before it: the chunks start
+    yielded. Records come in input order within each part: a cache hit
+    gives part 0's chunks before part 1's, a split parse interleaves them.
+    Diagnostics come in line order. A None voids every chunk before it: the chunks start
     over on another path, after a missing or damaged cache entry or a
     failed split. The chunks after the last None, joined part by part, are
     ingest_corpus's result, errors and cache entry included."""
@@ -848,11 +854,14 @@ def filter_corpus(
 
 
 class ResolvedCorpus:
-    """Filtered items with their terminal publisher ids. `resolve_corpus`
-    gives the items in item-id order, so record order never leaks into
-    downstream artifacts and `corpus_fingerprint` hashes their keys as it
-    builds them; the digest is order-insensitive whatever the order of the
-    items."""
+    """Filtered items with their terminal publisher ids, in input order.
+    The walk (`indicators.compute_baselines`) and `corpus_fingerprint` read
+    a corpus through `chunks()`: here the items are one chunk, which the
+    corpus keeps. A corpus that is read from its file a chunk at a time
+    gives its chunks the same way, with None where the chunks start over,
+    and feeds their fingerprint keys to its `keys` as it gives them."""
+
+    keys: KeyDigest | None = None
 
     def __init__(self, items: Sequence[ItemRecord], publisher_ids: Sequence[str]):
         self.items = items
@@ -864,33 +873,8 @@ class ResolvedCorpus:
     def pairs(self) -> Iterator[tuple[ItemRecord, str]]:
         return zip(self.items, self.publisher_ids)
 
-    def chunks(self) -> Iterator[tuple[Sequence[ItemRecord], Sequence[str]]]:
-        """The items and their publisher ids, as the walk reads them: here
-        in one chunk, and the corpus keeps them."""
+    def chunks(self) -> Iterator[tuple[Sequence[ItemRecord], Sequence[str]] | None]:
         yield self.items, self.publisher_ids
-
-    def hand_over(self) -> ResolvedCorpus:
-        """These items, handed to the walk as their last reader: the walk
-        lets go of each chunk once it has passed it, and this corpus is left
-        empty at once, so the walk's corpus holds the items alone; a caller
-        that wants `corpus_fingerprint` of the items takes it first."""
-        handed = _HandedOver(self.items, self.publisher_ids)
-        self.items, self.publisher_ids = [], ()
-        return handed
-
-
-_HANDOVER_CHUNK = 4096  # items a handed-over corpus gives the walk at a time
-
-
-class _HandedOver(ResolvedCorpus):
-    items: list[ItemRecord]
-
-    def chunks(self) -> Iterator[tuple[Sequence[ItemRecord], Sequence[str]]]:
-        items, ids = self.items, self.publisher_ids
-        for start in range(0, len(ids), _HANDOVER_CHUNK):
-            chunk = items[:_HANDOVER_CHUNK]
-            del items[:_HANDOVER_CHUNK]  # the chunk holds them alone: they go when the walk drops it
-            yield chunk, ids[start:start + _HANDOVER_CHUNK]
 
 
 _DIGEST_BATCH = 1024  # key lines hashed per update
@@ -907,14 +891,12 @@ def _keys_in_order(items: Sequence[ItemRecord]) -> bool:
     )
 
 
-def corpus_fingerprint(items: Sequence[ItemRecord], publisher_ids: Iterable[str]) -> str:
-    """SHA-256 of the sorted record keys, each followed by "\\n". A key is
-    the id, doc type, publisher id, year, categories (joined by ","),
-    citations, parent book id and edited flag, joined by "\\x1f". Keys
-    that come out sorted (see _keys_in_order) are hashed a batch at a time
-    as they are built; any others are built into one list and sorted."""
-    keys: Iterator[str] = (
-        "\x1f".join((
+def _keys(items: Iterable[ItemRecord], publisher_ids: Iterable[str]) -> Iterator[str]:
+    """Each item's fingerprint key: the id, doc type, publisher id, year,
+    categories (joined by ","), citations, parent book id and edited flag,
+    joined by "\\x1f"."""
+    for item, publisher_id in zip(items, publisher_ids):
+        yield "\x1f".join((
             item.item_id,
             item.doc_type,
             publisher_id,
@@ -924,22 +906,96 @@ def corpus_fingerprint(items: Sequence[ItemRecord], publisher_ids: Iterable[str]
             item.parent_book_id or "",
             "" if item.book_is_edited is None else str(item.book_is_edited),
         ))
-        for item, publisher_id in zip(items, publisher_ids)
-    )
-    if not _keys_in_order(items):
-        keys = iter(sorted(keys))
-    digest = _sha256()
+
+
+def _batches(keys: Iterator[str]) -> Iterator[bytes]:
+    """The keys, each followed by "\\n", as UTF-8 in batches of _DIGEST_BATCH."""
     while batch := "\n".join(islice(keys, _DIGEST_BATCH)):  # a key is never empty
-        digest.update(batch.encode("utf-8"))
-        digest.update(b"\n")
+        yield (batch + "\n").encode("utf-8")
+
+
+class KeyDigest:
+    """The fingerprint's SHA-256 over the keys of chunks of records, fed a
+    chunk at a time as a pass gives them, for as long as the keys come out
+    sorted (see _keys_in_order, and each chunk's first id against the last
+    one's). Part 0's keys are hashed as they come, and so are part 1's when
+    part 0 came first, as a cache hit gives them. When part 1 begins first,
+    as a split parse gives it, its keys are held as bytes and hashed after
+    part 0's at the end."""
+
+    def __init__(self) -> None:
+        self.digest = _sha256()
+        self.sorted = True
+        self.last: str | None = None  # the last id hashed
+        self.held: list[bytes] | None = None  # part 1's keys, when part 1 began first
+        self.held_first: str | None = None
+        self.held_last: str | None = None
+
+    def add(self, part: int, items: Sequence[ItemRecord], publisher_ids: Sequence[str]) -> None:
+        if not items or not self.sorted:
+            return
+        if part and self.last is None and self.held is None:
+            self.held = []
+        hold = part == 1 and self.held is not None
+        last = self.held_last if hold else self.last
+        if not _keys_in_order(items) or (last is not None and not last < items[0].item_id):
+            self.sorted, self.held = False, None
+            return
+        if hold:
+            self.held += _batches(_keys(items, publisher_ids))
+            if self.held_first is None:
+                self.held_first = items[0].item_id
+            self.held_last = items[-1].item_id
+        else:
+            for batch in _batches(_keys(items, publisher_ids)):
+                self.digest.update(batch)
+            self.last = items[-1].item_id
+
+    def hexdigest(self) -> str | None:
+        """The digest of the keys fed, or None if any came out of order."""
+        if not self.sorted:
+            return None
+        digest = self.digest.copy()
+        if self.held:
+            if self.last is not None and not self.last < self.held_first:
+                return None
+            for batch in self.held:
+                digest.update(batch)
+        return digest.hexdigest()
+
+
+def corpus_fingerprint(corpus: ResolvedCorpus) -> str:
+    """SHA-256 of the sorted record keys (see _keys), each followed by
+    "\\n". Keys that come out sorted are hashed a batch at a time as the
+    corpus's chunks give them (KeyDigest); a corpus whose `keys` a pass has
+    fed is read here only if they did not. Otherwise the chunks are read,
+    again for such a corpus, and their keys encoded into one list of bytes
+    and sorted: UTF-8 bytes sort as their text does."""
+    keys = corpus.keys
+    if keys is None:
+        keys = KeyDigest()
+        for items, publisher_ids in corpus.chunks():
+            keys.add(0, items, publisher_ids)
+    hexdigest = keys.hexdigest()
+    if hexdigest is not None:
+        return hexdigest
+    encoded: list[bytes] = []
+    for chunk in corpus.chunks():
+        if chunk is None:  # the chunks start over
+            encoded = []
+        else:
+            encoded += map(str.encode, _keys(*chunk))
+    encoded.sort()
+    digest = _sha256()
+    for start in range(0, len(encoded), _DIGEST_BATCH):
+        digest.update(b"\n".join(encoded[start:start + _DIGEST_BATCH]) + b"\n")
     return digest.hexdigest()
 
 
 def resolve_corpus(
     items: list[ItemRecord], registry: PublisherRegistry, strict: bool = True
 ) -> tuple[ResolvedCorpus, set[str]]:
-    """Attach terminal publisher ids to every item, and put the items in
-    item-id order.
+    """Attach terminal publisher ids to every item, keeping input order.
 
     In strict mode an unresolved raw string is fatal, and the error names
     the first one in input order. In lenient mode the offending items are
@@ -950,7 +1006,6 @@ def resolve_corpus(
     if unresolved and strict:
         raise UnresolvedPublisherError(unresolved[0])
     kept_items = [item for item in items if item.raw_publisher in resolved]
-    kept_items.sort(key=_item_id)
     publisher_ids = tuple(resolved[item.raw_publisher] for item in kept_items)
     return ResolvedCorpus(items=kept_items, publisher_ids=publisher_ids), set(unresolved)
 

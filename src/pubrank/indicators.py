@@ -16,9 +16,8 @@ exact sum of those means over a common denominator. Rows are named tuples.
 One walk over the items, `compute_baselines`, builds the baseline cells,
 the rows' accumulators and the per-field coverage sums; `compute_all_rows`
 finalises the rows, and `corpus_stats` folds a given table for `stats`.
-Given a handed-over corpus, the walk is the items' last reader and lets go
-of them a chunk at a time, so its tables grow into the memory the records
-give back.
+The walk reads the corpus a chunk at a time, as the commands' pass over
+the file gives it, and holds no item once it has passed it.
 
 Scoped computations run over the items that map to at least one known
 discipline; items whose categories are all unknown are excluded from
@@ -30,9 +29,9 @@ category tuple, a tuple of `ScopeEntry`.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
-from .corpus import DOC_BOOK, DOC_CHAPTER, ResolvedCorpus
+from .corpus import DOC_BOOK, DOC_CHAPTER, ItemRecord, ResolvedCorpus
 from .registry import PublisherRegistry
 from .taxonomy import SCOPE_DISCIPLINE, SCOPE_FIELD, ScopeEntry, TaxonomyMap
 
@@ -90,15 +89,27 @@ class _Acc:
 
 
 def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> BaselineTable:
-    """The one walk over the corpus. One cell per occupied (discipline,
-    doc_type, year) triple, built from every item of every publisher;
-    eligibility never trims baselines. An item in k disciplines contributes
-    whole to all k cells. A corpus from `ResolvedCorpus.hand_over` is left
-    empty, each chunk of items released once the walk has passed it; any
-    other is left as it was."""
+    """The one walk over the corpus, a chunk of `corpus.chunks()` at a time;
+    a None chunk voids the walk so far, and the chunks after it are walked
+    afresh. One cell per occupied (discipline, doc_type, year) triple,
+    built from every item of every publisher; eligibility never trims
+    baselines. An item in k disciplines contributes whole to all k cells."""
+    chunks = corpus.chunks()
+    table = None
+    while table is None:
+        table = _walk(chunks, taxonomy)
+    return table
+
+
+def _walk(chunks: Iterator[tuple[Sequence[ItemRecord], Sequence[str]] | None],
+          taxonomy: TaxonomyMap) -> BaselineTable | None:
+    """The table of the chunks up to the end, or None at a None chunk. A
+    chapter counts toward ED when its book is an edited book of the corpus.
+    The walk keeps each book's edited flag; a chapter that comes before its
+    book waits, with its accumulators, until the last chunk is walked."""
     plans = taxonomy.plans
-    # a chapter may come before its book; taken before any item is released
-    edited = {i.item_id for i in corpus.items if i.book_is_edited and i.doc_type == DOC_BOOK}
+    books: dict[str, bool] = {}  # book id -> edited, for the books walked so far
+    waiting: list[tuple[str, dict[int, _Acc], tuple]] = []  # (book id, accumulators, parts)
 
     # Ids interned once per run: Scope -> scope id and
     # (discipline, doc_type, year, k) -> cell id. An item's parts, one
@@ -116,9 +127,14 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
     accs: dict[str, dict[int, _Acc]] = {}
     totals: dict[str, list[int]] = {}
 
-    for items, pids in corpus.chunks():
-        for item, pid in zip(items, pids):
+    for chunk in chunks:
+        if chunk is None:
+            return None
+        for item, pid in zip(*chunk):
             dt = item.doc_type
+            is_book = dt == DOC_BOOK
+            if is_book:
+                books[item.item_id] = item.book_is_edited is True
             year = item.pub_year
             shape = (item.categories, dt, year)
             memo = parts_of.get(shape)
@@ -147,8 +163,11 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
                 totals[pid] = [0, 0]
             if not parts:  # all categories unknown: counted in the coverage only
                 continue
-            is_book = dt == DOC_BOOK
-            from_edited = dt == DOC_CHAPTER and item.parent_book_id in edited
+            from_edited = False
+            if dt == DOC_CHAPTER:
+                from_edited = books.get(item.parent_book_id)
+                if from_edited is None:
+                    waiting.append((item.parent_book_id, own, parts))
             totals[pid][0 if is_book else 1] += 1
             for sid, ids in parts:
                 acc = own.get(sid)
@@ -162,6 +181,10 @@ def compute_baselines(corpus: ResolvedCorpus, taxonomy: TaxonomyMap) -> Baseline
                         acc.edited_chapters += 1
                 acc.cit += cit
                 acc.cells.extend(ids)
+    for book_id, own, parts in waiting:
+        if books.get(book_id):
+            for sid, _ in parts:
+                own[sid].edited_chapters += 1
 
     # one pass over the shapes: [items, citations] by cell and by coverage key; books by scope
     cell_counts: dict[tuple[str, str, int], list[int]] = {}

@@ -6,9 +6,10 @@ in-memory rows bit for bit. Each file is written atomically: its text,
 rendered in parts of at most `_PART_ROWS` rows so that no whole text is
 held at once, goes into a temp file that is then renamed over the target.
 Files contain nothing run-dependent, so identical inputs and
-configuration give byte-identical output trees. `rank`, `profile` and
-`stats` prepare the whole corpus (`_prepare_inputs`); `validate` filters
-and resolves it a chunk at a time and keeps only what its report prints.
+configuration give byte-identical output trees. Every command reads the
+corpus in one pass (`_CorpusPass`) that filters and resolves it a chunk
+at a time: `rank`, `profile` and `stats` walk each chunk into the
+baselines, and `validate` keeps only what its report prints.
 """
 
 from __future__ import annotations
@@ -26,19 +27,19 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from . import corpus as corpus_module  # for corpus_fingerprint, looked up at call time
-from .corpus import (
+from .corpus import (  # ingest_corpus unused here: the benchmark's tracer wraps this module's name
     DEFAULT_WINDOW,
     DOC_BOOK,
     DOC_CHAPTER,
-    Chunk,
     Diagnostic,
-    ResolvedCorpus,
+    ItemRecord,
+    KeyDigest,
     filter_corpus,
     ingest_chunks,
     ingest_corpus,
     resolve_corpus,
 )
-from .errors import ConfigError, ExportError, UnresolvedPublisherError
+from .errors import ConfigError, CorpusError, ExportError, UnresolvedPublisherError
 from .indicators import CorpusStats, IndicatorRow, compute_baselines, corpus_stats
 from .ranking import PublisherProfile, RankingTable, ThresholdPolicy, build_all_rankings, build_profile
 from .registry import PUBLISHER_TYPES, PublisherRegistry, load_registry_dir
@@ -356,7 +357,7 @@ def export_profile(profile: PublisherProfile, fmt: str, destination: str | Path)
 
 class PreparedInputs(SimpleNamespace):
     """Loaded registry and taxonomy, and what ingest, filter and resolution
-    reported; `_prepare_inputs` hands on the corpus beside it. Built from
+    reported over a pass of the corpus (`_CorpusPass`). Built from
     keywords, as are the two records that extend it."""
 
     registry: PublisherRegistry
@@ -374,45 +375,98 @@ class PipelineResult(PreparedInputs):
     tables: list[RankingTable]
 
 
-def _prepare_inputs(
-    config: RunConfig, registry: PublisherRegistry
-) -> tuple[PreparedInputs, ResolvedCorpus]:
-    """Load the taxonomy, then ingest, filter and resolve the corpus against
-    `registry`. Raises PubrankError subclasses on fatal problems. The
-    ingested list goes once filter has returned, so resolve never holds
-    what filter drops."""
-    taxonomy = load_taxonomy(config.taxonomy)
-    records, diagnostics = ingest_corpus(config.corpus)
-    ingested = len(records)
-    records = filter_corpus(records, registry, config.window)
-    filtered = len(records)
-    corpus, unresolved = resolve_corpus(records, registry, strict=config.strict)
-    inputs = PreparedInputs(registry=registry, taxonomy=taxonomy, diagnostics=diagnostics,
-                            unresolved=unresolved, ingested=ingested, filtered=filtered,
-                            resolved=len(corpus))
-    return inputs, corpus
+class _CorpusPass:
+    """The corpus as one pass over its file gives it, a resolved corpus
+    read a chunk at a time (see ResolvedCorpus): each chunk of
+    `ingest_chunks` is filtered and resolved against `registry`, handed
+    on, and let go. The pass counts what ingest, filter and resolve kept,
+    keeps the diagnostics and the unresolved names, and feeds `keys`, if
+    it has one, the fingerprint keys of each chunk it hands on. A None from
+    ingest voids all of that and is handed on. In strict mode, each part's
+    first unresolved name is kept, and once every chunk is read the lowest
+    part's is raised, so that a duplicate id, which ingest raises, is
+    reported first; no chunk is handed on after the first. Each call of
+    `chunks()` is a pass of its own, and one after the first fails unless
+    the file is as the first found it."""
+
+    def __init__(self, config: RunConfig, registry: PublisherRegistry, hashed: bool = False) -> None:
+        self.config = config
+        self.registry = registry
+        self.keys = KeyDigest() if hashed else None
+        self.first_read: os.stat_result | None = None
+
+    def _start(self) -> None:
+        self.diagnostics: list[Diagnostic] = []
+        self.unresolved: set[str] = set()
+        self.ingested = self.filtered = self.resolved = 0
+        if self.keys is not None:
+            self.keys = KeyDigest()
+
+    def chunks(self) -> Iterator[tuple[list[ItemRecord], tuple[str, ...]] | None]:
+        config, registry = self.config, self.registry
+        read_again = self.first_read is not None
+        if not read_again:
+            with contextlib.suppress(OSError):  # ingest reports it
+                self.first_read = os.stat(config.corpus)
+        self._start()
+        first_unresolved: dict[int, UnresolvedPublisherError] = {}
+        with contextlib.closing(ingest_chunks(config.corpus)) as chunks:
+            for chunk in chunks:
+                if chunk is None:
+                    self._start()
+                    first_unresolved.clear()
+                    yield None
+                    continue
+                part, records, diagnostics = chunk
+                self.diagnostics += diagnostics
+                self.ingested += len(records)
+                records = filter_corpus(records, registry, config.window)
+                self.filtered += len(records)
+                try:
+                    corpus, names = resolve_corpus(records, registry, strict=config.strict)
+                except UnresolvedPublisherError as exc:
+                    first_unresolved.setdefault(part, exc)
+                    continue
+                if first_unresolved:
+                    continue
+                self.resolved += len(corpus)
+                self.unresolved |= names
+                if self.keys is not None:
+                    self.keys.add(part, corpus.items, corpus.publisher_ids)
+                yield corpus.items, corpus.publisher_ids
+        if first_unresolved:
+            raise first_unresolved[min(first_unresolved)]
+        if read_again and not corpus_module._unchanged(config.corpus, self.first_read):
+            raise CorpusError(f"corpus {config.corpus} changed while it was read")
+
+    def prepared(self, kind: type[PreparedInputs], taxonomy: TaxonomyMap, **more) -> PreparedInputs:
+        """What the last pass reported, as a `kind` of PreparedInputs."""
+        return kind(registry=self.registry, taxonomy=taxonomy, diagnostics=self.diagnostics,
+                    unresolved=self.unresolved, ingested=self.ingested, filtered=self.filtered,
+                    resolved=self.resolved, **more)
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Prepare the inputs, compute baselines, and build all ranking tables.
-    The walk is the corpus's last reader, so the records go as it passes
-    them. The tables carry the corpus fingerprint if `config.formats` names
-    json, the one format that writes it, else None."""
-    inputs, corpus = _prepare_inputs(config, load_registry_dir(config.registry_dir))
-    fingerprint = None
-    if "json" in config.formats:  # taken before the walk releases any record
-        fingerprint = corpus_module.corpus_fingerprint(corpus.items, corpus.publisher_ids)
+    """Load the inputs, then walk the corpus a chunk at a time into the
+    baselines and build all ranking tables from them. The tables carry the
+    corpus fingerprint if `config.formats` names json, the one format that
+    writes it, else None: the pass feeds the keys of each chunk to the
+    fingerprint as the walk takes it, and the corpus is read again only if
+    they came out of order."""
+    registry = load_registry_dir(config.registry_dir)
+    taxonomy = load_taxonomy(config.taxonomy)
+    corpus = _CorpusPass(config, registry, hashed="json" in config.formats)
     tables = build_all_rankings(
-        inputs.registry,
-        inputs.taxonomy,
+        registry,
+        taxonomy,
         # held by build_all_rankings alone, which lets go of it once the rows are made
-        compute_baselines(corpus.hand_over(), inputs.taxonomy),
+        compute_baselines(corpus, taxonomy),
         config.policy(),
         window=config.window,
         type_filter=config.type_filter,
-        fingerprint=fingerprint,
+        fingerprint=None if corpus.keys is None else corpus_module.corpus_fingerprint(corpus),
     )
-    return PipelineResult(**vars(inputs), tables=tables)
+    return corpus.prepared(PipelineResult, taxonomy, tables=tables)
 
 
 def run_rank(config: RunConfig) -> tuple[PipelineResult, list[Path]]:
@@ -431,17 +485,17 @@ def run_profile(config: RunConfig, publisher: str) -> tuple[PublisherProfile, li
         raise ConfigError("profile requires an output directory")
     registry = load_registry_dir(config.registry_dir)
     pid = registry.resolve(publisher)  # an unknown name fails before the corpus is read
-    inputs, corpus = _prepare_inputs(config, registry)
-    baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
-    profile = build_profile(pid, baselines, inputs.registry, config.policy(), config.type_filter)
+    taxonomy = load_taxonomy(config.taxonomy)
+    baselines = compute_baselines(_CorpusPass(config, registry), taxonomy)
+    profile = build_profile(pid, baselines, registry, config.policy(), config.type_filter)
     written = [export_profile(profile, fmt, config.out) for fmt in config.formats]
     return profile, written
 
 
 def run_stats(config: RunConfig) -> CorpusStats:
-    inputs, corpus = _prepare_inputs(config, load_registry_dir(config.registry_dir))
-    baselines = compute_baselines(corpus.hand_over(), inputs.taxonomy)
-    return corpus_stats(baselines, inputs.registry, inputs.taxonomy)
+    registry = load_registry_dir(config.registry_dir)
+    taxonomy = load_taxonomy(config.taxonomy)
+    return corpus_stats(compute_baselines(_CorpusPass(config, registry), taxonomy), registry, taxonomy)
 
 
 class ValidationReport(PreparedInputs):
@@ -454,56 +508,28 @@ class ValidationReport(PreparedInputs):
 def run_validate(config: RunConfig) -> ValidationReport:
     """Load and cross-check every input, collecting per-line diagnostics
     and resolution gaps instead of failing on them (load errors and, in
-    strict mode, unresolved publishers stay fatal). Each chunk of the
-    corpus is filtered and resolved as `_prepare_inputs` does the whole
-    corpus, then folded into the report and dropped."""
+    strict mode, unresolved publishers stay fatal). The pass of the corpus
+    hands each resolved chunk to a fold that keeps the distinct category
+    tuples, the resolved book ids, and the parent ids of chapters folded
+    before any resolved book of that id; an orphan chapter's parent is
+    among the last at the end."""
     registry = load_registry_dir(config.registry_dir)
     taxonomy = load_taxonomy(config.taxonomy)
-    with contextlib.closing(ingest_chunks(config.corpus)) as chunks:
-        return _fold_chunks(chunks, registry, taxonomy, config)
-
-
-def _fold_chunks(
-    chunks: Iterator[Chunk | None], registry: PublisherRegistry, taxonomy: TaxonomyMap, config: RunConfig
-) -> ValidationReport:
-    """The report of the chunks. It keeps the counts, the diagnostics, the
-    unresolved names, the distinct category tuples, the resolved book ids,
-    and the parent ids of chapters folded before any resolved book of that
-    id; an orphan chapter's parent is among the last at the end. A None
-    chunk voids what came before it: the rest is folded afresh."""
-    ingested = filtered = resolved = 0
-    diagnostics: list[Diagnostic] = []
-    unresolved: set[str] = set()
+    corpus = _CorpusPass(config, registry)
     category_tuples: set[tuple[str, ...]] = set()
     books: set[str] = set()
     parents: Counter[str] = Counter()
-    # strict mode: the error of each part's first unresolved name, raised
-    # once every chunk is read, so that a duplicate id is reported first
-    first_unresolved: dict[int, UnresolvedPublisherError] = {}
-    for chunk in chunks:
-        if chunk is None:
-            return _fold_chunks(chunks, registry, taxonomy, config)
-        part, records, chunk_diagnostics = chunk
-        diagnostics += chunk_diagnostics
-        ingested += len(records)
-        records = filter_corpus(records, registry, config.window)
-        filtered += len(records)
-        try:
-            corpus, names = resolve_corpus(records, registry, strict=config.strict)
-        except UnresolvedPublisherError as exc:
-            first_unresolved.setdefault(part, exc)
+    for chunk in corpus.chunks():
+        if chunk is None:  # the chunks start over
+            category_tuples, books, parents = set(), set(), Counter()
             continue
-        resolved += len(corpus)
-        unresolved |= names
-        category_tuples.update(item.categories for item in corpus.items)
-        books.update(item.item_id for item in corpus.items if item.doc_type == DOC_BOOK)
-        parents.update(item.parent_book_id for item in corpus.items
+        items, _ = chunk
+        category_tuples.update(item.categories for item in items)
+        books.update(item.item_id for item in items if item.doc_type == DOC_BOOK)
+        parents.update(item.parent_book_id for item in items
                        if item.doc_type == DOC_CHAPTER and item.parent_book_id not in books)
-    if first_unresolved:
-        raise first_unresolved[min(first_unresolved)]
-    return ValidationReport(
-        registry=registry, taxonomy=taxonomy, diagnostics=diagnostics, unresolved=unresolved,
-        ingested=ingested, filtered=filtered, resolved=resolved,
+    return corpus.prepared(
+        ValidationReport, taxonomy,
         unknown_categories=taxonomy.unknown_categories(category_tuples),
         orphan_chapters=sum(n for parent, n in parents.items() if parent not in books),
     )

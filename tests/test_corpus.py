@@ -33,7 +33,7 @@ from pubrank.errors import (
     UnresolvedPublisherError,
 )
 from pubrank.indicators import compute_baselines, corpus_stats
-from pubrank.report import RunConfig, run_validate
+from pubrank.report import RunConfig, run_rank, run_validate
 from pubrank.samples import sample_registry_dir, sample_taxonomy_path
 from pubrank.taxonomy import load_taxonomy
 from pubrank.testkit import SynthParams, generate_corpus
@@ -130,7 +130,7 @@ class TestIngest:
                           "in position 9: surrogates not allowed")
             for n, code in ((1, "d800"), (4, "dfff"))]
         resolved, _ = resolve_corpus(records, registry, strict=False)
-        assert corpus_fingerprint(resolved.items, resolved.publisher_ids)  # encodes every id as UTF-8
+        assert corpus_fingerprint(resolved)  # encodes every id as UTF-8
 
     def test_blank_lines_skipped(self):
         records, diagnostics = ingest_corpus(["", "  ", json.dumps(record("a")), "\n"])
@@ -218,7 +218,7 @@ class TestIngest:
         (book, chapter), _ = ingest_corpus(
             jsonl([record("b1"), record("c1", doc_type="chapter", parent_book_id="b1")])
         )
-        assert chapter.parent_book_id is book.item_id
+        assert chapter.parent_book_id == book.item_id
 
     def test_chapter_before_its_book_keeps_its_values(self):
         lines = jsonl([record("c1", doc_type="chapter", parent_book_id="b1"), record("b1")])
@@ -583,8 +583,8 @@ class TestSplitIngest:
         path = write_lines(tmp_path / "corpus.jsonl", jsonl(recs))
         records, _ = ingest_corpus(path)
         assert split_calls[0] is not None
-        assert records[3].parent_book_id is records[0].item_id  # the worker's half
-        assert records[17].parent_book_id is records[12].item_id
+        assert records[3].parent_book_id == records[0].item_id  # the worker's half
+        assert records[17].parent_book_id == records[12].item_id
 
     def test_list_source_never_forks(self, split_calls, monkeypatch):
         def no_fork():
@@ -630,7 +630,7 @@ def assert_values_shared(records):
     assert all(b.pub_year is books[0].pub_year for b in books[::3])
     assert all(b.categories is books[0].categories for b in books)
     for i in range(12):
-        assert by_id[f"c{i}"].parent_book_id is by_id[f"b{i // 2}"].item_id
+        assert by_id[f"c{i}"].parent_book_id == by_id[f"b{i // 2}"].item_id
 
 
 def repeated_faults() -> list[str]:
@@ -713,6 +713,16 @@ class TestIngestCache:
         assert len(diagnostics) == 20 and max(d.line for d in diagnostics) == 22
         assert_values_shared(records)
         assert_values_shared(miss[0])
+
+    def test_a_hit_gives_the_first_parts_chunks_first(self, tmp_path, cached, split_calls):
+        """A split parse gives its second part's first chunk first; a hit
+        gives every chunk of part 0 before part 1's, in file order."""
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl([record(f"r{i:02d}") for i in range(40)]))
+        miss, hit = ([(chunk[0], [r.item_id for r in chunk[1]]) for chunk in corpus.ingest_chunks(path)
+                      if chunk is not None] for _ in range(2))  # no entry yet: a None, then the parse
+        assert miss[0][0] == 1 and len(split_calls) == 1
+        assert hit == sorted(miss, key=lambda chunk: chunk[0]) and len(hit) > 4
+        assert [i for _, ids in hit for i in ids] == [f"r{i:02d}" for i in range(40)]
 
     def test_a_hit_neither_forks_nor_parses(self, tmp_path, cached, monkeypatch):
         path = tmp_path / "corpus.jsonl"
@@ -897,7 +907,7 @@ class TestIngestCache:
         path = write_lines(tmp_path / "corpus.jsonl", jsonl(recs))
         records, _ = ingest_corpus(path)
         assert split_calls[0] is not None
-        assert records[7].parent_book_id is records[2].item_id  # the worker's half, two frames on
+        assert records[7].parent_book_id == records[2].item_id  # the worker's half, two frames on
 
 
 def validate_corpus(kind: str, bundle, directory: Path) -> Path:
@@ -914,11 +924,13 @@ def validate_corpus(kind: str, bundle, directory: Path) -> Path:
         lines = []
 
     elif kind.startswith("duplicate"):  # a first-half id again, in the second half or right after
-        again = json.loads(lines[len(lines) - 10 if kind == "duplicate across halves" else 4])
+        across = kind != "duplicate in a half"
+        again = json.loads(lines[len(lines) - 10 if across else 4])
         again["id"] = json.loads(lines[3])["id"]
-        lines.insert(len(lines) - 5 if kind == "duplicate across halves" else 5, json.dumps(again))
-    elif kind == "unresolved in both halves":
-        lines.insert(len(lines) - 5, json.dumps(record("x-late", publisher="Nowhere Press B")))
+        lines.insert(len(lines) - 5 if across else 5, json.dumps(again))
+    if kind in ("unresolved in both halves", "duplicate and unresolved"):
+        if kind == "unresolved in both halves":
+            lines.insert(len(lines) - 5, json.dumps(record("x-late", publisher="Nowhere Press B")))
         lines.insert(5, json.dumps(record("x-early", publisher="Nowhere Press A")))
     return write_lines(path, lines)
 
@@ -957,21 +969,12 @@ class TestValidatePaths:
 
             monkeypatch.setattr(corpus, "_send_chunks", send_then_fail)
         monkeypatch.setattr(corpus, "_CHUNK_LINES", 8)
-        outputs = []
 
         def validate():
             code = run_cli(argv)
-            outputs.append((code, *capsys.readouterr()))
+            return (code, *capsys.readouterr())
 
-        with mock.patch.object(corpus, "_SPLIT_MIN_BYTES", 1 << 62):
-            validate()  # serial, and never cached
-        with mock.patch.object(corpus, "_cache_key", lambda source: None):
-            validate()  # split, and not cached
-        validate()  # split, and written to the cache
-        if entries(ingest_cache):
-            no_parse(monkeypatch)
-        validate()  # a hit, when the parse wrote an entry
-
+        outputs = every_path(validate, monkeypatch, ingest_cache)
         serial = outputs[0]
         assert outputs == [serial] * 4
         code, out, err = serial
@@ -989,6 +992,138 @@ class TestValidatePaths:
             assert code == (1 if kind == "dirty" else 0) and err == ""
             assert len(split_calls) == (0 if kind == "empty" else 2) and None not in split_calls
             assert len(entries(ingest_cache)) == 1
+
+
+def every_path(run, monkeypatch, cache_dir: Path) -> list:
+    """What `run()` gives on the serial loop, a split that writes no cache
+    entry, a split that writes one, and a hit of that entry, if there is
+    one; the split runs wherever the caller allows it."""
+    outputs = []
+    with mock.patch.object(corpus, "_SPLIT_MIN_BYTES", 1 << 62):
+        outputs.append(run())  # serial, and never cached
+    with mock.patch.object(corpus, "_cache_key", lambda source: None):
+        outputs.append(run())  # split, and not cached
+    outputs.append(run())  # split, and written to the cache
+    if entries(cache_dir):
+        no_parse(monkeypatch)
+    outputs.append(run())  # a hit, when the parse wrote an entry
+    return outputs
+
+
+class TestRankPaths:
+    """`rank` gives the serial result or error on every ingest path: a
+    duplicate id's two serial line numbers, strict mode's first unresolved
+    name in input order, the duplicate when a corpus holds both faults, and
+    the serial tables after a failed split. Chunks of 8 lines make each
+    pass span many."""
+
+    @pytest.mark.parametrize("kind", ["duplicate across halves", "duplicate in a half",
+                                      "unresolved in both halves", "duplicate and unresolved"])
+    def test_every_path_gives_the_serial_error(self, kind, tmp_path, split_calls, ingest_cache,
+                                               monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        bundle = generate_corpus(SynthParams(seed=3, publisher_count=8, items_per_publisher=(25, 45)),
+                                 load_taxonomy(sample_taxonomy_path()), tmp_path / "bundle")
+        path = validate_corpus(kind, bundle, tmp_path)
+        argv = ["rank", "--corpus", str(path), "--registry-dir", str(bundle.registry_dir),
+                "--taxonomy", str(bundle.taxonomy_path), "--out", str(tmp_path / "out"),
+                "--format", "csv,json,html", "--strict"]
+        monkeypatch.setattr(corpus, "_CHUNK_LINES", 8)
+
+        def rank():
+            code = run_cli(argv)
+            return (code, *capsys.readouterr())
+
+        outputs = every_path(rank, monkeypatch, ingest_cache)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if kind.startswith("duplicate"):
+            item_id = json.loads(lines[3])["id"]
+            second = 1 + next(n for n in range(4, len(lines)) if json.loads(lines[n])["id"] == item_id)
+            expected = f"error: duplicate item_id {item_id!r} on lines 4 and {second}\n"
+        else:
+            expected = "error: unresolved publisher string 'nowhere press a'\n"
+        assert outputs == [(2, "", expected)] * 4
+        assert not (tmp_path / "out").exists()
+
+    def test_a_failed_split_is_walked_afresh(self, tmp_path, split_calls, monkeypatch):
+        """The worker sends its frames, which the walk and the fingerprint
+        take, then exits 1: the serial loop's chunks are walked and hashed
+        afresh, and the tree is the serial one."""
+        bundle = generate_corpus(SynthParams(seed=3, publisher_count=8, items_per_publisher=(25, 45)),
+                                 load_taxonomy(sample_taxonomy_path()), tmp_path / "bundle")
+        monkeypatch.setattr(corpus, "_CHUNK_LINES", 8)
+
+        def rank(name):
+            out = tmp_path / name
+            config = RunConfig(corpus=bundle.corpus_path, registry_dir=bundle.registry_dir,
+                               taxonomy=bundle.taxonomy_path, out=out, formats=("csv", "json"))
+            result, _ = run_rank(config)
+            return (result.ingested, result.filtered, result.resolved, len(result.diagnostics),
+                    {p.name: p.read_bytes() for p in out.iterdir()})
+
+        with mock.patch.object(corpus, "_SPLIT_MIN_BYTES", 1 << 62):
+            serial = rank("serial")
+        send = corpus._send_chunks
+
+        def send_then_fail(path, end, out):
+            send(path, end, out)
+            out.flush()
+            os._exit(1)
+
+        monkeypatch.setattr(corpus, "_send_chunks", send_then_fail)
+        assert rank("failed split") == serial
+        assert split_calls == [None] and serial[0] > 0  # and hashed in order: no second read
+
+
+def fingerprint_corpus(ids) -> list[dict]:
+    """Records of the given ids, in their order: books, edited or not, and
+    chapters of the books before them, over two publishers."""
+    records = []
+    for n, item_id in enumerate(ids):
+        fields = {"publisher": ("Springer", "Routledge")[n % 2], "year": 2009 + n % 5,
+                  "citations": n % 4, "categories": [("History", "Law")[n % 2]]}
+        if n % 3 == 2:
+            records.append(record(item_id, doc_type="chapter", parent_book_id=ids[n - 1], **fields))
+        else:
+            records.append(record(item_id, edited=n % 2 == 0, **fields))
+    return records
+
+
+class TestStreamedFingerprint:
+    """`rank` writes the fingerprint of the joined resolved list, as
+    corpus_fingerprint and the sorted-key reference give it, on every
+    ingest path and whatever the order of the ids: hashed as the chunks
+    pass, held for the split's second part until the first part ends, or
+    read again when a key comes out of order. Chunks of 3 lines put keys
+    on each side of every chunk boundary and of the split."""
+
+    @pytest.mark.parametrize("ids", [
+        [f"r{n:02d}" for n in range(40)],
+        random.Random(11).sample([f"r{n:02d}" for n in range(40)], 40),
+        sorted(f"a{'0' * (n % 4)}{n // 4 or ''}" for n in range(40)),  # many ids prefix others
+        [f"r{n:02d}" + ("\x01" if n == 30 else "") for n in range(40)],
+    ], ids=["in id order", "shuffled", "prefixes", "a control character"])
+    def test_every_path_writes_the_joined_lists_digest(self, ids, tmp_path, registry, split_calls,
+                                                        ingest_cache, monkeypatch):
+        records = fingerprint_corpus(ids)
+        joined, _, _ = ingest_and_resolve(records, registry)
+        expected = reference_fingerprint(joined.items, joined.publisher_ids)
+        assert corpus_fingerprint(joined) == expected
+        path = write_lines(tmp_path / "corpus.jsonl", jsonl(records))
+        monkeypatch.setattr(corpus, "_CHUNK_LINES", 3)
+        config = RunConfig(corpus=path, registry_dir=sample_registry_dir(), taxonomy=sample_taxonomy_path(),
+                           out=tmp_path / "out", formats=("json",))
+
+        def rank():
+            run_rank(config)
+            written = {json.loads(p.read_text(encoding="utf-8"))["corpus_fingerprint"]
+                       for p in config.out.glob("*.json")}
+            return written
+
+        assert every_path(rank, monkeypatch, ingest_cache) == [{expected}] * 4
+        # keys out of order are read again: a second split where nothing is cached
+        assert len(split_calls) == (2 if corpus._keys_in_order(joined.items) else 3)
+        assert None not in split_calls
 
 
 class TestFilter:
@@ -1082,14 +1217,14 @@ class TestResolve:
             resolve_corpus(records, registry, strict=True)
         assert err.value.folded == "mystery house"
 
-    def test_items_come_in_id_order(self, registry):
+    def test_items_keep_input_order(self, registry):
         records, _ = ingest_corpus(
             jsonl([record("c", publisher="Pergamon"), record("a", publisher="Nowhere Books"),
                    record("b", publisher="Willan Publ"), record("a2", publisher="AK Peters")])
         )
         corpus, _ = resolve_corpus(records, registry, strict=False)
-        assert [i.item_id for i in corpus.items] == ["a2", "b", "c"]
-        assert corpus.publisher_ids == ("crc-press", "taylor-francis", "elsevier")
+        assert [i.item_id for i in corpus.items] == ["c", "b", "a2"]
+        assert corpus.publisher_ids == ("elsevier", "taylor-francis", "crc-press")
 
     def test_lenient_reports_exact_folded_set(self, registry):
         records, _ = ingest_corpus(
@@ -1125,19 +1260,19 @@ class TestResolve:
         random.Random(3).shuffle(shuffled)
         a, _ = resolve_corpus(records, registry)
         b, _ = resolve_corpus(shuffled, registry)
-        assert corpus_fingerprint(a.items, a.publisher_ids) == corpus_fingerprint(b.items, b.publisher_ids)
+        assert corpus_fingerprint(a) == corpus_fingerprint(b)
 
     def test_fingerprint_sees_content_changes(self, registry):
         base = [record("r1", citations=1), record("r2", citations=2)]
         changed = [record("r1", citations=1), record("r2", citations=3)]
         a, _, _ = ingest_and_resolve(base, registry)
         b, _, _ = ingest_and_resolve(changed, registry)
-        assert corpus_fingerprint(a.items, a.publisher_ids) != corpus_fingerprint(b.items, b.publisher_ids)
+        assert corpus_fingerprint(a) != corpus_fingerprint(b)
 
     def test_fingerprint_function_matches_resolve(self, registry):
         records, _ = ingest_corpus(jsonl([record("r1"), record("r2")]))
         corpus, _ = resolve_corpus(records, registry)
-        assert corpus_fingerprint(corpus.items, corpus.publisher_ids) == reference_fingerprint(
+        assert corpus_fingerprint(corpus) == reference_fingerprint(
             corpus.items, corpus.publisher_ids
         )
 
@@ -1175,7 +1310,7 @@ def fingerprint_item(item_id, edited=None, parent=None, citations=0):
 
 def fingerprints(items):
     pids = tuple(f"p{i % 3}" for i in range(len(items)))
-    return corpus_fingerprint(items, pids), reference_fingerprint(items, pids)
+    return corpus_fingerprint(ResolvedCorpus(items, pids)), reference_fingerprint(items, pids)
 
 
 class TestFingerprint:
@@ -1196,9 +1331,9 @@ class TestFingerprint:
     def test_items_out_of_id_order(self):
         items = tuple(fingerprint_item(f"i{n:03d}", citations=n) for n in range(50))[::-1]
         corpus = ResolvedCorpus(items, tuple(f"p{n % 3}" for n in range(50)))
-        digest = corpus_fingerprint(corpus.items, corpus.publisher_ids)
+        digest = corpus_fingerprint(corpus)
         assert digest == reference_fingerprint(corpus.items, corpus.publisher_ids)
-        assert digest == corpus_fingerprint(items[::-1], corpus.publisher_ids[::-1])
+        assert digest == corpus_fingerprint(ResolvedCorpus(items[::-1], corpus.publisher_ids[::-1]))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1222,7 +1357,8 @@ class TestFingerprint:
             fingerprint_item(f"itm-{n:06d}", edited=n % 2 == 1, citations=n % 7) for n in range(20_000)
         )
         peaks = []
-        for fingerprint in (corpus_fingerprint, reference_fingerprint):
+        for fingerprint in (lambda *corpus: corpus_fingerprint(ResolvedCorpus(*corpus)),
+                            reference_fingerprint):
             tracemalloc.start()
             try:
                 fingerprint(items, ("publisher",) * len(items))
@@ -1231,6 +1367,39 @@ class TestFingerprint:
                 tracemalloc.stop()
         streamed, sorted_keys = peaks
         assert streamed < sorted_keys / 3, peaks
+
+
+class TestKeyDigest:
+    """The streamed fingerprint of chunks fed as a pass gives them."""
+
+    ITEMS = tuple(fingerprint_item(f"i{n:02d}", edited=n % 2 == 0, citations=n) for n in range(12))
+    PIDS = tuple(f"p{n % 3}" for n in range(12))
+
+    def fed(self, *chunks) -> str | None:
+        """The digest of (part, start, end) slices of ITEMS, fed in turn."""
+        keys = corpus.KeyDigest()
+        for part, start, end in chunks:
+            keys.add(part, self.ITEMS[start:end], self.PIDS[start:end])
+        return keys.hexdigest()
+
+    def test_part_order_and_a_split_parses_order_give_the_digest(self):
+        expected = corpus_fingerprint(ResolvedCorpus(self.ITEMS, self.PIDS))
+        assert expected == reference_fingerprint(self.ITEMS, self.PIDS)
+        assert self.fed((0, 0, 4), (0, 4, 7), (1, 7, 12)) == expected  # serial, or a hit
+        assert self.fed((1, 7, 9), (0, 0, 4), (1, 9, 12), (0, 4, 7)) == expected  # a split parse
+        assert self.fed((1, 0, 0), (0, 0, 0), (0, 0, 12)) == expected  # empty chunks add nothing
+
+    def test_keys_out_of_order_give_no_digest(self):
+        assert self.fed((0, 0, 4), (0, 3, 6)) is None  # a repeated id, across chunks
+        assert self.fed((0, 6, 12), (0, 0, 6)) is None  # sorted chunks, out of order
+        assert self.fed((1, 0, 6), (0, 6, 9), (1, 6, 9)) is None  # part 1 behind itself
+        assert self.fed((1, 0, 3), (0, 6, 9), (1, 3, 6), (0, 9, 12)) is None  # part 1 below part 0
+
+    def test_digest_of_a_shuffled_chunk_is_none(self):
+        shuffled = self.ITEMS[::-1]
+        keys = corpus.KeyDigest()
+        keys.add(0, shuffled, self.PIDS)
+        assert keys.hexdigest() is None
 
 
 def test_orphan_chapters(tmp_path, monkeypatch):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pubrank import corpus as corpus_module, ranking as ranking_module, report as report_module
-from pubrank.corpus import ingest_corpus, resolve_corpus
-from pubrank.errors import ConfigError, ExportError, UnresolvedPublisherError
+from pubrank.corpus import ingest_chunks, ingest_corpus, resolve_corpus
+from pubrank.errors import ConfigError, CorpusError, ExportError, UnresolvedPublisherError
 from pubrank.indicators import IndicatorRow, Scope, compute_baselines
 from pubrank.ranking import (
     PublisherProfile,
@@ -597,14 +597,21 @@ class TestRunPipeline:
         }
 
     def test_corpus_is_released_before_the_tables(self, run_inputs, monkeypatch):
-        corpora = []
+        passes = []  # each read of the corpus, the walk's and any the fingerprint makes
 
         def baselines(corpus, taxonomy):
-            corpora.append(weakref.ref(corpus))
+            read = corpus.chunks
+
+            def chunks():
+                generator = read()
+                passes.append(weakref.ref(generator))
+                return generator
+
+            corpus.chunks = chunks
             return compute_baselines(corpus, taxonomy)
 
         def rankings(*args, **kwargs):
-            assert corpora[0]() is None
+            assert passes and all(p() is None for p in passes)
             return build_all_rankings(*args, **kwargs)
 
         monkeypatch.setattr(report_module, "compute_baselines", baselines)
@@ -631,33 +638,57 @@ class TestRunPipeline:
         assert held == [2]
 
     def test_the_records_filter_drops_go_before_resolve(self, run_inputs, monkeypatch):
+        """A record that filter drops is gone by the time the next chunk is
+        resolved: no list of the ingested records outlives its chunk."""
+        lines = run_inputs.corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        run_inputs.corpus.write_text("".join(lines[-1:] + lines[:-1]), encoding="utf-8")  # x1 first
+        monkeypatch.setattr(corpus_module, "_CHUNK_LINES", 1)
         dropped, held = [], []
 
+        def note(chunk):
+            if chunk is not None:
+                dropped.extend(r for r in chunk[1] if r.item_id == "x1")  # an excluded publisher's
+            return chunk
+
         def ingest(source):
-            records, diagnostics = ingest_corpus(source)
-            dropped.extend(r for r in records if r.item_id == "x1")  # an excluded publisher's
-            return records, diagnostics
+            yield from map(note, ingest_chunks(source))  # holds no chunk of its own
 
         def resolve(records, registry, strict):
-            held.append(sys.getrefcount(dropped[0]))  # 2 counts `dropped` and the argument
+            if dropped:
+                held.append(sys.getrefcount(dropped[0]))  # 2 counts `dropped` and the argument
             return resolve_corpus(records, registry, strict=strict)
 
-        monkeypatch.setattr(report_module, "ingest_corpus", ingest)
+        monkeypatch.setattr(report_module, "ingest_chunks", ingest)
         monkeypatch.setattr(report_module, "resolve_corpus", resolve)
-        result = run_pipeline(run_inputs)
+        result = run_pipeline(dataclasses.replace(run_inputs, formats=("csv",)))  # one read
         assert (result.ingested, result.filtered, result.resolved) == (5, 4, 4)
-        assert held == [2]
+        assert held[1:] == [2] * 4  # the first is x1's own chunk, whose list still holds it
 
     @pytest.mark.parametrize("chunk", [2, 4096])
     def test_the_walk_releases_the_records_it_has_passed(self, run_inputs, monkeypatch, chunk):
-        # with chunks of 2, the first record is in a chunk the walk has left
-        # behind and the last in the one it ends on
-        monkeypatch.setattr(corpus_module, "_HANDOVER_CHUNK", chunk)
+        # with chunks of 2 lines, the first record is in a chunk the walk has
+        # left behind and the last in the one it ends on
+        monkeypatch.setattr(corpus_module, "_CHUNK_LINES", chunk)
         held = []
 
         def baselines(corpus, taxonomy):
-            first, last = corpus.items[0], corpus.items[-1]
+            ends = []  # the first record walked, then the last
+            read = corpus.chunks
+
+            def note(chunk):
+                items = chunk[0]
+                if items:
+                    if not ends:
+                        ends.append(items[0])
+                    ends[1:] = [items[-1]]
+                return chunk
+
+            def chunks():
+                yield from map(note, read())
+
+            corpus.chunks = chunks
             table = compute_baselines(corpus, taxonomy)
+            first, last = ends.pop(0), ends.pop()
             # getrefcount counts its argument: 2 means no one else holds it
             held.append((sys.getrefcount(first), sys.getrefcount(last)))
             return table
@@ -665,6 +696,19 @@ class TestRunPipeline:
         monkeypatch.setattr(report_module, "compute_baselines", baselines)
         assert len(run_pipeline(run_inputs).tables) == 42
         assert held == [(2, 2)]
+
+    def test_a_second_read_of_a_changed_corpus_fails(self, run_inputs, monkeypatch):
+        """The run_inputs ids come out of order, so the fingerprint reads the
+        corpus again, and a file changed after the walk is refused."""
+        def baselines(corpus, taxonomy):
+            table = compute_baselines(corpus, taxonomy)
+            with run_inputs.corpus.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record("z9")) + "\n")
+            return table
+
+        monkeypatch.setattr(report_module, "compute_baselines", baselines)
+        with pytest.raises(CorpusError, match="changed while it was read"):
+            run_pipeline(run_inputs)
 
     def test_rank_requires_out(self, run_inputs):
         config = RunConfig(
@@ -762,7 +806,7 @@ class TestRunProfile:
             raise AssertionError("the corpus was read")
 
         # the name is resolved once the registry is loaded, before any ingest
-        monkeypatch.setattr(report_module, "ingest_corpus", unread)
+        monkeypatch.setattr(report_module, "ingest_chunks", unread)
         with pytest.raises(UnresolvedPublisherError):
             run_profile(run_inputs, "No Such House")
 
